@@ -80,8 +80,8 @@ def _settings(ns):
             bits = int(raw)
         except ValueError:
             raise _UsageError("MTZ_PRECISION_BITS must be an integer, got %r" % raw)
-    if bits < 8:
-        raise _UsageError("precision must be at least 8 bits")
+    if bits < 64:
+        raise _UsageError("precision must be at least 64 bits")
     if ns.threads is not None:
         threads = ns.threads
     else:
@@ -484,12 +484,13 @@ def cli_main(argv):
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        # a BudgetError subclass, so it must be caught first
+        print("accuracy failure: %s" % exc, file=sys.stderr)
+        return 1
     except (DomainError, BudgetError) as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3
-    except QuadratureError as exc:
-        print("accuracy failure: %s" % exc, file=sys.stderr)
-        return 1
     except ValueError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -9,15 +9,15 @@ machinery it is later compared against.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
 from .context import to_mpf
 from .errors import DomainError
-from .kernel import euler_gamma, gamma0, pochhammer, zeta_value
+from .kernel import euler_gamma, gamma0, zeta_value
 from .jets import Jet
-from .quadrature import de_quad_01, de_quad_0inf
+from .quadrature import de_quad_0inf
 
 __all__ = [
     "WeightConfig",
@@ -95,6 +95,46 @@ def _check_x(x):
 # integral analogue I_r
 # ---------------------------------------------------------------------------
 
+# x-independent integrand factor F(u) per quadrature node, for the most
+# recently used (kind, omega, a) only, at every precision used with it:
+# (key, {precision_bits: {u._mpf_: F(u)}}).  DE nodes depend on the
+# precision alone, so a sweep over x at fixed (omega, a) finds every node
+# after the first x.  F is stored as one product keyed by the raw mpf
+# tuple, not as its r + 1 factors, to keep the table small.  Entries are
+# pure functions of their keys, so a stale read cannot change a value.
+_node_factors = (None, {})
+
+
+def _mellin_over_gamma(kind, x, w, ctx):
+    """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
+    with f_i(u) = Gamma(0, omega_i u) for kind "I" and
+    -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
+    computed and stored on a miss."""
+    global _node_factors
+    x = _check_x(x)
+    key = (kind, w.omega, w.a)
+    if _node_factors[0] != key:
+        _node_factors = (key, {})
+    table = _node_factors[1].setdefault(ctx.precision_bits, {})
+    with ctx.workprec():
+        xm1 = x - 1
+
+        def integrand(u):
+            F = table.get(u._mpf_)
+            if F is None:
+                F = mp.exp(-w.a * u)
+                for om in w.omega:
+                    if kind == "I":
+                        F *= gamma0(om * u, ctx)
+                    else:
+                        F *= -mp.log(-mp.expm1(-om * u))
+                table[u._mpf_] = F
+            return F * u ** xm1
+
+        raw = de_quad_0inf(integrand, ctx)
+        return +(raw / mp.gamma(x))
+
+
 def i_integral(x, w, ctx):
     """I_r via the 1-D representation
 
@@ -103,17 +143,10 @@ def i_integral(x, w, ctx):
     double-exponential quadrature split at u=1.  The u -> 0 endpoint
     carries the integrable log^r u * u^{x-1} singularity; the far tail
     dies like exp(-(a+|omega|/2) u) and is cut by the quadrature row
-    threshold."""
-    x = _check_x(x)
-    with ctx.workprec():
-        def integrand(u):
-            val = mp.exp(-w.a * u) * u ** (x - 1)
-            for om in w.omega:
-                val *= gamma0(om * u, ctx)
-            return val
-
-        raw = de_quad_0inf(integrand, ctx)
-        return +(raw / mp.gamma(x))
+    threshold.  The x-independent factor e^{-au} prod_i Gamma(0, omega_i u)
+    is computed once per node and reused for every later x at the same
+    (omega, a) and precision, until another configuration is evaluated."""
+    return _mellin_over_gamma("I", x, w, ctx)
 
 
 def i_brute(x, w, ctx):
@@ -176,17 +209,10 @@ def m_integral(x, w, ctx):
 
     Each factor is evaluated as -log(-expm1(-omega t)), which keeps full
     relative accuracy both as t -> 0 (factor ~ -log(omega t)) and for
-    large t (factor ~ e^{-omega t})."""
-    x = _check_x(x)
-    with ctx.workprec():
-        def integrand(t):
-            val = mp.exp(-w.a * t) * t ** (x - 1)
-            for om in w.omega:
-                val *= -mp.log(-mp.expm1(-om * t))
-            return val
-
-        raw = de_quad_0inf(integrand, ctx)
-        return +(raw / mp.gamma(x))
+    large t (factor ~ e^{-omega t}).  As for i_integral, the x-independent
+    product is computed once per node and reused across x at fixed
+    (omega, a) and precision."""
+    return _mellin_over_gamma("M", x, w, ctx)
 
 
 def m_direct(x, w, N, ctx):

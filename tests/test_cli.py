@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from mtzeta.cli import cli_main
 from mtzeta.context import PrecisionContext, to_mpf
+from mtzeta.errors import QuadratureError
 
 CTX = PrecisionContext()
 
@@ -78,6 +79,20 @@ def test_eval_usage_and_domain_codes(capsys):
         capsys, ["eval", "c", "--r", "2", "--m", "0", "--omega", "1,2", "--a", "0"]
     )
     assert code == 3
+    # the context needs at least 64 bits; the CLI refuses fewer itself
+    code, _, err = _run(
+        capsys, ["eval", "Lambda", "--omega", "2,3", "--k", "1", "--bits", "32"]
+    )
+    assert code == 2 and "64" in err
+
+
+def test_eval_accuracy_failure_exit_1(monkeypatch, capsys):
+    def unconverged(x, w, ctx):
+        raise QuadratureError("no convergence within 10 levels")
+
+    monkeypatch.setattr("mtzeta.cli.m_integral", unconverged)
+    code, _, err = _run(capsys, ["eval", "M", "--omega", "1", "--x", "0.5"])
+    assert code == 1 and "accuracy failure" in err
 
 
 def test_unknown_subcommand_exit_2(capsys):

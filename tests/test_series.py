@@ -18,6 +18,7 @@ from mtzeta.errors import DomainError
 from mtzeta.jets import Jet
 from mtzeta.kernel import euler_gamma, zeta_value
 from mtzeta.polylog import mpl_one_var
+import mtzeta.series as series
 from mtzeta.series import (
     WeightConfig,
     i_brute,
@@ -236,6 +237,74 @@ def test_m_i_bridge_shrinks_linearly():
         assert defects[0] > defects[1] > defects[2]
         assert defects[1] <= defects[0] / mpf("1.7")
         assert defects[2] <= defects[1] / mpf("1.7")
+
+
+# ---------------------------------------------------------------------------
+# x-independent node factors shared across x
+# ---------------------------------------------------------------------------
+
+CTX128 = PrecisionContext(precision_bits=128)
+
+
+def _count_gamma0(monkeypatch):
+    calls = []
+    original = series.gamma0
+
+    def counted(u, ctx):
+        calls.append(u)
+        return original(u, ctx)
+
+    monkeypatch.setattr(series, "gamma0", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fn", [i_integral, m_integral], ids=["I", "M"])
+def test_node_factor_reuse_is_bit_identical(fn):
+    w = _wc(("0.7", "1.3"), "0.25")
+    x1, x2 = to_mpf("0.4"), to_mpf("1.3")
+    fn(x2, _wc(("3",)), CTX128)  # another configuration: w starts cold
+    cold = fn(x2, w, CTX128)
+    fn(x1, w, CTX128)
+    after_x1 = fn(x2, w, CTX128)
+    fn(x1, w, PrecisionContext(precision_bits=160))
+    after_other_bits = fn(x2, w, CTX128)
+    assert cold._mpf_ == after_x1._mpf_ == after_other_bits._mpf_
+
+
+def test_equal_weight_configs_share_node_factors(monkeypatch):
+    calls = _count_gamma0(monkeypatch)
+    i_integral(to_mpf("0.5"), _wc(("3",)), CTX128)
+    calls.clear()
+    i_integral(to_mpf("0.5"), _wc(("0.6", "1.7")), CTX128)
+    assert calls
+    calls.clear()
+    # a separately built, equal configuration; the smaller x reached
+    # every node the larger one needs
+    i_integral(to_mpf("0.9"), _wc(("0.6", "1.7")), CTX128)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        lambda x: i_integral(x, _wc(("0.6", "1.7"), "0.5"), CTX128),
+        lambda x: m_integral(x, _wc(("0.6", "1.7")), CTX128),
+    ],
+    ids=["other-a", "other-kind"],
+)
+def test_node_factors_hold_latest_configuration_only(monkeypatch, other):
+    calls = _count_gamma0(monkeypatch)
+    x = to_mpf("0.5")
+    w = _wc(("0.6", "1.7"))
+    counts = []
+    for _ in range(2):
+        other(x)
+        calls.clear()
+        i_integral(x, w, CTX128)
+        counts.append(len(calls))
+    calls.clear()
+    i_integral(x, w, CTX128)
+    assert counts[0] > 0 and counts[1] == counts[0] and calls == []
 
 
 # ---------------------------------------------------------------------------

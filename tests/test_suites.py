@@ -197,6 +197,13 @@ def test_suite_determinism_modulo_wall_time():
 
 
 def test_parallel_dispatch_matches_serial():
-    serial = suite_inversion(k_max=2, ctx=CTX, threads=1)
-    parallel = suite_inversion(k_max=2, ctx=CTX, threads=2)
-    assert [_strip_time(r) for r in serial] == [_strip_time(r) for r in parallel]
+    runs = (
+        lambda threads: suite_inversion(k_max=2, ctx=CTX, threads=threads),
+        # a quadrature x-grid: the serial run reuses its first x's node
+        # factors, the forked workers start from the serial run's table
+        lambda threads: suite_mzf(r_values=(2,), x_grid=("0.5", "1"), ctx=CTX, threads=threads),
+    )
+    for run in runs:
+        serial = run(1)
+        parallel = run(2)
+        assert [_strip_time(r) for r in serial] == [_strip_time(r) for r in parallel]
