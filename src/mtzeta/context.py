@@ -7,7 +7,7 @@ depend on the caller's ambient mpmath state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -40,24 +40,31 @@ class PrecisionContext:
 
     precision_bits: mantissa bits for every mpf operation (>= 64).
     target_tol:     acceptance tolerance for comparisons; quadrature refines
-                    until successive levels agree to target_tol/4.
+                    until successive levels agree to target_tol/4.  Defaults
+                    to max(1e-30, 2^-(precision_bits-16)): 1e-30 from 116
+                    bits up, the guard-digit floor below that.
     max_terms:      hard cap on series terms / enumerated combinatorial items.
     quad_levels:    cap on DE quadrature level doubling.
     """
 
     precision_bits: int = 256
-    target_tol: mpf = field(default_factory=lambda: to_mpf("1e-30"))
+    target_tol: mpf | None = None
     max_terms: int = 500_000
     quad_levels: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "target_tol", to_mpf(self.target_tol))
         if self.precision_bits < 64:
             raise DomainError("precision_bits must be >= 64")
+        # guard digits must exist between tolerance and machine epsilon
+        floor = mpf(2) ** (-(self.precision_bits - 16))
+        if self.target_tol is None:
+            tol = max(to_mpf("1e-30"), floor)
+        else:
+            tol = to_mpf(self.target_tol)
+        object.__setattr__(self, "target_tol", tol)
         if not self.target_tol > 0:
             raise DomainError("target_tol must be positive")
-        # guard digits must exist between tolerance and machine epsilon
-        if self.target_tol < mpf(2) ** (-(self.precision_bits - 16)):
+        if self.target_tol < floor:
             raise DomainError(
                 "target_tol must be >= 2^-(precision_bits-16); "
                 "raise precision_bits or loosen target_tol"
@@ -75,23 +82,3 @@ class PrecisionContext:
     def workprec(self, extra_bits: int = GUARD_BITS):
         """mp.workprec context manager at precision_bits + extra_bits."""
         return mp.workprec(self.precision_bits + extra_bits)
-
-    def with_tol(self, tol) -> "PrecisionContext":
-        return PrecisionContext(
-            precision_bits=self.precision_bits,
-            target_tol=to_mpf(tol),
-            max_terms=self.max_terms,
-            quad_levels=self.quad_levels,
-        )
-
-    def scaled(self, factor: int) -> "PrecisionContext":
-        """Context at factor x precision (oracle comparisons run at 3x)."""
-        return PrecisionContext(
-            precision_bits=self.precision_bits * factor,
-            target_tol=self.target_tol,
-            max_terms=self.max_terms,
-            quad_levels=self.quad_levels,
-        )
-
-
-DEFAULT_CONTEXT = PrecisionContext()

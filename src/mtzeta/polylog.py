@@ -17,16 +17,35 @@ after n is bounded by a small multiple of t_n rho/(1-rho).  We stop
 when that bound drops below the working threshold and raise BudgetError
 if ctx.max_terms runs out first, which only happens for rho very close
 to 1; the telescoping ratios that feed this module stay well clear.
+
+The loop runs in fixed point: the arguments z_i, the powers z_i^n, the
+stage sums P_i, the tail factor and the threshold are Python ints scaled
+by 2^wp, wp = precision_bits + GUARD_BITS (the bits ctx.workprec() gives
+mpf code).  Ints are truncated (floored) to a unit of 2^-wp in three
+places only: when an argument is converted, when a power is advanced
+(z^n * z >> wp), and when a term is formed (power * P_{i-1} >> wp, then
+floor division by the denominator).  Unshifted sums divide by the exact
+integer n^k.  Shifted sums divide by (n + x)^k held at scale 2^(wp + g),
+with g = k_max * max(0, 1 - mag(x)) extra bits; x and the power are
+floored at that finer scale, so the denominator keeps a relative error
+near 2^-wp even where x^k is tiny.  Only P_depth is
+converted back to mpf, rounded to wp bits.  Every term adds at most a
+few units of 2^-wp and a power's error decays with the power, so the
+absolute error grows about as N * 2^-wp over N terms; with N below
+max_terms (500,000 < 2^19 by default) that stays under 2^(-13-bits),
+far below the 2^(8-bits) truncation threshold.  Values above 1 carry
+the same absolute error, hence a smaller relative one.
 """
 
 import math
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from dataclasses import dataclass, field
 
 from .combinatorics import weak_compositions
-from .context import to_mpf
+from .context import GUARD_BITS, to_mpf
 from .errors import BudgetError, DomainError
 
 __all__ = [
@@ -110,38 +129,55 @@ def _nested_sum(ks, zs, shift, n_start, ctx):
     counter; starting at 0 realizes the z_1^0 = 1 convention (0^0 = 1
     included) for the shifted sums."""
     s = len(ks)
+    wp = ctx.precision_bits + GUARD_BITS
+    one = 1 << wp
     with ctx.workprec():
         shift = to_mpf(shift)
         rho = _suffix_rho(zs)
-        thresh = mpf(2) ** (8 - ctx.precision_bits)
-        geom = 4 * rho / (1 - rho)
-        P = [mpf(1)] + [mpf(0)] * s
-        powers = [z ** n_start for z in zs]  # 0^0 = 1 per convention
-        small_run = 0
-        n = n_start
-        while True:
-            prev_outer = P[s]
-            for i in range(s, 0, -1):
-                # stage i needs n th element >= n_start + i - 1 and a
-                # live power (zero argument kills the chain exactly)
-                if n >= n_start + i - 1 and powers[i - 1]:
-                    P[i] += powers[i - 1] / (n + shift) ** ks[i - 1] * P[i - 1]
-            if n >= n_start + s + 1:
-                tail_bound = geom * abs(P[s] - prev_outer)
-                if tail_bound <= thresh * max(1, abs(P[s])):
-                    small_run += 1
-                    if small_run >= 2:
-                        return +P[s]
-                else:
-                    small_run = 0
-            n += 1
-            if n - n_start > ctx.max_terms:
-                raise BudgetError(
-                    "nested sum over %d terms did not close (rho=%s)"
-                    % (ctx.max_terms, mp.nstr(rho, 6))
-                )
-            for i, z in enumerate(zs):
-                powers[i] *= z
+        geom = to_fixed((4 * rho / (1 - rho))._mpf_, wp)
+        zf = [to_fixed(z._mpf_, wp) for z in zs]
+        powers = [to_fixed((z ** n_start)._mpf_, wp) for z in zs]  # 0^0 = 1
+        if shift:
+            # (n + shift)^k >= min(1, shift)^k: sh extra bits keep the
+            # denominator's relative error near 2^-wp at small shift
+            sh = wp + max(ks) * max(0, 1 - mp.mag(shift))
+            xf = to_fixed(shift._mpf_, sh)
+        else:
+            sh = 0
+    # 2^(8 - precision_bits) at scale 2^wp
+    thresh = 1 << (wp + 8 - ctx.precision_bits)
+    P = [one] + [0] * s
+    small_run = 0
+    n = n_start
+    while True:
+        prev_outer = P[s]
+        if sh:
+            base = (n << sh) + xf
+        for i in range(s, 0, -1):
+            # stage i needs n th element >= n_start + i - 1 and a
+            # live power (zero argument kills the chain exactly; a
+            # power floored to 0 would only add zeros)
+            if n >= n_start + i - 1 and powers[i - 1]:
+                k = ks[i - 1]
+                den = (base ** k) >> ((k - 1) * sh) if sh else n ** k
+                P[i] += (powers[i - 1] * P[i - 1] << sh >> wp) // den
+        if n >= n_start + s + 1:
+            tail_bound = geom * abs(P[s] - prev_outer)
+            if tail_bound <= thresh * max(one, abs(P[s])):
+                small_run += 1
+                if small_run >= 2:
+                    with ctx.workprec():
+                        return mp.ldexp(P[s], -wp)
+            else:
+                small_run = 0
+        n += 1
+        if n - n_start > ctx.max_terms:
+            raise BudgetError(
+                "nested sum over %d terms did not close (rho=%s)"
+                % (ctx.max_terms, mp.nstr(rho, 6))
+            )
+        for i, z in enumerate(zf):
+            powers[i] = powers[i] * z >> wp
 
 
 def mpl(p, ctx):

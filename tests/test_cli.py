@@ -86,6 +86,16 @@ def test_eval_usage_and_domain_codes(capsys):
     assert code == 2 and "64" in err
 
 
+def test_eval_low_bits_default_tolerance(capsys):
+    # below 116 bits the default target_tol follows the context's own
+    # 2^-(bits-16) floor instead of a fixed 1e-30 that would violate it
+    code, out, _ = _run(
+        capsys, ["eval", "Lambda", "--omega", "2,3", "--k", "1", "--bits", "64"]
+    )
+    assert code == 0
+    assert json.loads(out)["bits"] == 64
+
+
 def test_eval_accuracy_failure_exit_1(monkeypatch, capsys):
     def unconverged(x, w, ctx):
         raise QuadratureError("no convergence within 10 levels")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from mtzeta.context import PrecisionContext
+from mtzeta.context import GUARD_BITS, PrecisionContext
 from mtzeta.errors import DomainError
 from mtzeta.jets import Jet
 from mtzeta.kernel import (
@@ -56,6 +56,9 @@ def test_context_defaults_valid():
     assert CTX.precision_bits == 256
     assert CTX.target_tol == to_mpf("1e-30")
     assert abs(CTX.target_tol - mpf(10) ** -30) < mpf(10) ** -45
+    # below 116 bits the default is the guard-digit floor itself
+    assert PrecisionContext(precision_bits=64).target_tol == mpf(2) ** -48
+    assert PrecisionContext(precision_bits=116).target_tol == to_mpf("1e-30")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +115,7 @@ def test_jet_division_and_power():
 def test_jet_against_taylor_oracle():
     # exp(x)/(1+x) at 0: jet ring route vs mpmath.taylor at 3x precision
     d = 8
-    with CTX.scaled(3).workprec():
+    with mp.workprec(3 * CTX.precision_bits + GUARD_BITS):
         x = Jet.variable(0, d)
         routed = x.exp() / (1 + x)
         oracle = mp.taylor(lambda t: mp.exp(t) / (1 + t), 0, d)
@@ -320,11 +323,11 @@ def test_gamma0_method_boundary():
 
 
 def test_gamma0_against_quadrature_oracle():
-    with CTX.scaled(3).workprec():
+    with mp.workprec(3 * CTX.precision_bits + GUARD_BITS):
         oracle = mp.quad(lambda t: mp.exp(-t) / t, [2, mp.inf])
     assert abs(gamma0(2, CTX) - oracle) <= tol_bits(8)
     # one point inside the series branch as well
-    with CTX.scaled(3).workprec():
+    with mp.workprec(3 * CTX.precision_bits + GUARD_BITS):
         oracle_half = mp.quad(lambda t: mp.exp(-t) / t, [mpf("0.5"), 3, mp.inf])
     assert abs(gamma0(mpf("0.5"), CTX) - oracle_half) <= tol_bits(8)
 

@@ -1,12 +1,13 @@
 """Polylogarithm sums against closed forms and brute nested-loop oracles
-computed at triple precision.
+computed at triple precision, and the fixed-point accumulation against
+the same loop in mpf arithmetic at 64, 256 and 1024 bits.
 """
 
 import pytest
 from mpmath import mp, mpf
 
-from mtzeta.context import PrecisionContext
-from mtzeta.errors import DomainError
+from mtzeta.context import GUARD_BITS, PrecisionContext, to_mpf
+from mtzeta.errors import BudgetError, DomainError
 from mtzeta.polylog import (
     MultiIndex,
     PolylogArgs,
@@ -29,11 +30,12 @@ def _brute_depth2(k1, k2, z1, z2, x=0, n_min=1, N=450):
     """Truncated double loop for sum over n_min <= n1 < n2 <= N."""
     with mp.workprec(3 * BITS):
         z1, z2, x = mpf(z1), mpf(z2), mpf(x)
+        t1 = {n1: z1 ** n1 / (n1 + x) ** k1 for n1 in range(n_min, N)}
         total = mpf(0)
         for n2 in range(n_min + 1, N + 1):
             inner = mpf(0)
             for n1 in range(n_min, n2):
-                inner += z1 ** n1 / (n1 + x) ** k1
+                inner += t1[n1]
             total += z2 ** n2 / (n2 + x) ** k2 * inner
         return total
 
@@ -215,10 +217,13 @@ def test_stuffle_depth_one_times_one():
                 product = mpl_one_var((a,), z, CTX) * mpl_one_var((b,), z, CTX)
                 with mp.workprec(3 * BITS):
                     N = 320
+                    zp = [z ** j for j in range(2 * N + 1)]
+                    inv_a = {n: 1 / mpf(n) ** a for n in range(1, N + 1)}
+                    inv_b = {m: 1 / mpf(m) ** b for m in range(1, N + 1)}
                     brute = mpf(0)
                     for n in range(1, N + 1):
                         for m in range(1, N + 1):
-                            brute += z ** (n + m) / (mpf(n) ** a * mpf(m) ** b)
+                            brute += zp[n + m] * inv_a[n] * inv_b[m]
                 assert abs(product - brute) <= tol_bits(16)
                 # and the region split reassembles it from library values
                 split = (
@@ -247,3 +252,106 @@ def test_multi_index_validation():
         PolylogArgs((1, 2), ("0.5",))
     idx = MultiIndex((3, 1, 2))
     assert idx.weight == 6 and idx.depth == 3
+
+
+# ---------------------------------------------------------------------------
+# fixed-point accumulation against an mpf oracle
+# ---------------------------------------------------------------------------
+
+def _mpf_nested_sum(ks, zs, x, n_start, bits):
+    """The library's accumulation and stopping rule in mpf arithmetic at
+    bits + GUARD_BITS, the reference for the fixed-point loop."""
+    with mp.workprec(bits + GUARD_BITS):
+        zs = [to_mpf(z) for z in zs]
+        x = to_mpf(x)
+        s = len(ks)
+        rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
+        geom = 4 * rho / (1 - rho)
+        thresh = mpf(2) ** (8 - bits)
+        P = [mpf(1)] + [mpf(0)] * s
+        powers = [z ** n_start for z in zs]
+        small_run = 0
+        n = n_start
+        while small_run < 2:
+            prev = P[s]
+            for i in range(s, 0, -1):
+                if n >= n_start + i - 1:
+                    P[i] += powers[i - 1] / (n + x) ** ks[i - 1] * P[i - 1]
+            if n >= n_start + s + 1:
+                if geom * abs(P[s] - prev) <= thresh * max(1, abs(P[s])):
+                    small_run += 1
+                else:
+                    small_run = 0
+            n += 1
+            powers = [p * z for p, z in zip(powers, zs)]
+        return P[s]
+
+
+# (label, library call, oracle arguments (ks, zs, x, n_start))
+_FIXED_POINT_CASES = [
+    ("d1-rho%s" % r, lambda c, r=r: mpl(PolylogArgs((2,), (r,)), c), ((2,), (r,), 0, 1))
+    for r in ("0.5", "0.9", "0.99")
+] + [
+    ("d2-rho%s" % r, lambda c, r=r: mpl(PolylogArgs((1, 2), ("0.6", r)), c),
+     ((1, 2), ("0.6", r), 0, 1))
+    for r in ("0.5", "0.9", "0.99")
+] + [
+    ("d3-rho%s" % r, lambda c, r=r: mpl(PolylogArgs((2, 1, 3), ("0.5", "0.8", r)), c),
+     ((2, 1, 3), ("0.5", "0.8", r), 0, 1))
+    for r in ("0.5", "0.9", "0.99")
+] + [
+    ("negative", lambda c: mpl_one_var((1, 2), "-0.6", c), ((1, 2), (1, "-0.6"), 0, 1)),
+    ("inner-ones", lambda c: mpl_one_var((1, 1, 2), "0.9", c),
+     ((1, 1, 2), (1, 1, "0.9"), 0, 1)),
+    ("tiny", lambda c: mpl(PolylogArgs((2,), ("2e-9",)), c), ((2,), ("2e-9",), 0, 1)),
+    ("h0-small-x", lambda c: hurwitz_li0("1e-3", PolylogArgs((3, 1), ("0.5", "0.6")), c),
+     ((3, 1), ("0.5", "0.6"), "1e-3", 0)),
+    # x^3 = 1e-15 is 2^-50, beyond the guard bits of a plain 2^-wp scale
+    ("h0-tiny-x", lambda c: hurwitz_li0("1e-5", PolylogArgs((3, 1), ("0.5", "0.6")), c),
+     ((3, 1), ("0.5", "0.6"), "1e-5", 0)),
+    ("h1", lambda c: hurwitz_li1("0.3", PolylogArgs((2, 1), ("0.7", "0.8")), c),
+     ((2, 1), ("0.7", "0.8"), "0.3", 1)),
+]
+
+
+# the regime each small-magnitude case is meant to hit
+_MAGNITUDE = {"tiny": (1e-9, 3e-9), "h0-small-x": (8e8, 1e9)}
+
+# rho = 0.99 only up to 256 bits, to keep the file fast
+_FIXED_POINT_RUNS = [
+    (bits,) + case
+    for bits in (64, 256, 1024)
+    for case in _FIXED_POINT_CASES
+    if bits <= 256 or "rho0.99" not in case[0]
+]
+
+
+@pytest.mark.parametrize(
+    "bits, label, call, oracle_args",
+    _FIXED_POINT_RUNS,
+    ids=["%s-%d" % (run[1], run[0]) for run in _FIXED_POINT_RUNS],
+)
+def test_fixed_point_sum_against_mpf_oracle(bits, label, call, oracle_args):
+    ctx = PrecisionContext(precision_bits=bits)
+    with mp.workprec(bits + 64):
+        v = call(ctx)
+        oracle = _mpf_nested_sum(*oracle_args, bits)
+        assert abs(v - oracle) <= mpf(2) ** -bits * max(1, abs(oracle))
+    if label in _MAGNITUDE:
+        lo, hi = _MAGNITUDE[label]
+        assert lo < v < hi
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_fixed_point_zero_argument_is_exact(bits):
+    ctx = PrecisionContext(precision_bits=bits)
+    assert mpl(PolylogArgs((2, 1), (0, "0.5")), ctx) == 0
+    assert mpl(PolylogArgs((1, 3), ("0.4", 0)), ctx) == 0
+    assert hurwitz_li1("0.3", PolylogArgs((2, 1), (0, "0.5")), ctx) == 0
+
+
+def test_budget_exhaustion_raises():
+    # rho = 0.9999 needs far more than 2000 terms at 256 bits
+    ctx = PrecisionContext(max_terms=2000)
+    with pytest.raises(BudgetError, match="did not close"):
+        mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), ctx)
