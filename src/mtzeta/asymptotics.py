@@ -21,7 +21,7 @@ from .combinatorics import (
     lambda_k,
     weak_compositions,
 )
-from .context import to_mpf
+from .context import positive_x, to_mpf
 from .errors import BudgetError, DomainError
 from .jets import Jet
 from .kernel import bell_complete, euler_gamma, loggamma_jet, zeta_value
@@ -70,46 +70,31 @@ class ExpansionResult:
         return total
 
 
-def _positive_x(x):
-    x = to_mpf(x)
-    if x <= 0:
-        raise DomainError("main terms are expansions around x = 0 from the right")
-    return x
-
-
-def _lambda_poly(w, ctx):
-    """Coefficients of the alternating symmetric-function sum,
-    p_k = (-1)^k Lambda_k(omega) (r-k)!."""
-    r = w.r
-    return [
-        mpf(-1) ** k * lambda_k(w.omega, k, ctx) * mp.factorial(r - k)
-        for k in range(r + 1)
-    ]
+def _lambda_sum(x, w, ctx):
+    """sum_k (-1)^k Lambda_k(omega) (r-k)!/x^{r-k}, at the caller's
+    working precision."""
+    s = mpf(0)
+    for k in range(w.r + 1):
+        pk = mpf(-1) ** k * lambda_k(w.omega, k, ctx) * mp.factorial(w.r - k)
+        s += pk * x ** (k - w.r)
+    return s
 
 
 def main_term_I(x, w, ctx):
     """The damped main term of I_r around x = 0:
     (e^{-gamma x}/Gamma(x+1)) sum_k (-1)^k Lambda_k(omega) (r-k)!/x^{r-k}."""
-    x = _positive_x(x)
+    x = positive_x(x)
     with ctx.workprec():
-        p = _lambda_poly(w, ctx)
-        s = mpf(0)
-        for k, pk in enumerate(p):
-            s += pk * x ** (k - w.r)
-        g = euler_gamma(ctx)
-        return +(mp.exp(-g * x) / mp.gamma(x + 1) * s)
+        s = _lambda_sum(x, w, ctx)
+        return +(mp.exp(-euler_gamma(ctx) * x) / mp.gamma(x + 1) * s)
 
 
 def main_term_M(x, w, ctx):
     """Main term of M_r: same symmetric-function sum with the plain
     1/Gamma(x+1) prefactor (no exponential damping)."""
-    x = _positive_x(x)
+    x = positive_x(x)
     with ctx.workprec():
-        p = _lambda_poly(w, ctx)
-        s = mpf(0)
-        for k, pk in enumerate(p):
-            s += pk * x ** (k - w.r)
-        return +(s / mp.gamma(x + 1))
+        return +(_lambda_sum(x, w, ctx) / mp.gamma(x + 1))
 
 
 def c_coeff(r, m, w, ctx):
@@ -223,7 +208,7 @@ def expression_by_S(x, w, ctx):
 
     Derivatives are carried by jets of degree |B|+2 (two guard orders).
     Requires |omega| < a strictly."""
-    x = _positive_x(x)
+    x = positive_x(x)
     r = w.r
     if r > MAX_RANK:
         raise BudgetError("tricoloring enumeration is capped at rank %d" % MAX_RANK)

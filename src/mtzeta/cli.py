@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
 from .asymptotics import c_coeff, c_prime_coeff, i_expansion
 from .combinatorics import lambda_k
 from .context import PrecisionContext, to_mpf
@@ -234,65 +232,48 @@ def _cmd_eval(ns):
 # verify
 # ---------------------------------------------------------------------------
 
+# suites whose --omega/--a give one grid row, by weight count
+_GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
+
+
 def _verify_reports(ns, ctx, tol, threads):
+    """Map the verify flags to the named suite's keyword options."""
     name = ns.suite
+    if name not in VERIFY_NAMES:
+        raise _UsageError(
+            "unknown suite %r; choose from %s" % (name, ", ".join(VERIFY_NAMES))
+        )
     if name == "all":
         return suites.verify_all(ctx=ctx, tol=tol, threads=threads)
-    if name == "r2m2":
-        grid = None
-        if ns.omega is not None:
-            omega = _split_list(ns.omega)
-            if len(omega) != 2:
-                raise _UsageError("r2m2 needs exactly 2 weights")
-            grid = [(omega[0], omega[1], ns.a if ns.a is not None else "0")]
-        return suites.suite_r2m2(grid=grid, ctx=ctx, tol=tol, threads=threads)
-    if name == "r3m3":
-        grid = None
-        if ns.omega is not None:
-            omega = _split_list(ns.omega)
-            if len(omega) != 3:
-                raise _UsageError("r3m3 needs exactly 3 weights")
-            grid = [
-                (omega[0], omega[1], omega[2], ns.a if ns.a is not None else "0")
-            ]
-        return suites.suite_r3m3(grid=grid, ctx=ctx, tol=tol, threads=threads)
-    if name == "inversion":
-        grid = None
-        if ns.omega is not None:
-            omega = _split_list(ns.omega)
-            if len(omega) != 1:
-                raise _UsageError("inversion takes a single weight")
-            if ns.a is None:
-                raise _UsageError("inversion needs --a")
-            grid = [(omega[0], ns.a)]
-        return suites.suite_inversion(
-            k_max=ns.k_max, grid=grid, ctx=ctx, tol=tol, threads=threads
-        )
-    if name == "asymptotic-order":
-        if ns.method is None:
-            return suites.suite_asymptotic_order(ctx=ctx, tol=tol, threads=threads)
-        _require(ns, ["omega"])
+    options = {}
+    a = ns.a if ns.a is not None else "0"
+    count = _GRID_WEIGHTS.get(name)
+    if count is not None and ns.omega is not None:
         omega = _split_list(ns.omega)
-        ladder = _split_list(ns.x_ladder) if ns.x_ladder is not None else None
-        return suites.suite_asymptotic_order(
-            w=(omega, ns.a if ns.a is not None else "0"),
+        if len(omega) != count:
+            raise _UsageError(
+                "%s takes %d weight(s), got %d" % (name, count, len(omega))
+            )
+        if name == "inversion" and ns.a is None:
+            raise _UsageError("inversion needs --a")
+        options["grid"] = [tuple(omega) + (a,)]
+    if name == "inversion":
+        options["k_max"] = ns.k_max
+    if name == "asymptotic-order" and ns.method is not None:
+        _require(ns, ["omega"])
+        options.update(
+            w=(_split_list(ns.omega), a),
             r=int(ns.r) if ns.r is not None else None,
             method=ns.method,
-            ladder=ladder,
+            ladder=_split_list(ns.x_ladder) if ns.x_ladder is not None else None,
             truncation_order=int(ns.order) if ns.order is not None else None,
-            ctx=ctx,
-            tol=tol,
-            threads=threads,
         )
     if name == "mzf":
-        r_values = [int(ns.r)] if ns.r is not None else None
-        x_grid = _split_list(ns.x_grid) if ns.x_grid is not None else None
-        return suites.suite_mzf(
-            r_values=r_values, x_grid=x_grid, ctx=ctx, tol=tol, threads=threads
+        options.update(
+            r_values=[int(ns.r)] if ns.r is not None else None,
+            x_grid=_split_list(ns.x_grid) if ns.x_grid is not None else None,
         )
-    raise _UsageError(
-        "unknown suite %r; choose from %s" % (name, ", ".join(VERIFY_NAMES))
-    )
+    return suites.run_suite(name, ctx=ctx, tol=tol, threads=threads, **options)
 
 
 def _cmd_verify(ns):

@@ -78,15 +78,12 @@ class DisjointSubsetFamily:
     """Ordered blocks (K_1,...,K_s) of disjoint subsets of {1,...,r}.
 
     ``remainder`` is K_0, the elements of the ground set in no block.
-    Blocks hold sorted index tuples; ``block_masks`` mirrors them as
-    bitmasks (bit i-1 for element i) when r <= 64 so disjointness and
-    prefix unions are O(1) integer ops.
+    Blocks hold sorted index tuples.
     """
 
     r: int
     blocks: tuple
     remainder: tuple = field(init=False)
-    block_masks: tuple = field(init=False)
 
     def __post_init__(self):
         if self.r < 1:
@@ -104,20 +101,6 @@ class DisjointSubsetFamily:
         object.__setattr__(
             self, "remainder", tuple(i for i in range(1, self.r + 1) if i not in seen)
         )
-        if self.r <= 64:
-            masks = tuple(sum(1 << (i - 1) for i in b) for b in blocks)
-        else:
-            masks = None
-        object.__setattr__(self, "block_masks", masks)
-
-    def prefix_unions(self):
-        """Cumulative unions K_1, K_1+K_2, ..., as sorted tuples."""
-        acc = []
-        out = []
-        for b in self.blocks:
-            acc.extend(b)
-            out.append(tuple(sorted(acc)))
-        return out
 
 
 def compositions(t, s):

@@ -34,6 +34,15 @@ def to_mpf(value) -> mpf:
     return mpf(value)
 
 
+def positive_x(x) -> mpf:
+    """to_mpf(x), refusing x <= 0: every x-dependent evaluation (shifted
+    polylogs, the integrals, the main terms) lives on x > 0."""
+    x = to_mpf(x)
+    if x <= 0:
+        raise DomainError("x must be positive, got %s" % x)
+    return x
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision, tolerances and truncation caps.

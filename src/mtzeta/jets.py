@@ -44,11 +44,6 @@ class Jet:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def truncate(self, degree):
-        if degree >= self.degree:
-            return self
-        return Jet(self.center, self.coeffs[: degree + 1])
-
     def derivative_value(self, k):
         """k-th derivative of the represented function at the center."""
         if not 0 <= k <= self.degree:

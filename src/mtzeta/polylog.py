@@ -45,7 +45,7 @@ from mpmath.libmp import to_fixed
 from dataclasses import dataclass, field
 
 from .combinatorics import weak_compositions
-from .context import GUARD_BITS, to_mpf
+from .context import GUARD_BITS, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 
 __all__ = [
@@ -202,24 +202,17 @@ def mpl_one_var(index, z, ctx):
     return _sum_with_cache("m", index.parts, zs, mpf(0), 1, ctx)
 
 
-def _check_x(x):
-    x = to_mpf(x)
-    if x <= 0:
-        raise DomainError("shift x must be positive")
-    return x
-
-
 def hurwitz_li0(x, p, ctx):
     """Hurwitz-type sum over 0 <= n_1 < ... < n_s with denominators
     (n_i + x)^{k_i}; z_1^{n_1} is 1 at n_1 = 0 even for z_1 = 0."""
-    x = _check_x(x)
+    x = positive_x(x)
     return _sum_with_cache("h0", p.index.parts, p.args, x, 0, ctx)
 
 
 def hurwitz_li1(x, p, ctx):
     """Hurwitz-type sum over 1 <= n_1 < ... < n_s with denominators
     (n_i + x)^{k_i}."""
-    x = _check_x(x)
+    x = positive_x(x)
     return _sum_with_cache("h1", p.index.parts, p.args, x, 1, ctx)
 
 

@@ -10,7 +10,7 @@ rounded to 20 significant digits on output only.
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .context import to_mpf
+from .context import positive_x, to_mpf
 from .errors import DomainError
 from .kernel import euler_gamma, gamma0, zeta_value
 from .jets import Jet
@@ -84,13 +84,6 @@ class WeightConfig:
         return rest, self.a + self.omega[i - 1]
 
 
-def _check_x(x):
-    x = to_mpf(x)
-    if x <= 0:
-        raise DomainError("evaluations require x > 0; the series diverge otherwise")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # integral analogue I_r
 # ---------------------------------------------------------------------------
@@ -111,7 +104,7 @@ def _mellin_over_gamma(kind, x, w, ctx):
     -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
     computed and stored on a miss."""
     global _node_factors
-    x = _check_x(x)
+    x = positive_x(x)
     key = (kind, w.omega, w.a)
     if _node_factors[0] != key:
         _node_factors = (key, {})
@@ -157,7 +150,7 @@ def i_brute(x, w, ctx):
     The r=2 case nests two adaptive quadratures, so it runs at a capped
     working precision; this is a cross-check oracle for ~1e-10 level
     agreement, not a production evaluator."""
-    x = _check_x(x)
+    x = positive_x(x)
     r = w.r
     if r > 2:
         raise DomainError("brute integration is an oracle for r <= 2 only")
@@ -221,7 +214,7 @@ def m_direct(x, w, N, ctx):
     Returns (value, bound): value is the sum over all n_i <= N, bound
     dominates the discarded part via the AM-GM comparison
     (omega.n + a)^x >= r^x prod(omega_i n_i)^{x/r}.  r <= 3."""
-    x = _check_x(x)
+    x = positive_x(x)
     r = w.r
     if r > 3:
         raise DomainError("direct summation is an oracle for r <= 3 only")
@@ -413,7 +406,7 @@ def zeta_ez_ones(r, x, ctx):
     folded to a single sum over m_r with closed-form inner chains, a
     direct part to N, and an Euler-Maclaurin tail whose derivatives are
     exact polygamma combinations.  Depth r <= 3."""
-    x = _check_x(x)
+    x = positive_x(x)
     r = int(r)
     if not 1 <= r <= 3:
         raise DomainError("depth must be 1, 2, or 3")

@@ -64,21 +64,41 @@ def _weights(omega, a):
 # ---------------------------------------------------------------------------
 
 def _call(job):
-    fn, kwargs = job
-    return fn(**kwargs)
+    fn, args = job
+    return fn(*args)
 
 
-def _dispatch(jobs, threads):
+def _series_tol(ctx, row):
+    # SERIES_TOL, or 2^16 ulps of the context where that is the larger
+    return max(to_mpf(SERIES_TOL), ctx.eps * 2 ** 16)
+
+
+def _order_tol(ctx, row):
+    return CONSTANT_TOL if row[0] == "harmonic-constant" else ORDER_TOL
+
+
+def _quad_tol(ctx, row):
+    return QUAD_TOL
+
+
+def _run(point, rows, ctx, tol, threads, default_tol):
+    """Evaluate point(*row, ctx, tol) for every row, serially or over a
+    fork pool, and return the reports sorted by parameters.  A tol of
+    None takes default_tol(ctx, row)."""
+    ctx = ctx or PrecisionContext()
+    jobs = [
+        (point, tuple(row) + (ctx, to_mpf(default_tol(ctx, row) if tol is None else tol)))
+        for row in rows
+    ]
+    fork = None
     if threads and int(threads) > 1:
         try:
             fork = multiprocessing.get_context("fork")
         except ValueError:
-            fork = None
-        if fork is not None:
-            with ProcessPoolExecutor(max_workers=int(threads), mp_context=fork) as pool:
-                results = list(pool.map(_call, jobs))
-        else:
-            results = [_call(job) for job in jobs]
+            pass
+    if fork is not None:
+        with ProcessPoolExecutor(max_workers=int(threads), mp_context=fork) as pool:
+            results = list(pool.map(_call, jobs))
     else:
         results = [_call(job) for job in jobs]
     reports = []
@@ -97,11 +117,8 @@ def _dispatch(jobs, threads):
 
 def r2m2_point(omega1, omega2, a, ctx, tol):
     t0 = time.perf_counter()
-    o1, o2, av = to_mpf(omega1), to_mpf(omega2), to_mpf(a)
-    if o1 <= 0 or o2 <= 0:
-        raise DomainError("weights must be positive")
-    if av < 0:
-        raise DomainError("shift a must be nonnegative")
+    w = _weights((omega1, omega2), a)
+    (o1, o2), av = w.omega, w.a
     with ctx.workprec():
         total = av + o1 + o2
         lhs = mpf(0)
@@ -126,14 +143,8 @@ def r2m2_point(omega1, omega2, a, ctx, tol):
 
 
 def suite_r2m2(grid=None, ctx=None, tol=None, threads=1):
-    ctx = ctx or PrecisionContext()
-    tol = to_mpf(tol if tol is not None else SERIES_TOL)
-    grid = R2M2_GRID if grid is None else tuple(grid)
-    jobs = [
-        (r2m2_point, dict(omega1=o1, omega2=o2, a=a, ctx=ctx, tol=tol))
-        for o1, o2, a in grid
-    ]
-    return _dispatch(jobs, threads)
+    rows = R2M2_GRID if grid is None else grid
+    return _run(r2m2_point, rows, ctx, tol, threads, _series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +153,8 @@ def suite_r2m2(grid=None, ctx=None, tol=None, threads=1):
 
 def r3m3_point(omega1, omega2, omega3, a, ctx, tol):
     t0 = time.perf_counter()
-    oms = (to_mpf(omega1), to_mpf(omega2), to_mpf(omega3))
-    av = to_mpf(a)
-    if any(o <= 0 for o in oms):
-        raise DomainError("weights must be positive")
-    if av < 0:
-        raise DomainError("shift a must be nonnegative")
+    w = _weights((omega1, omega2, omega3), a)
+    oms, av = w.omega, w.a
     with ctx.workprec():
         total = av + sum(oms)
         lhs = mpf(0)
@@ -188,14 +195,8 @@ def r3m3_point(omega1, omega2, omega3, a, ctx, tol):
 
 
 def suite_r3m3(grid=None, ctx=None, tol=None, threads=1):
-    ctx = ctx or PrecisionContext()
-    tol = to_mpf(tol if tol is not None else SERIES_TOL)
-    grid = R3M3_GRID if grid is None else tuple(grid)
-    jobs = [
-        (r3m3_point, dict(omega1=o1, omega2=o2, omega3=o3, a=a, ctx=ctx, tol=tol))
-        for o1, o2, o3, a in grid
-    ]
-    return _dispatch(jobs, threads)
+    rows = R3M3_GRID if grid is None else grid
+    return _run(r3m3_point, rows, ctx, tol, threads, _series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +268,12 @@ def inversion_point(omega, a, k, ctx, tol):
 
 
 def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
-    ctx = ctx or PrecisionContext()
-    tol = to_mpf(tol if tol is not None else SERIES_TOL)
     k_max = INVERSION_K_MAX if k_max is None else int(k_max)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    grid = INVERSION_GRID if grid is None else tuple(grid)
-    jobs = [
-        (inversion_point, dict(omega=o, a=a, k=k, ctx=ctx, tol=tol))
-        for o, a in grid
-        for k in range(1, k_max + 1)
-    ]
-    return _dispatch(jobs, threads)
+    grid = INVERSION_GRID if grid is None else grid
+    rows = [(o, a, k) for o, a in grid for k in range(1, k_max + 1)]
+    return _run(inversion_point, rows, ctx, tol, threads, _series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +387,12 @@ def order_point(method, omega, a, ladder, truncation_order, ctx, tol):
     raise DomainError("unknown order method %r" % (method,))
 
 
+ORDER_LADDER = ("0.02", "0.01", "0.005")
 ORDER_DEFAULTS = (
-    ("integral-main-term", ("1.5",), "0.7", ("0.02", "0.01", "0.005"), None, ORDER_TOL),
-    ("integral-main-term", ("1", "2"), "0.3", ("0.02", "0.01", "0.005"), None, ORDER_TOL),
-    ("truncated-series", ("1", "2"), "0.3", ("0.1", "0.05", "0.025"), 4, ORDER_TOL),
-    ("harmonic-constant", ("1.5",), "0.2", ("0.01", "0.005", "0.0025"), None, CONSTANT_TOL),
+    ("integral-main-term", ("1.5",), "0.7", ORDER_LADDER, None),
+    ("integral-main-term", ("1", "2"), "0.3", ORDER_LADDER, None),
+    ("truncated-series", ("1", "2"), "0.3", ("0.1", "0.05", "0.025"), 4),
+    ("harmonic-constant", ("1.5",), "0.2", ("0.01", "0.005", "0.0025"), None),
 )
 
 
@@ -404,50 +400,18 @@ def suite_asymptotic_order(
     w=None, r=None, method=None, ladder=None, truncation_order=None,
     ctx=None, tol=None, threads=1,
 ):
-    ctx = ctx or PrecisionContext()
     if method is None:
-        jobs = [
-            (
-                order_point,
-                dict(
-                    method=meth,
-                    omega=omega,
-                    a=a,
-                    ladder=lad,
-                    truncation_order=M,
-                    ctx=ctx,
-                    tol=to_mpf(tol if tol is not None else deftol),
-                ),
-            )
-            for meth, omega, a, lad, M, deftol in ORDER_DEFAULTS
-        ]
-        return _dispatch(jobs, threads)
-    if isinstance(w, WeightConfig):
-        omega = tuple(exact_decimal(o) for o in w.omega)
-        a = exact_decimal(w.a)
+        rows = ORDER_DEFAULTS
     else:
-        omega, a = w
-        omega = tuple(omega)
-    if r is not None and int(r) != len(omega):
-        raise DomainError("rank r must match the number of weights")
-    deftol = CONSTANT_TOL if method == "harmonic-constant" else ORDER_TOL
-    if ladder is None:
-        ladder = ("0.02", "0.01", "0.005")
-    jobs = [
-        (
-            order_point,
-            dict(
-                method=method,
-                omega=omega,
-                a=a,
-                ladder=tuple(ladder),
-                truncation_order=truncation_order,
-                ctx=ctx,
-                tol=to_mpf(tol if tol is not None else deftol),
-            ),
-        )
-    ]
-    return _dispatch(jobs, threads)
+        if isinstance(w, WeightConfig):
+            omega, a = tuple(exact_decimal(o) for o in w.omega), exact_decimal(w.a)
+        else:
+            omega, a = tuple(w[0]), w[1]
+        if r is not None and int(r) != len(omega):
+            raise DomainError("rank r must match the number of weights")
+        ladder = ORDER_LADDER if ladder is None else tuple(ladder)
+        rows = [(method, omega, a, ladder, truncation_order)]
+    return _run(order_point, rows, ctx, tol, threads, _order_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +448,10 @@ def mzf_point(r, x, ctx, tol):
 
 
 def suite_mzf(r_values=None, x_grid=None, ctx=None, tol=None, threads=1):
-    ctx = ctx or PrecisionContext()
-    r_values = MZF_R_VALUES if r_values is None else tuple(int(r) for r in r_values)
-    x_grid = MZF_X_GRID if x_grid is None else tuple(x_grid)
-    jobs = []
-    for r in r_values:
-        point_tol = to_mpf(tol if tol is not None else QUAD_TOL)
-        for x in x_grid:
-            jobs.append((mzf_point, dict(r=r, x=x, ctx=ctx, tol=point_tol)))
-    return _dispatch(jobs, threads)
+    r_values = MZF_R_VALUES if r_values is None else [int(r) for r in r_values]
+    x_grid = MZF_X_GRID if x_grid is None else x_grid
+    rows = [(r, x) for r in r_values for x in x_grid]
+    return _run(mzf_point, rows, ctx, tol, threads, _quad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +461,13 @@ def suite_mzf(r_values=None, x_grid=None, ctx=None, tol=None, threads=1):
 SUITE_NAMES = ("r2m2", "r3m3", "inversion", "asymptotic-order", "mzf")
 
 
-def run_suite(name, ctx=None, tol=None, threads=1):
-    if name == "r2m2":
-        return suite_r2m2(ctx=ctx, tol=tol, threads=threads)
-    if name == "r3m3":
-        return suite_r3m3(ctx=ctx, tol=tol, threads=threads)
-    if name == "inversion":
-        return suite_inversion(ctx=ctx, tol=tol, threads=threads)
-    if name == "asymptotic-order":
-        return suite_asymptotic_order(ctx=ctx, tol=tol, threads=threads)
-    if name == "mzf":
-        return suite_mzf(ctx=ctx, tol=tol, threads=threads)
-    raise DomainError("unknown suite %r" % (name,))
+def run_suite(name, ctx=None, tol=None, threads=1, **options):
+    """Run suite_<name>, looked up when called, with the suite's own
+    keyword options."""
+    if name not in SUITE_NAMES:
+        raise DomainError("unknown suite %r" % (name,))
+    suite = globals()["suite_" + name.replace("-", "_")]
+    return suite(ctx=ctx, tol=tol, threads=threads, **options)
 
 
 def verify_all(ctx=None, tol=None, threads=1):

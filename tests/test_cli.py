@@ -155,6 +155,8 @@ def test_verify_custom_grid_passes(capsys):
     assert len(data) == 1
     assert data[0]["passed"] is True
     assert data[0]["schema"] == "mtz-report/1"
+    # the series gate's 2^-(bits-16) floor lies below 1e-30 at 256 bits
+    assert data[0]["tolerance"] == "1.0e-30"
 
 
 def test_verify_tolerance_failure_exit_1(capsys):
@@ -230,3 +232,49 @@ def test_env_overrides(monkeypatch, capsys):
     monkeypatch.setenv("MTZ_THREADS", "0")
     code, _, err = _run(capsys, ["verify", "r2m2", "--omega", "1,1", "--a", "0"])
     assert code == 2 and "threads" in err
+
+
+def _reports(out):
+    return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def test_verify_r3m3_custom_point(capsys):
+    code, out, _ = _run(capsys, ["verify", "r3m3", "--omega", "1,2,3", "--a", "1"])
+    assert code == 0
+    (report,) = _reports(out)
+    assert report["params"] == {"omega": ["1", "2", "3"], "a": "1"}
+
+
+def test_verify_order_single_method(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["verify", "asymptotic-order", "--method", "truncated-series",
+         "--omega", "1,2", "--a", "0.3", "--order", "4",
+         "--x-ladder", "0.1,0.05,0.025"],
+    )
+    assert code == 0
+    (report,) = _reports(out)
+    assert report["identity_id"] == "remainder-order/truncated-series/r2-M4"
+    assert report["params"]["x_ladder"] == ["0.1", "0.05", "0.025"]
+
+
+def test_verify_mzf_single_rank(capsys):
+    code, out, _ = _run(capsys, ["verify", "mzf", "--r", "2", "--x-grid", "0.5"])
+    assert code == 0
+    (report,) = _reports(out)
+    assert report["params"] == {"r": "2", "x": "0.5"}
+
+
+def test_verify_weight_count_and_missing_shift(capsys):
+    code, _, err = _run(capsys, ["verify", "r3m3", "--omega", "1,2"])
+    assert code == 2 and "usage error" in err
+    code, _, err = _run(capsys, ["verify", "inversion", "--omega", "1"])
+    assert code == 2 and "--a" in err
+
+
+@pytest.mark.parametrize("suite", ["r2m2", "r3m3", "inversion"])
+def test_verify_series_suites_at_64_bits(suite, capsys):
+    # the series gate keeps 2^16 ulps above round-off below 116 bits
+    code, out, err = _run(capsys, ["verify", suite, "--bits", "64"])
+    assert code == 0, err
+    assert all(report["passed"] for report in _reports(out))

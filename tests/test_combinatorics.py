@@ -131,12 +131,6 @@ def test_family_invariants():
         assert len(flat) == len(set(flat))
         assert set(flat) | set(fam.remainder) == set(range(1, 6))
         assert not set(flat) & set(fam.remainder)
-        unions = fam.prefix_unions()
-        assert unions[0] == fam.blocks[0]
-        assert set(unions[1]) == set(fam.blocks[0]) | set(fam.blocks[1])
-        assert fam.block_masks == tuple(
-            sum(1 << (i - 1) for i in b) for b in fam.blocks
-        )
 
 
 def test_family_counting_law():

@@ -9,8 +9,10 @@ from mpmath import mp, mpf
 
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import DomainError
+from mtzeta import suites
 from mtzeta.kernel import zeta_value
 from mtzeta.suites import (
+    SUITE_NAMES,
     inversion_point,
     r2m2_point,
     r3m3_point,
@@ -20,6 +22,7 @@ from mtzeta.suites import (
     suite_mzf,
     suite_r2m2,
     suite_r3m3,
+    verify_all,
 )
 
 CTX = PrecisionContext()
@@ -207,3 +210,23 @@ def test_parallel_dispatch_matches_serial():
         serial = run(1)
         parallel = run(2)
         assert [_strip_time(r) for r in serial] == [_strip_time(r) for r in parallel]
+
+
+def test_run_suite_and_verify_all_call_each_suite(monkeypatch):
+    # run_suite looks each suite up when called, so a replaced module
+    # attribute (a stub here, a trace wrapper in the benchmark) is used
+    calls = []
+
+    def stub(name):
+        def suite(ctx=None, tol=None, threads=1, **options):
+            calls.append((name, options))
+            return []
+        return suite
+
+    for name in SUITE_NAMES:
+        monkeypatch.setattr(suites, "suite_" + name.replace("-", "_"), stub(name))
+    assert verify_all(ctx=CTX) == []
+    assert [name for name, _ in calls] == list(SUITE_NAMES)
+    calls.clear()
+    run_suite("mzf", ctx=CTX, r_values=(2,))
+    assert calls == [("mzf", {"r_values": (2,)})]
