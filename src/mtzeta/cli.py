@@ -235,6 +235,32 @@ def _cmd_eval(ns):
 # suites whose --omega/--a give one grid row, by weight count
 _GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
 
+# the suite flags each verify name reads; --a is read only with --omega,
+# and the asymptotic-order flags other than --method only with --method
+_SUITE_FLAGS = {
+    "all": (),
+    "r2m2": ("omega", "a"),
+    "r3m3": ("omega", "a"),
+    "inversion": ("omega", "a", "k_max"),
+    "asymptotic-order": ("method", "omega", "a", "r", "x_ladder", "order"),
+    "mzf": ("r", "x_grid"),
+}
+
+
+def _reject_unread_flags(ns, name):
+    unread = []
+    for flag in ("omega", "a", "r", "k_max", "method", "x_ladder", "x_grid", "order"):
+        if getattr(ns, flag) is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        needs = "method" if name == "asymptotic-order" else "omega" if flag == "a" else None
+        if flag not in _SUITE_FLAGS[name]:
+            unread.append(option)
+        elif needs is not None and getattr(ns, needs) is None:
+            unread.append("%s without --%s" % (option, needs))
+    if unread:
+        raise _UsageError("verify %s does not read %s" % (name, ", ".join(unread)))
+
 
 def _verify_reports(ns, ctx, tol, threads):
     """Map the verify flags to the named suite's keyword options."""
@@ -243,6 +269,7 @@ def _verify_reports(ns, ctx, tol, threads):
         raise _UsageError(
             "unknown suite %r; choose from %s" % (name, ", ".join(VERIFY_NAMES))
         )
+    _reject_unread_flags(ns, name)
     if name == "all":
         return suites.verify_all(ctx=ctx, tol=tol, threads=threads)
     options = {}

@@ -19,6 +19,14 @@ at odd multiples of the new h).  Refinement stops when two successive
 level sums agree to a quarter of the requested tolerance, and is capped
 by ctx.quad_levels; hitting the cap raises instead of returning a bad
 value.
+
+The nodes depend only on the working precision and the level, so they
+live in one module-level table keyed by (mp.prec, level), holding every
+precision used in the process.  Each row lists its (u_left, u_right,
+du/dt) in visiting order and grows lazily to the farthest node any call
+has reached; every later call at that precision, both halves of
+de_quad_0inf included, reads the stored nodes.  The tail cut, the
+finiteness check, the divergence limit and the level cap stay per call.
 """
 
 from mpmath import mp, mpf
@@ -31,24 +39,40 @@ __all__ = ["de_quad_01", "de_quad_0inf"]
 # significant term so a hump past the origin cannot be skipped
 _TAIL_RUN = 3
 
+# (mp.prec, level) -> [(u_left, u_right, du/dt), ...] in the order
+# _row_sum visits them; entries are pure functions of their key
+_nodes = {}
 
-def _row_sum(f, h, j_start, j_step, cut):
-    """Trapezoid contributions at t = j*h for j = j_start, j_start+j_step, ...
+
+def _row_sum(f, level, cut):
+    """Trapezoid contributions at the nodes new at `level`, t = j*2^-level
+    for j = 1, 2, 3, ... (level 0) or j = 1, 3, 5, ... (level >= 1).
 
     Returns the sum over both symmetric nodes, without the h factor.
     """
+    row = _nodes.setdefault((mp.prec, level), [])
+    j_step = 1 if level == 0 else 2
     total = mpf(0)
     small_run = 0
-    j = j_start
+    i = 0
     while True:
-        t = j * h
-        ch = mp.cosh(t)
-        q = mp.exp(-mp.pi * mp.sinh(t))
-        base = q / (1 + q)
-        w = mp.pi * ch * q / (1 + q) ** 2
-        term = w * (f(base) + f(1 - base))
+        j = 1 + i * j_step
+        if j > 20 << level:
+            # t > 20, sinh(20) ~ 2.4e8: the weight has underflowed any
+            # practical precision, so surviving terms mean the integrand diverges
+            raise QuadratureError("tail of transformed integrand does not decay")
+        if i == len(row):
+            t = mp.ldexp(j, -level)
+            ch = mp.cosh(t)
+            q = mp.exp(-mp.pi * mp.sinh(t))
+            base = q / (1 + q)
+            row.append((base, 1 - base, mp.pi * ch * q / (1 + q) ** 2))
+        u_left, u_right, w = row[i]
+        term = w * (f(u_left) + f(u_right))
         if not mp.isfinite(term):
-            raise QuadratureError("integrand not finite at node t=%s" % mp.nstr(t, 8))
+            raise QuadratureError(
+                "integrand not finite at node t=%s" % mp.nstr(mp.ldexp(j, -level), 8)
+            )
         total += term
         if abs(term) <= cut * (1 + abs(total)):
             small_run += 1
@@ -56,11 +80,7 @@ def _row_sum(f, h, j_start, j_step, cut):
                 break
         else:
             small_run = 0
-        j += j_step
-        if j * h > 20:
-            # sinh(20) ~ 2.4e8: the weight has underflowed any practical
-            # precision, so surviving terms mean the integrand diverges
-            raise QuadratureError("tail of transformed integrand does not decay")
+        i += 1
     return total
 
 
@@ -81,11 +101,11 @@ def de_quad_01(f, ctx, tol=None):
         g = lambda u: mpf(f(u))
         # level 0, h = 1: center node j=0 plus the symmetric tail
         h = mpf(1)
-        row = mp.pi / 4 * g(mpf(1) / 2) + _row_sum(g, h, 1, 1, cut)
+        row = mp.pi / 4 * g(mpf(1) / 2) + _row_sum(g, 0, cut)
         prev = h * row
         for level in range(1, ctx.quad_levels + 1):
             h = h / 2
-            row = row + _row_sum(g, h, 1, 2, cut)
+            row = row + _row_sum(g, level, cut)
             cur = h * row
             if abs(cur - prev) <= tol / 4 * max(1, abs(cur)):
                 return +cur

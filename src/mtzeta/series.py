@@ -88,13 +88,15 @@ class WeightConfig:
 # integral analogue I_r
 # ---------------------------------------------------------------------------
 
-# x-independent integrand factor F(u) per quadrature node, for the most
-# recently used (kind, omega, a) only, at every precision used with it:
-# (key, {precision_bits: {u._mpf_: F(u)}}).  DE nodes depend on the
-# precision alone, so a sweep over x at fixed (omega, a) finds every node
-# after the first x.  F is stored as one product keyed by the raw mpf
-# tuple, not as its r + 1 factors, to keep the table small.  Entries are
-# pure functions of their keys, so a stale read cannot change a value.
+# x-independent integrand factors (F(u), log u) per quadrature node, for
+# the most recently used (kind, omega, a) only, at every precision used
+# with it: (key, {precision_bits: {u._mpf_: (F(u), log u)}}).  DE nodes
+# depend on the precision alone, so a sweep over x at fixed (omega, a)
+# finds every node after the first x.  F is stored as one product keyed by
+# the raw mpf tuple, not as its r + 1 factors, to keep the table small.
+# log u is taken at the working precision + 10 bits, as in mpmath's power.
+# Entries are pure functions of their keys, so a stale read cannot change
+# a value.
 _node_factors = (None, {})
 
 
@@ -102,7 +104,10 @@ def _mellin_over_gamma(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
     with f_i(u) = Gamma(0, omega_i u) for kind "I" and
     -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
-    computed and stored on a miss."""
+    computed and stored on a miss.  u^{x-1} is exp((x-1) log u) with an
+    exact product, as mpmath's u ** (x-1) computes it, unless x - 1 is an
+    integer or half-integer (exponent field >= -1), where mpmath takes
+    another route and u ** (x-1) is kept."""
     global _node_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
@@ -111,17 +116,22 @@ def _mellin_over_gamma(kind, x, w, ctx):
     table = _node_factors[1].setdefault(ctx.precision_bits, {})
     with ctx.workprec():
         xm1 = x - 1
+        general = xm1._mpf_[2] < -1
+        log_prec = mp.prec + 10
 
         def integrand(u):
-            F = table.get(u._mpf_)
-            if F is None:
+            factors = table.get(u._mpf_)
+            if factors is None:
                 F = mp.exp(-w.a * u)
                 for om in w.omega:
                     if kind == "I":
                         F *= gamma0(om * u, ctx)
                     else:
                         F *= -mp.log(-mp.expm1(-om * u))
-                table[u._mpf_] = F
+                factors = table[u._mpf_] = (F, mp.ln(u, prec=log_prec))
+            F, log_u = factors
+            if general:
+                return F * mp.exp(mp.fmul(xm1, log_u, exact=True))
             return F * u ** xm1
 
         raw = de_quad_0inf(integrand, ctx)

@@ -6,7 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from mtzeta import suites
+from mtzeta import quadrature, suites
+from mtzeta.context import PrecisionContext
 from mtzeta.jets import Jet
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -26,3 +27,18 @@ def test_span_bindings_resolve():
     for op in spans.JET_OPS:
         assert hasattr(Jet, op), op
     assert hasattr(suites, "SERIES_TOL")
+
+
+def test_de_quad_0inf_calls_de_quad_01_through_the_module(monkeypatch):
+    # the quadrature.* spans wrap the module attribute; both halves of
+    # de_quad_0inf must reach it
+    calls = []
+    original = quadrature.de_quad_01
+
+    def wrapped(f, ctx, tol=None):
+        calls.append(ctx)
+        return original(f, ctx, tol)
+
+    monkeypatch.setattr(quadrature, "de_quad_01", wrapped)
+    quadrature.de_quad_0inf(lambda t: 1 / (1 + t * t), PrecisionContext(precision_bits=128))
+    assert len(calls) == 2

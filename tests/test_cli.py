@@ -278,3 +278,26 @@ def test_verify_series_suites_at_64_bits(suite, capsys):
     code, out, err = _run(capsys, ["verify", suite, "--bits", "64"])
     assert code == 0, err
     assert all(report["passed"] for report in _reports(out))
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["verify", "inversion", "--a", "5", "--k-max", "1"], ["--a without --omega"]),
+        (
+            ["verify", "r2m2", "--omega", "1,1", "--x-grid", "0.5", "--k-max", "3",
+             "--method", "foo"],
+            ["--x-grid", "--k-max", "--method"],
+        ),
+        (["verify", "all", "--k-max", "1"], ["--k-max"]),
+        (["verify", "all", "--omega", "1,2", "--a", "1"], ["--omega", "--a"]),
+        (["verify", "asymptotic-order", "--omega", "1,2"], ["--omega without --method"]),
+    ],
+    ids=["inversion-a", "r2m2-three", "all-k-max", "all-omega", "order-no-method"],
+)
+def test_verify_rejects_unread_flags(argv, unread, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "verify %s does not read" % argv[1] in err
+    for flag in unread:
+        assert flag in err

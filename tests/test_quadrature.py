@@ -1,16 +1,24 @@
 """Tanh-sinh kernel against closed-form integrals, including endpoint
-singularities, plus failure-mode behavior.
+singularities, plus failure-mode behavior, and the node table against
+nodes recomputed on every call.
 """
 
 import pytest
 from mpmath import mp, mpf
 
+from mtzeta import quadrature
 from mtzeta.context import PrecisionContext
 from mtzeta.errors import QuadratureError
 from mtzeta.quadrature import de_quad_01, de_quad_0inf
 
 CTX = PrecisionContext()
 TOL = CTX.target_tol
+
+
+@pytest.fixture
+def cold_nodes(monkeypatch):
+    """An empty node table for the test, restored afterwards."""
+    monkeypatch.setattr(quadrature, "_nodes", {})
 
 
 def test_power_singularity():
@@ -44,18 +52,115 @@ def test_smooth_case():
         assert abs(v - (mp.e - 1)) <= TOL
 
 
-def test_level_cap_raises():
+def _warm_up():
+    # converges over several levels and reaches far into each row
+    de_quad_01(lambda u: u ** mpf("-0.5"), CTX)
+
+
+# each failure must raise with a cold table and again once the rows at
+# that precision are stored: a stored row cannot skip a per-call check
+
+def test_level_cap_raises(cold_nodes):
     shallow = PrecisionContext(quad_levels=1)
-    with pytest.raises(QuadratureError):
-        de_quad_01(lambda u: u ** mpf("-0.97"), shallow)
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            de_quad_01(lambda u: u ** mpf("-0.97"), shallow)
+        _warm_up()
 
 
-def test_nonfinite_integrand_raises():
-    with pytest.raises(QuadratureError):
-        de_quad_01(lambda u: mpf("inf"), CTX)
+def test_nonfinite_integrand_raises(cold_nodes):
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            de_quad_01(lambda u: mpf("inf"), CTX)
+        _warm_up()
 
 
-def test_divergent_tail_raises():
+def test_divergent_tail_raises(cold_nodes):
     # non-integrable singularity: transformed tail never decays
-    with pytest.raises(QuadratureError):
-        de_quad_01(lambda u: 1 / u, CTX)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="does not decay"):
+            de_quad_01(lambda u: 1 / u, CTX)
+        _warm_up()
+
+
+# ---------------------------------------------------------------------------
+# node table
+# ---------------------------------------------------------------------------
+
+def _oracle_row_sum(f, h, j_start, j_step, cut):
+    """The per-call node arithmetic the table replaced, kept as an oracle."""
+    total = mpf(0)
+    small_run = 0
+    j = j_start
+    while True:
+        t = j * h
+        ch = mp.cosh(t)
+        q = mp.exp(-mp.pi * mp.sinh(t))
+        base = q / (1 + q)
+        w = mp.pi * ch * q / (1 + q) ** 2
+        term = w * (f(base) + f(1 - base))
+        total += term
+        if abs(term) <= cut * (1 + abs(total)):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+        j += j_step
+    return total
+
+
+def _oracle_quad_01(f, ctx):
+    with ctx.workprec():
+        tol = mpf(ctx.target_tol)
+        cut = mpf(2) ** (-(ctx.precision_bits + 8))
+        g = lambda u: mpf(f(u))
+        h = mpf(1)
+        row = mp.pi / 4 * g(mpf(1) / 2) + _oracle_row_sum(g, h, 1, 1, cut)
+        prev = h * row
+        for _ in range(ctx.quad_levels):
+            h = h / 2
+            row = row + _oracle_row_sum(g, h, 1, 2, cut)
+            cur = h * row
+            if abs(cur - prev) <= tol / 4 * max(1, abs(cur)):
+                return +cur
+            prev = cur
+        raise AssertionError("oracle did not converge")
+
+
+def _oracle_quad_0inf(f, ctx):
+    near = _oracle_quad_01(f, ctx)
+    far = _oracle_quad_01(lambda v: f(1 / v) / (v * v), ctx)
+    with ctx.workprec():
+        return +(near + far)
+
+
+def test_node_table_matches_per_call_nodes(cold_nodes):
+    power = lambda u: u ** (mpf(3) / 10 - 1)
+    log_sq = lambda u: mp.log(u) ** 2
+    gamma_half = lambda t: mp.exp(-t) / mp.sqrt(t)
+    # the first visit to each precision runs on a cold table, the later
+    # ones on rows other integrands and precisions have extended
+    for bits in (256, 128, 512, 128, 256, 512):
+        ctx = PrecisionContext(precision_bits=bits)
+        for f in (power, log_sq):
+            assert de_quad_01(f, ctx)._mpf_ == _oracle_quad_01(f, ctx)._mpf_, bits
+        assert de_quad_0inf(gamma_half, ctx)._mpf_ == _oracle_quad_0inf(gamma_half, ctx)._mpf_, bits
+
+
+def test_warm_table_computes_no_node(cold_nodes, monkeypatch):
+    cosh_calls = []
+    cosh = mp.cosh
+
+    def counted(t):
+        cosh_calls.append(t)
+        return cosh(t)
+
+    monkeypatch.setattr(mp, "cosh", counted)
+    f = lambda t: mp.exp(-t) * mp.log(t)
+    first = de_quad_0inf(f, CTX)
+    assert cosh_calls
+    cosh_calls.clear()
+    second = de_quad_0inf(f, CTX)
+    assert cosh_calls == []
+    assert first._mpf_ == second._mpf_
