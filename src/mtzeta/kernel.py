@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .context import GUARD_BITS, PrecisionContext
 from .errors import DomainError
@@ -125,27 +126,31 @@ def gamma0(u, ctx: PrecisionContext) -> mpf:
     """Gamma(0,u) = int_u^inf e^-t / t dt for u > 0.
 
     u <= 1: the entire-series form -log u - gamma - sum (-u)^n/(n*n!),
-    truncated once terms fall below 2^-precision_bits.
-    u > 1:  exponential-integral evaluation (continued-fraction class
-    scheme); both methods agree at the u=1 boundary to working precision.
+    truncated once terms fall below 2^-(precision_bits+32), summed on
+    Python ints at scale 2^(p+8), p the working precision (each term adds
+    at most two units of 2^-(p+8)).
+    u > 1:  mpmath's e1: in mpmath 1.3 a Taylor series with about 2u
+    extra bits, or the asymptotic series once u exceeds about
+    0.69 (precision + 20).  Both agree at u = 1 to working precision.
     """
     with ctx.workprec():
         uv = mpf(u)
         if not uv > 0:
             raise DomainError("gamma0 requires u > 0")
         if uv <= 1:
-            cutoff = mpf(2) ** (-(ctx.precision_bits + GUARD_BITS))
-            total = -mp.log(uv) - mp.euler
-            term = mpf(1)  # carries (-u)^n / n!
-            n = 0
+            wp = mp.prec + 8
+            cutoff = 1 << (wp - ctx.precision_bits - GUARD_BITS)
+            uf = to_fixed(uv._mpf_, wp)
+            term = 1 << wp  # carries (-u)^n / n!
+            total = n = 0
             while True:
                 n += 1
-                term *= -uv / n
-                piece = term / n
+                term = -(term * uf >> wp) // n
+                piece = term // n
                 total -= piece
                 if abs(piece) < cutoff:
                     break
-            return +total
+            return -mp.log(uv) - mp.euler + mp.ldexp(total, -wp)
         return +mp.e1(uv)
 
 

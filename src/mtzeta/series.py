@@ -8,10 +8,12 @@ a computed tail bound; nothing here shares code with the expansion
 machinery it is later compared against.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .context import positive_x, to_mpf
 from .errors import DomainError
@@ -100,6 +102,32 @@ class WeightConfig:
 _node_factors = (None, {})
 
 
+def _m_factor(y):
+    """-log(1 - e^{-y}) for y > 0, to full relative accuracy at mp.prec.
+
+    t = e^{-y} gets max(0, -mag y) + 26 extra bits, which 1 - t and its
+    log keep while t >= 2^-16; for smaller t, t + t^2/2 + t^3/3 + ... is
+    summed on Python ints.  Below y = 2^-prec (DE nodes reach 1e-700)
+    1 - t = y(1 - y/2 + ...), the guard of mpmath's expm1."""
+    prec = mp.prec
+    mag = mp.mag(y)
+    if mag < -prec:
+        return -mp.log(y) + y / 2
+    with mp.workprec(prec + max(0, -mag) + 26):
+        t = mp.exp(-y)
+        z = 1 - t
+    if mp.mag(t) > -16:
+        return -mp.log(z)
+    scale = prec + 8 - mp.mag(t)
+    tf = total = power = to_fixed(t._mpf_, scale)
+    k = 1
+    while power:
+        k += 1
+        power = power * tf >> scale
+        total += power // k
+    return mp.ldexp(total, -scale)
+
+
 def _mellin_over_gamma(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
     with f_i(u) = Gamma(0, omega_i u) for kind "I" and
@@ -127,7 +155,7 @@ def _mellin_over_gamma(kind, x, w, ctx):
                     if kind == "I":
                         F *= gamma0(om * u, ctx)
                     else:
-                        F *= -mp.log(-mp.expm1(-om * u))
+                        F *= _m_factor(om * u)
                 factors = table[u._mpf_] = (F, mp.ln(u, prec=log_prec))
             F, log_u = factors
             if general:
@@ -210,11 +238,11 @@ def m_integral(x, w, ctx):
         ((-1)^r/Gamma(x)) int_0^inf prod_i log(1-e^{-omega_i t})
                                      e^{-at} t^{x-1} dt.
 
-    Each factor is evaluated as -log(-expm1(-omega t)), which keeps full
-    relative accuracy both as t -> 0 (factor ~ -log(omega t)) and for
-    large t (factor ~ e^{-omega t}).  As for i_integral, the x-independent
-    product is computed once per node and reused across x at fixed
-    (omega, a) and precision."""
+    Each factor -log(1 - e^{-omega t}) comes from _m_factor, with full
+    relative accuracy as t -> 0 (factor ~ -log(omega t)) and for large t
+    (factor ~ e^{-omega t}, summed as a series in it).  As for i_integral,
+    the x-independent product is computed once per node and reused
+    across x at fixed (omega, a) and precision."""
     return _mellin_over_gamma("M", x, w, ctx)
 
 
@@ -377,12 +405,42 @@ def t_coeff(r, l, omega, ctx):
 # all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
 
+# B_2k as exact (numerator, denominator) pairs; k stays below about 60
+_bernfrac = functools.lru_cache(maxsize=None)(mp.bernfrac)
+
+
+def _polygamma(j, t):
+    """psi^(j)(t) for j >= 1 and real t >= 1200, by the asymptotic series
+
+        (-1)^(j+1) (j-1)! t^-j [1 + j/(2t) + sum_k B_2k C(2k+j-1, 2k) t^-2k]
+
+    in real fixed point (mpmath 1.3 takes every polygamma of order >= 1
+    through its complex mpc_psi).  The bracket is summed on Python ints at
+    scale 2^(mp.prec+16); t^-2k is kept as a mantissa times a power of
+    two, so the growth of B_2k multiplies only a relative error.  The
+    terms fall more than 4-fold per k while 2k + j << 2 pi t."""
+    wp = mp.prec + 16
+    with mp.workprec(wp):
+        u = 1 / t
+        _, man, exp, bc = u._mpf_
+        m = man << (wp - bc)
+        e = exp + bc  # u = m 2^(e - wp), 2^(wp-1) <= m < 2^wp
+        m2 = m * m >> wp
+        total = (1 << wp) + (j * m >> (1 - e))
+        power, k, term = 1 << wp, 0, 1
+        while term:
+            k += 1
+            num, den = _bernfrac(2 * k)
+            power = power * m2 >> wp
+            term = (num * math.comb(2 * k + j - 1, 2 * k) * power >> (-2 * k * e)) // den
+            total += term
+        value = mp.ldexp(total * math.factorial(j - 1), -wp) * u ** j
+    return +value if j % 2 else -value
+
+
 def _psi_plus_gamma_derivs(t, count, gamma):
-    """[d^j/dt^j (psi(t)+gamma)] for j = 0..count, exact polygammas."""
-    out = [mp.psi(0, t) + gamma]
-    for j in range(1, count + 1):
-        out.append(mp.psi(j, t))
-    return out
+    """[d^j/dt^j (psi(t)+gamma)] for j = 0..count, t >= 1200."""
+    return [mp.psi(0, t) + gamma] + [_polygamma(j, t) for j in range(1, count + 1)]
 
 
 def _g_derivs(r, t, count, ctx):
@@ -456,23 +514,20 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     if r == 1:
         integral = Nv ** -x / x
     else:
-        # past 2^(prec+16) the polygamma remainders 1/(2t), 1/t sit
-        # below working precision; the asymptote avoids feeding psi
-        # arguments with astronomical exponents
+        # past 2^(prec+16) the digamma remainder 1/(2t) sits below
+        # working precision; the asymptote avoids feeding psi arguments
+        # with astronomical exponents
         big = mpf(2) ** (mp.prec + 16)
 
         def psi0(t):
             return mp.log(t) if t > big else mp.psi(0, t)
-
-        def psi1(t):
-            return 1 / t if t > big else mp.psi(1, t)
 
         if r == 2:
             def g_tail(t):
                 return psi0(t) + gamma
         else:
             def g_tail(t):
-                return ((psi0(t) + gamma) ** 2 - z2 + psi1(t)) / 2
+                return ((psi0(t) + gamma) ** 2 - z2 + _polygamma(1, t)) / 2
         # the raw integrand decays like t^{-1-x}, which defeats any
         # quadrature as x -> 0; t = N exp(v/x) is exact and leaves a
         # unit-rate exponential integral, uniformly stable in x

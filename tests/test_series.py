@@ -310,7 +310,8 @@ def test_node_factors_hold_latest_configuration_only(monkeypatch, other):
 
 def _plain_mellin(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^(x-1) du with F recomputed at every
-    node and mpmath's own power: the evaluator before its node table."""
+    node from the same factor functions and mpmath's own power: the
+    evaluator before its node table."""
     with ctx.workprec():
         xm1 = x - 1
 
@@ -320,7 +321,7 @@ def _plain_mellin(kind, x, w, ctx):
                 if kind == "I":
                     F *= gamma0(om * u, ctx)
                 else:
-                    F *= -mp.log(-mp.expm1(-om * u))
+                    F *= series._m_factor(om * u)
             return F * u ** xm1
 
         return +(de_quad_0inf(integrand, ctx) / mp.gamma(x))
@@ -354,6 +355,71 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
             for u, got in nodes:
                 assert got._mpf_ == (table[u._mpf_][0] * u ** (x - 1))._mpf_, (x, u)
         assert value._mpf_ == _plain_mellin(kind, x, w, CTX128)._mpf_, x
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_m_factor_relative_accuracy(bits):
+    # against -log(-expm1(-y)) with enough bits that the oracle's own
+    # 1 - e^-y keeps 3 working precisions at y = 700 as at y -> 0
+    prec = bits + 32
+    ys = [mpf(2) ** -e for e in (prec + 100, prec + 1, prec, prec - 1, 60, 10, 1)]
+    ys += [mpf(v) for v in ("0.3", "0.69", "1", "5", "11.08", "11.1", "12", "35", "100", "700")]
+    for y in ys:
+        with mp.workprec(prec):
+            y = +y
+            got = series._m_factor(y)
+        with mp.workprec(3 * prec + 2 * int(y)):
+            want = -mp.log(-mp.expm1(-y))
+            assert abs(got - want) <= mpf(2) ** -(prec - 1) * want, y
+
+
+def test_m_factor_exp_precision_stays_bounded(monkeypatch):
+    # DE nodes reach u ~ 1e-700: e^-y at prec + log2(1/y) bits would cost
+    # thousands of bits there, where 1 - e^-y = y(1 - y/2) is exact enough
+    seen = []
+    original = mp.exp
+
+    def recorded(*args, **kwargs):
+        seen.append(mp.prec)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "exp", recorded)
+    for bits in (64, 256):
+        prec = bits + 32
+        with mp.workprec(prec):
+            for e in (-9, 0, 10, prec - 1, prec, prec + 1, 2330):
+                series._m_factor(mpf(2) ** -e)
+        assert seen and max(seen) <= 2 * prec + 64
+        seen.clear()
+        m_integral(to_mpf("0.7"), _wc(("0.5", "3")), PrecisionContext(precision_bits=bits))
+        assert seen and max(seen) <= 2 * prec + 64
+        seen.clear()
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_polygamma_matches_mpmath(bits):
+    prec = bits + 32
+    for j in (1, 2, 5, 49):
+        for t in ("1200", "2400", "1e6", "1e40"):
+            with mp.workprec(prec):
+                t = to_mpf(t)
+                got = series._polygamma(j, t)
+            with mp.workprec(2 * prec):
+                want = mp.psi(j, t)
+                assert abs(got - want) <= mpf(2) ** -(prec - 1) * abs(want), (j, t)
+
+
+def test_zeta_ez_ones_takes_no_complex_polygamma(monkeypatch):
+    orders = []
+    original = mp.psi
+
+    def recorded(m, z, **kwargs):
+        orders.append(m)
+        return original(m, z, **kwargs)
+
+    monkeypatch.setattr(mp, "psi", recorded)
+    zeta_ez_ones(3, to_mpf("0.5"), CTX128)
+    assert orders and set(orders) == {0}
 
 
 # ---------------------------------------------------------------------------
