@@ -14,6 +14,13 @@ Nodes are expressed through q = exp(-pi sinh(t)):
 computed in this form so u_left keeps full relative accuracy down to
 doubly-exponentially small values; it never rounds to an endpoint.
 
+Each row of new nodes is summed outward from t = 0 and cut on each side
+on its own: the u_left side stops after _TAIL_RUN consecutive negligible
+terms of its own, whatever the u_right side does, and the other way
+round.  One side usually dies long before the other (near 1 the weight
+alone decides; near 0 an integrand like u^{x-1} log^r u keeps the terms
+alive), so no evaluations are spent on the dead side.
+
 Levels halve the step h, reusing all previous evaluations (new nodes sit
 at odd multiples of the new h).  Refinement stops when two successive
 level sums agree to a quarter of the requested tolerance, and is capped
@@ -35,8 +42,9 @@ from .errors import QuadratureError
 
 __all__ = ["de_quad_01", "de_quad_0inf"]
 
-# consecutive negligible node pairs before a row is cut; resets on any
-# significant term so a hump past the origin cannot be skipped
+# consecutive negligible terms before one side of a row is cut; a
+# significant term on that side resets its count, so a hump there that
+# begins before the count runs out is not skipped
 _TAIL_RUN = 3
 
 # (mp.prec, level) -> [(u_left, u_right, du/dt), ...] in the order
@@ -48,14 +56,16 @@ def _row_sum(f, level, cut):
     """Trapezoid contributions at the nodes new at `level`, t = j*2^-level
     for j = 1, 2, 3, ... (level 0) or j = 1, 3, 5, ... (level >= 1).
 
-    Returns the sum over both symmetric nodes, without the h factor.
+    Returns the sum over the u -> 0 and u -> 1 sides, without the h
+    factor.  Each side is cut on its own, after _TAIL_RUN consecutive
+    terms w*f(u) <= cut*(1 + |total|); the row ends when both have been.
     """
     row = _nodes.setdefault((mp.prec, level), [])
     j_step = 1 if level == 0 else 2
     total = mpf(0)
-    small_run = 0
+    small_runs = [0, 0]  # u_left side, u_right side
     i = 0
-    while True:
+    while min(small_runs) < _TAIL_RUN:
         j = 1 + i * j_step
         if j > 20 << level:
             # t > 20, sinh(20) ~ 2.4e8: the weight has underflowed any
@@ -67,19 +77,20 @@ def _row_sum(f, level, cut):
             q = mp.exp(-mp.pi * mp.sinh(t))
             base = q / (1 + q)
             row.append((base, 1 - base, mp.pi * ch * q / (1 + q) ** 2))
-        u_left, u_right, w = row[i]
-        term = w * (f(u_left) + f(u_right))
-        if not mp.isfinite(term):
-            raise QuadratureError(
-                "integrand not finite at node t=%s" % mp.nstr(mp.ldexp(j, -level), 8)
-            )
-        total += term
-        if abs(term) <= cut * (1 + abs(total)):
-            small_run += 1
-            if small_run >= _TAIL_RUN:
-                break
-        else:
-            small_run = 0
+        w = row[i][2]
+        for side in (0, 1):
+            if small_runs[side] >= _TAIL_RUN:
+                continue
+            term = w * f(row[i][side])
+            if not mp.isfinite(term):
+                raise QuadratureError(
+                    "integrand not finite at node t=%s" % mp.nstr(mp.ldexp(j, -level), 8)
+                )
+            total += term
+            if abs(term) <= cut * (1 + abs(total)):
+                small_runs[side] += 1
+            else:
+                small_runs[side] = 0
         i += 1
     return total
 
@@ -91,6 +102,17 @@ def de_quad_01(f, ctx, tol=None):
     integrable there is handled by the transform.  Raises
     QuadratureError if level doubling exhausts ctx.quad_levels without
     two successive sums agreeing to tol/4.
+
+    Each side of a row is cut after _TAIL_RUN consecutive negligible
+    terms of its own, so a side whose terms fall below the cut three
+    times and only then rise to a hump misses the hump, even while the
+    other side is still significant.  The Mellin integrands of series
+    cannot do this: towards an endpoint where the integrand is smooth
+    the terms fall with the weight alone, and towards u -> 0
+    (u^{x-1} log^r u) or u -> inf (u^{x+1} e^{-(a+|omega|)u} once
+    v = 1/u) they rise only polynomially to a single maximum, never
+    below the cut before it.  Mass at widely separated scales is not
+    covered by this.
     """
     with ctx.workprec():
         if tol is None:

@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .context import positive_x, to_mpf
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .kernel import euler_gamma, gamma0, zeta_value
 from .jets import Jet
 from .quadrature import de_quad_0inf
@@ -316,7 +316,7 @@ def _degree_profile(omega, ctx, extra_log_powers):
     for _ in range(3):
         M = int((bits + (extra_log_powers + r) * mp.log(M + 2, 2)) / lg) + 8
     if M > ctx.max_terms:
-        raise DomainError("truncation degree exceeds max_terms; rho too close to 1")
+        raise BudgetError("truncation degree exceeds max_terms; rho too close to 1")
     with ctx.workprec():
         D = None
         for o in omega:
@@ -438,9 +438,42 @@ def _polygamma(j, t):
     return +value if j % 2 else -value
 
 
+def _psi_pair(t, log_t):
+    """(psi(t), psi'(t)) for real t >= 1200, given log t, from one pass
+    over the Bernoulli terms of
+
+        psi(t)  = log t - 1/(2t) - sum_k B_2k/(2k) t^-2k
+        psi'(t) = t^-1 [1 + 1/(2t) + sum_k B_2k t^-2k],
+
+    in fixed point as in _polygamma, whose psi'(t) this equals.  For huge
+    t the sums collapse to log t and 1/t by themselves."""
+    wp = mp.prec + 16
+    with mp.workprec(wp):
+        u = 1 / t
+        _, man, exp, bc = u._mpf_
+        m = man << (wp - bc)
+        e = exp + bc  # u = m 2^(e - wp), 2^(wp-1) <= m < 2^wp
+        m2 = m * m >> wp
+        half_u = m >> (1 - e)
+        psi_sum, psi1_sum = half_u, (1 << wp) + half_u
+        power, k, term = 1 << wp, 0, 1
+        while term:
+            k += 1
+            num, den = _bernfrac(2 * k)
+            power = power * m2 >> wp
+            term = (num * power >> (-2 * k * e)) // den
+            psi1_sum += term
+            psi_sum += term // (2 * k)
+        psi = log_t - mp.ldexp(psi_sum, -wp)
+        psi1 = mp.ldexp(psi1_sum, -wp) * u
+    return +psi, +psi1
+
+
 def _psi_plus_gamma_derivs(t, count, gamma):
     """[d^j/dt^j (psi(t)+gamma)] for j = 0..count, t >= 1200."""
-    return [mp.psi(0, t) + gamma] + [_polygamma(j, t) for j in range(1, count + 1)]
+    return [_psi_pair(t, mp.log(t))[0] + gamma] + [
+        _polygamma(j, t) for j in range(1, count + 1)
+    ]
 
 
 def _g_derivs(r, t, count, ctx):
@@ -487,7 +520,7 @@ def zeta_ez_ones(r, x, ctx):
                 return +val
             N *= 2
             if N > ctx.max_terms:
-                raise DomainError("Euler-Maclaurin tail failed to close")
+                raise BudgetError("Euler-Maclaurin tail failed to close")
 
 
 def _zeta_ez_attempt(r, x, N, ctx, thresh):
@@ -514,28 +547,20 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     if r == 1:
         integral = Nv ** -x / x
     else:
-        # past 2^(prec+16) the digamma remainder 1/(2t) sits below
-        # working precision; the asymptote avoids feeding psi arguments
-        # with astronomical exponents
-        big = mpf(2) ** (mp.prec + 16)
+        # t = N exp(v/x), so log t = log N + v/x without a logarithm per node
+        log_N = mp.log(Nv)
 
-        def psi0(t):
-            return mp.log(t) if t > big else mp.psi(0, t)
+        def g_tail(v):
+            y = v / x
+            psi, psi1 = _psi_pair(Nv * mp.exp(y), log_N + y)
+            if r == 2:
+                return psi + gamma
+            return ((psi + gamma) ** 2 - z2 + psi1) / 2
 
-        if r == 2:
-            def g_tail(t):
-                return psi0(t) + gamma
-        else:
-            def g_tail(t):
-                return ((psi0(t) + gamma) ** 2 - z2 + _polygamma(1, t)) / 2
         # the raw integrand decays like t^{-1-x}, which defeats any
         # quadrature as x -> 0; t = N exp(v/x) is exact and leaves a
         # unit-rate exponential integral, uniformly stable in x
-        integral = (
-            Nv ** -x
-            / x
-            * mp.quad(lambda v: g_tail(Nv * mp.exp(v / x)) * mp.exp(-v), [0, mp.inf])
-        )
+        integral = Nv ** -x / x * mp.quad(lambda v: g_tail(v) * mp.exp(-v), [0, mp.inf])
 
     K_MAX = 24
     derivs_needed = 2 * K_MAX

@@ -86,6 +86,12 @@ def test_eval_usage_and_domain_codes(capsys):
     assert code == 2 and "64" in err
 
 
+def test_eval_budget_exit_3(capsys):
+    # rho = 0.9999999 needs a truncation degree far beyond max_terms
+    code, _, err = _run(capsys, ["eval", "S", "--omega", "0.9999999", "--x", "0.3"])
+    assert code == 3 and "max_terms" in err
+
+
 def test_eval_low_bits_default_tolerance(capsys):
     # below 116 bits the default target_tol follows the context's own
     # 2^-(bits-16) floor instead of a fixed 1e-30 that would violate it

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from mtzeta import quadrature
 from mtzeta.context import PrecisionContext
 from mtzeta.errors import QuadratureError
+from mtzeta.kernel import gamma0
 from mtzeta.quadrature import de_quad_01, de_quad_0inf
 
 CTX = PrecisionContext()
@@ -87,40 +88,60 @@ def test_divergent_tail_raises(cold_nodes):
 # node table
 # ---------------------------------------------------------------------------
 
+def _oracle_node(j, h):
+    """(u_left, u_right, du/dt) at t = j*h, the per-call node arithmetic
+    the table replaced."""
+    t = j * h
+    ch = mp.cosh(t)
+    q = mp.exp(-mp.pi * mp.sinh(t))
+    base = q / (1 + q)
+    return base, 1 - base, mp.pi * ch * q / (1 + q) ** 2
+
+
 def _oracle_row_sum(f, h, j_start, j_step, cut):
-    """The per-call node arithmetic the table replaced, kept as an oracle."""
+    """A row on per-call nodes, each side cut after its own three
+    consecutive negligible terms."""
     total = mpf(0)
-    small_run = 0
+    small_runs = [0, 0]
     j = j_start
-    while True:
-        t = j * h
-        ch = mp.cosh(t)
-        q = mp.exp(-mp.pi * mp.sinh(t))
-        base = q / (1 + q)
-        w = mp.pi * ch * q / (1 + q) ** 2
-        term = w * (f(base) + f(1 - base))
-        total += term
-        if abs(term) <= cut * (1 + abs(total)):
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
+    while min(small_runs) < 3:
+        node = _oracle_node(j, h)
+        for side in (0, 1):
+            if small_runs[side] < 3:
+                term = node[2] * f(node[side])
+                total += term
+                small = abs(term) <= cut * (1 + abs(total))
+                small_runs[side] = small_runs[side] + 1 if small else 0
         j += j_step
     return total
 
 
-def _oracle_quad_01(f, ctx):
+def _pair_rule_row_sum(f, h, j_start, j_step, cut):
+    """A row cut after three consecutive negligible node pairs, the rule
+    before each side was cut on its own."""
+    total = mpf(0)
+    small_run = 0
+    j = j_start
+    while small_run < 3:
+        u_left, u_right, w = _oracle_node(j, h)
+        term = w * (f(u_left) + f(u_right))
+        total += term
+        small_run = small_run + 1 if abs(term) <= cut * (1 + abs(total)) else 0
+        j += j_step
+    return total
+
+
+def _oracle_quad_01(f, ctx, row_sum=_oracle_row_sum):
     with ctx.workprec():
         tol = mpf(ctx.target_tol)
         cut = mpf(2) ** (-(ctx.precision_bits + 8))
         g = lambda u: mpf(f(u))
         h = mpf(1)
-        row = mp.pi / 4 * g(mpf(1) / 2) + _oracle_row_sum(g, h, 1, 1, cut)
+        row = mp.pi / 4 * g(mpf(1) / 2) + row_sum(g, h, 1, 1, cut)
         prev = h * row
         for _ in range(ctx.quad_levels):
             h = h / 2
-            row = row + _oracle_row_sum(g, h, 1, 2, cut)
+            row = row + row_sum(g, h, 1, 2, cut)
             cur = h * row
             if abs(cur - prev) <= tol / 4 * max(1, abs(cur)):
                 return +cur
@@ -128,9 +149,9 @@ def _oracle_quad_01(f, ctx):
         raise AssertionError("oracle did not converge")
 
 
-def _oracle_quad_0inf(f, ctx):
-    near = _oracle_quad_01(f, ctx)
-    far = _oracle_quad_01(lambda v: f(1 / v) / (v * v), ctx)
+def _oracle_quad_0inf(f, ctx, row_sum=_oracle_row_sum):
+    near = _oracle_quad_01(f, ctx, row_sum)
+    far = _oracle_quad_01(lambda v: f(1 / v) / (v * v), ctx, row_sum)
     with ctx.workprec():
         return +(near + far)
 
@@ -164,3 +185,63 @@ def test_warm_table_computes_no_node(cold_nodes, monkeypatch):
     second = de_quad_0inf(f, CTX)
     assert cosh_calls == []
     assert first._mpf_ == second._mpf_
+
+
+# ---------------------------------------------------------------------------
+# each side of a row cut on its own
+# ---------------------------------------------------------------------------
+
+def _mellin_cases(ctx):
+    """The Mellin integrands of I (r = 1, x = 0.005) and of M (omega
+    near (0.003, 0.5, 2.4), x = 0.5) on (0, inf), without the node
+    factor table of series."""
+    with ctx.workprec():
+        x_i, om_i = mpf("0.005"), mpf("1.6")
+        x_m, om_m = mpf("0.5"), (mpf("0.003"), mpf("0.5"), mpf("2.4"))
+
+    def mellin_i(u):
+        return gamma0(om_i * u, ctx) * u ** (x_i - 1)
+
+    def mellin_m(u):
+        F = mpf(1)
+        for om in om_m:
+            F *= -mp.log(-mp.expm1(-om * u))
+        return F * u ** (x_m - 1)
+
+    return mellin_i, mellin_m
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_per_side_cut_agrees_with_pair_rule(bits):
+    ctx = PrecisionContext(precision_bits=bits)
+    with ctx.workprec():
+        on_01 = (
+            lambda u: u ** mpf("-0.995"),
+            lambda u: mp.log(u) ** 2,
+            lambda u: mp.sqrt(1 - u),
+        )
+        on_0inf = (
+            lambda t: mp.exp(-t) / mp.sqrt(t),
+            lambda t: mp.exp(-t / 1000),
+        ) + _mellin_cases(ctx)
+    cases = [(de_quad_01, _oracle_quad_01, f) for f in on_01]
+    cases += [(de_quad_0inf, _oracle_quad_0inf, f) for f in on_0inf]
+    for quad, oracle, f in cases:
+        got = quad(f, ctx)
+        want = oracle(f, ctx, _pair_rule_row_sum)
+        with ctx.workprec():
+            assert abs(got - want) <= mpf(2) ** -bits * max(1, abs(want)), (bits, got, want)
+
+
+def test_per_side_cut_stops_the_quiet_side_early():
+    # u^-0.99 is significant far towards u -> 0 and negligible soon on
+    # the u -> 1 side, which the pair rule kept evaluating
+    f = lambda u: u ** mpf("-0.99")
+    calls, oracle_calls = [], []
+    de_quad_01(lambda u: calls.append(u) or f(u), CTX)
+    _oracle_quad_01(lambda u: oracle_calls.append(u) or f(u), CTX, _pair_rule_row_sum)
+    assert len(calls) < len(oracle_calls)
+    with CTX.workprec():
+        right = sum(1 for u in calls if u > mpf(1) / 2)
+        left = sum(1 for u in calls if u < mpf(1) / 2)
+    assert right < left

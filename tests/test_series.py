@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.context import PrecisionContext, to_mpf
-from mtzeta.errors import DomainError
+from mtzeta.errors import BudgetError, DomainError
 from mtzeta.jets import Jet
 from mtzeta.kernel import euler_gamma, gamma0, zeta_value
 from mtzeta.polylog import mpl_one_var
@@ -419,7 +419,21 @@ def test_zeta_ez_ones_takes_no_complex_polygamma(monkeypatch):
 
     monkeypatch.setattr(mp, "psi", recorded)
     zeta_ez_ones(3, to_mpf("0.5"), CTX128)
-    assert orders and set(orders) == {0}
+    # psi and every psi^(j) of the tail are summed in series, none in mpmath
+    assert orders == []
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_psi_pair_matches_mpmath(bits):
+    prec = bits + 32
+    for t in ("1200", "2400", "1e6", "1e40", 2 ** 400):
+        with mp.workprec(prec):
+            t = to_mpf(t)
+            got = series._psi_pair(t, mp.log(t))
+        with mp.workprec(2 * prec):
+            for j in (0, 1):
+                want = mp.psi(j, t)
+                assert abs(got[j] - want) <= mpf(2) ** -(prec - 1) * abs(want), (j, t)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +494,12 @@ def test_s_series_domain():
         s_series(to_mpf("0.3"), (to_mpf("0.6"), to_mpf("0.5")), CTX)
     with pytest.raises(DomainError):
         s_series(to_mpf("0.3"), (to_mpf("-0.7"), to_mpf("0.4")), CTX)
+
+
+def test_s_series_budget():
+    # rho = 0.9 needs a degree far beyond 50; rho >= 1 stays a DomainError
+    with pytest.raises(BudgetError, match="max_terms"):
+        s_series(to_mpf("0.3"), (to_mpf("0.5"), to_mpf("0.4")), PrecisionContext(max_terms=50))
 
 
 def test_s_series_jet_matches_scalar_and_derivative():
@@ -581,6 +601,12 @@ def test_nonpositive_x_rejected():
             m_direct(bad, w, 10, CTX)
         with pytest.raises(DomainError):
             zeta_ez_ones(2, bad, CTX)
+
+
+def test_zeta_ez_ones_budget(monkeypatch):
+    monkeypatch.setattr(series, "_zeta_ez_attempt", lambda *args: None)
+    with pytest.raises(BudgetError, match="failed to close"):
+        zeta_ez_ones(2, to_mpf("0.5"), CTX)
 
 
 def test_rank_and_cutoff_limits():
