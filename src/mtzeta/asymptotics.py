@@ -206,7 +206,9 @@ def expression_by_S(x, w, ctx):
     index set of (prod_{i in A} log omega_i) (d/dx)^{|B|}
     [Gamma(x) a^{-x} e^{gamma x} S_{|C|}(x, -omega_C/a)].
 
-    Derivatives are carried by jets of degree |B|+2 (two guard orders).
+    Derivatives are carried by jets: one of Gamma(x) a^{-x} e^{gamma x}
+    at degree r, and one product with S_{|C|} at degree r - |C| per colour
+    class C, read at degree |B| by every tricoloring with that C.
     Requires |omega| < a strictly."""
     x = positive_x(x)
     r = w.r
@@ -218,30 +220,20 @@ def expression_by_S(x, w, ctx):
         g = euler_gamma(ctx)
         la = mp.log(w.a)
         logw = [mp.log(o) for o in w.omega]
-        gamma_jets = {}
-        s_jets = {}
+        gamma_jet = (loggamma_jet(x, r, ctx) + Jet.variable(x, r) * (g - la)).exp()
+        products = {(): gamma_jet}
         total = mpf(0)
         for colors in product((0, 1, 2), repeat=r):
             A = [i for i in range(r) if colors[i] == 0]
             B = [i for i in range(r) if colors[i] == 1]
             C = tuple(i for i in range(r) if colors[i] == 2)
-            deg = len(B) + 2
-            if deg not in gamma_jets:
-                xi = Jet.variable(x, deg)
-                gamma_jets[deg] = (
-                    loggamma_jet(x, deg, ctx) + xi * (g - la)
-                ).exp()
-            F = gamma_jets[deg]
-            if C:
-                key = (C, deg)
-                if key not in s_jets:
-                    s_jets[key] = s_series(
-                        Jet.variable(x, deg),
-                        tuple(-w.omega[i] / w.a for i in C),
-                        ctx,
-                    )
-                F = F * s_jets[key]
-            term = F.derivative_value(len(B))
+            if C not in products:
+                products[C] = gamma_jet * s_series(
+                    Jet.variable(x, r - len(C)),
+                    tuple(-w.omega[i] / w.a for i in C),
+                    ctx,
+                )
+            term = products[C].derivative_value(len(B))
             for i in A:
                 term *= logw[i]
             total += term

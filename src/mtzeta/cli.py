@@ -506,3 +506,7 @@ def cli_main(argv):
 
 def main():
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
-from .context import positive_x, to_mpf
+from .context import GUARD_BITS, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 from .kernel import euler_gamma, gamma0, zeta_value
 from .jets import Jet
@@ -294,22 +294,40 @@ def m_direct(x, w, N, ctx):
 # ---------------------------------------------------------------------------
 
 def _degree_profile(omega, ctx, extra_log_powers):
-    """Common truncation setup: per-degree composition sums
+    """Common truncation setup: rho = sum |omega_i|, a degree M where
+    rho^m times the slowly varying factors is negligible, and the
+    normalized per-degree composition sums
 
-        D[m] = sum_{k_1+...+k_r=m, k_i>=1} prod omega_i^{k_i}/(k_i k_i!)
+        E[m] = (m!/rho^m) sum_{k_1+...+k_r=m, k_i>=1} prod omega_i^{k_i}/(k_i k_i!)
 
-    by iterated convolution, out to a degree M where rho^m times the
-    slowly varying factors is negligible.  Returns (D, M, rho)."""
+    for m = 0..M as Python ints at scale 2^wp, wp = precision_bits +
+    GUARD_BITS.  Returns (E, M, rho, wp).
+
+    E is built one weight at a time.  With p = rho_a/(rho_a + |omega_b|)
+    and q = 1 - p, rho_a the |omega| sum of the weights taken so far, the
+    next profile is the binomial mixture
+
+        E'[m] = sum_{k>=1} C(m,k) p^(m-k) q^k E[m-k] s^k/k,  s = sign omega_b,
+
+    from E[k] = s^k/k for the first weight.  E[m] is a multinomial mean of
+    prod_i s_i^{k_i}/k_i, so |E[m]| <= 1, and the weights C(m,k) p^(m-k) q^k
+    are a probability row, kept by Pascal's rule with one floor per entry:
+    an error already in E is not amplified, a row gathers at most m(m+1)/2
+    units of 2^-wp, and |error of E[m]| <= r m^2 2^-wp."""
     omega = tuple(to_mpf(o) for o in omega)
-    rho = mpf(0)
-    for o in omega:
-        rho += abs(o)
+    partial = []  # rho_a after each weight
+    with ctx.workprec():
+        rho = mpf(0)
+        for o in omega:
+            rho += abs(o)
+            partial.append(rho)
     if rho >= 1:
         raise DomainError("series requires sum of |omega_i| < 1")
     r = len(omega)
     bits = ctx.precision_bits + 16
+    wp = ctx.precision_bits + GUARD_BITS
     if rho == 0:
-        return [], 0, rho
+        return [], 0, rho, wp
     # rho^M below threshold, with slack for polynomial-log factors
     lg = -mp.log(rho, 2)
     M = int(bits / lg) + 8
@@ -317,88 +335,106 @@ def _degree_profile(omega, ctx, extra_log_powers):
         M = int((bits + (extra_log_powers + r) * mp.log(M + 2, 2)) / lg) + 8
     if M > ctx.max_terms:
         raise BudgetError("truncation degree exceeds max_terms; rho too close to 1")
-    with ctx.workprec():
-        D = None
-        for o in omega:
-            c = [mpf(0)] * (M + 1)
-            opow = mpf(1)
-            fact = mpf(1)
-            for k in range(1, M + 1):
-                opow *= o
-                fact *= k
-                c[k] = opow / (k * fact)
-            if D is None:
-                D = c
-            else:
-                nxt = [mpf(0)] * (M + 1)
-                for m1 in range(1, M + 1):
-                    if D[m1] == 0:
-                        continue
-                    lim = M - m1
-                    v = D[m1]
-                    for k in range(1, lim + 1):
-                        nxt[m1 + k] += v * c[k]
-                D = nxt
-        return D, M, rho
+    one = 1 << wp
+    E = None
+    for count, o in enumerate(omega):
+        # s^k/k as floor divisions by +-k
+        div = [1] + [-k if o < 0 and k % 2 else k for k in range(1, M + 1)]
+        if E is None:
+            E = [0] + [one // d for d in div[1:]]
+            continue
+        with ctx.workprec():
+            q = to_fixed((abs(o) / partial[count])._mpf_, wp) if o else 0
+        row = [one]
+        nxt = [0] * (M + 1)
+        for m in range(1, M + 1):
+            row = [u + (q * (v - u) >> wp) for u, v in zip(row + [0], [0] + row)]  # p u + q v
+            # k = 1..m-count: E[j] vanishes below j = count
+            nxt[m] = sum(
+                u * e // d for u, e, d in zip(row[1 : m - count + 1], E[m - 1 : count - 1 : -1], div[1:])
+            ) >> wp
+        E = nxt
+    return E, M, rho, wp
 
 
 def s_series(x, omega, ctx):
     """S_r(x, omega) = sum over k_i >= 1 of
     (x)_{k_1+...+k_r} prod omega_i^{k_i}/(k_i k_i!), grouped by total
     degree.  Negative omega_i are allowed; sum of |omega_i| < 1 is
-    required.  x may be a Jet, in which case the Pochhammer factors are
-    jets and a truncated Taylor expansion comes back."""
-    D, M, rho = _degree_profile(omega, ctx, extra_log_powers=2)
+    required.  x may be a Jet, in which case a truncated Taylor expansion
+    of the same degree comes back.
+
+    With E from _degree_profile, S = x sum_m c_m E[m] where
+    c_m = rho^m (x+1)_{m-1}/m! = c_{m-1} rho (x+m-1)/m.  Factoring out x
+    keeps the relative accuracy at tiny x.  c_m is a Python int at scale
+    2^wp (for a Jet, an int vector of its Taylor coefficients), advanced
+    with three floors per step; its error stays near 3/(1-rho) units of
+    2^-wp once rho (x+m-1)/m < 1, and grows with c_m before that.  The sum
+    is carried at scale 2^(2wp) and rounded once to wp bits.  Weighted by
+    c_m, the r m^2 2^-wp error of E[m] adds about 2r/(1-rho)^3 units of
+    2^-wp for x <= 1 and r (1+x)/(1-rho)^(x+2) above, so the error stays
+    many bits below 2^-precision_bits max(1, |S|) unless rho is near 1."""
+    E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=2)
+    one = 1 << wp
+    xs = x.coeffs if isinstance(x, Jet) else (to_mpf(x),)
     with ctx.workprec():
-        if isinstance(x, Jet):
-            total = Jet.constant(0, x.degree, x.center)
-            poch = Jet.constant(1, x.degree, x.center)
-            shift = 0
-        else:
-            x = to_mpf(x)
-            total = mpf(0)
-            poch = mpf(1)
-            shift = 0
-        for m in range(1, M + 1):
-            poch = poch * (x + shift)  # (x)_m built incrementally
-            shift += 1
-            if D and D[m] != 0:
-                total = total + poch * D[m]
-        return +total if not isinstance(total, Jet) else total
+        R = to_fixed(rho._mpf_, wp)
+        base = to_fixed(xs[0]._mpf_, wp) - one  # x0 - 1
+        # rho times the higher Taylor coefficients of x
+        slope = [(j, R * to_fixed(c._mpf_, wp) >> wp) for j, c in enumerate(xs) if j and c]
+    c = [R] + [0] * (len(xs) - 1)  # c_1 = rho
+    acc = [0] * len(xs)
+    for m in range(1, M + 1):
+        if m > 1:
+            lead = R * (base + m * one) >> wp  # rho (x0 + m - 1)
+            c = [
+                (c[n] * lead + sum(c[n - j] * sj for j, sj in slope if j <= n) >> wp) // m
+                for n in range(len(c))
+            ]
+        e = E[m]
+        if e:
+            for n, cn in enumerate(c):
+                acc[n] += cn * e
+    with ctx.workprec():
+        T = [mp.ldexp(a, -2 * wp) for a in acc]
+        S = [mp.fsum(xs[k] * T[n - k] for k in range(n + 1)) for n in range(len(xs))]
+        return Jet(x.center, S) if isinstance(x, Jet) else S[0]
 
 
 def t_coeff(r, l, omega, ctx):
     """Coefficient of x^l in S_r: the Stirling-weighted degree sum.
 
     Uses the harmonic-sum form of the Stirling ratio,
-    c(m,l)/m! = sum_{m_1<...<m_{l-1}<m} 1/(m_1...m_{l-1} m), so the
-    working quantities stay O(rho^m) with no large integers: the term at
-    degree m is h(m,l) * m! * D[m]."""
+    c(m,l)/m! = h(m,l) = sum_{m_1<...<m_{l-1}<m} 1/(m_1...m_{l-1} m), so
+    the term at degree m is h(m,l) rho^m E[m], E from _degree_profile.
+    The chains h(m,j) (prefix sums floored through division by m) and
+    rho^m are Python ints at scale 2^wp; the sum is carried at scale
+    2^(2wp) and rounded once to wp bits.  h(m,l) <= (1 + log m)^(l-1)/m
+    and every floor costs one unit of 2^-wp, so with the r m^2 2^-wp error
+    of E[m] the absolute error stays below about
+    (2r/(1-rho)^3 + (1 + log M)^l/(1-rho)) 2^-wp."""
     r, l = int(r), int(l)
     if r < 1 or l < 1:
         raise DomainError("r and l must be positive")
-    D, M, rho = _degree_profile(omega, ctx, extra_log_powers=l)
-    if len(D) - 1 < max(r, l):
-        return mpf(0)
+    if r != len(omega):
+        raise DomainError("rank must match the number of weights")
+    E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=l)
+    one = 1 << wp
     with ctx.workprec():
-        # u[j][m] built so u[j] at m equals the nested harmonic sum with
-        # j fixed indices below m; prefix[j] accumulates sum_{m'<=m} u[j][m']
-        prefix = [mpf(0)] * l  # prefix[j-1] = sum of u_j up to current m-1
-        total = mpf(0)
-        fact = mpf(1)
-        for m in range(1, M + 1):
-            fact *= m
-            u = [mpf(0)] * (l + 1)
-            u[0] = mpf(1)
-            u[1] = mpf(1) / m
-            for j in range(2, l + 1):
-                u[j] = prefix[j - 2] / m  # attach m atop chains below it
-            h = u[l] if l >= 1 else mpf(1)
-            if m >= max(r, l) and D[m] != 0:
-                total += h * fact * D[m]
-            for j in range(1, l):
-                prefix[j - 1] += u[j]
-        return +total
+        R = to_fixed(rho._mpf_, wp)
+    # prefix[j-1] = sum_{m' < m} h(m', j)
+    prefix = [0] * l
+    power = one
+    total = 0
+    for m in range(1, M + 1):
+        power = power * R >> wp
+        h = [one // m] + [s // m for s in prefix[: l - 1]]  # h(m, 1..l)
+        if E[m]:
+            total += (h[l - 1] * power >> wp) * E[m]
+        for j in range(l - 1):
+            prefix[j] += h[j]
+    with ctx.workprec():
+        return mp.ldexp(total, -2 * wp)
 
 
 # ---------------------------------------------------------------------------

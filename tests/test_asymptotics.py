@@ -347,6 +347,75 @@ def test_expression_by_S_rank1_display():
         assert abs(a ** x * v - rhs) <= mpf(2) ** -(BITS - 32)
 
 
+def _expression_by_S_per_degree(x, w, ctx):
+    """The assembly expression_by_S had before its jets were shared: a
+    log-gamma jet and an S jet at degree |B| + 2 for every tricoloring."""
+    from itertools import product
+
+    from mtzeta.jets import Jet
+    from mtzeta.kernel import loggamma_jet
+    from mtzeta.series import s_series
+
+    r = w.r
+    with ctx.workprec():
+        g = euler_gamma(ctx)
+        la = mp.log(w.a)
+        logw = [mp.log(o) for o in w.omega]
+        gamma_jets = {}
+        s_jets = {}
+        total = mpf(0)
+        for colors in product((0, 1, 2), repeat=r):
+            A = [i for i in range(r) if colors[i] == 0]
+            B = [i for i in range(r) if colors[i] == 1]
+            C = tuple(i for i in range(r) if colors[i] == 2)
+            deg = len(B) + 2
+            if deg not in gamma_jets:
+                xi = Jet.variable(x, deg)
+                gamma_jets[deg] = (loggamma_jet(x, deg, ctx) + xi * (g - la)).exp()
+            F = gamma_jets[deg]
+            if C:
+                key = (C, deg)
+                if key not in s_jets:
+                    s_jets[key] = s_series(
+                        Jet.variable(x, deg), tuple(-w.omega[i] / w.a for i in C), ctx
+                    )
+                F = F * s_jets[key]
+            term = F.derivative_value(len(B))
+            for i in A:
+                term *= logw[i]
+            total += term
+        return +(mpf(-1) ** r * mp.exp(-g * x) / mp.gamma(x) * total)
+
+
+def test_expression_by_S_shares_one_jet_per_factor(monkeypatch):
+    # one log-gamma jet at degree r and one S jet per nonempty colour class
+    # C (7 at r = 3), where a jet per degree |B| + 2 took 4 and 16
+    import mtzeta.asymptotics as asymptotics
+
+    calls = {"loggamma_jet": [], "s_series": []}
+
+    def spy(name):
+        original = getattr(asymptotics, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(asymptotics, name, wrapper)
+
+    spy("loggamma_jet")
+    spy("s_series")
+    x = to_mpf("0.3")
+    w = _wc(("0.1", "0.2", "0.15"), 1)
+    v = expression_by_S(x, w, CTX)
+    assert len(calls["loggamma_jet"]) == 1
+    assert calls["loggamma_jet"][0][1] == 3
+    assert len(calls["s_series"]) == 7
+    assert sorted(len(args[1]) for args in calls["s_series"]) == [1, 1, 1, 2, 2, 2, 3]
+    # coefficient n of every jet operation reads coefficients <= n only
+    assert v == _expression_by_S_per_degree(x, w, CTX)
+
+
 def test_expression_by_S_domain():
     with pytest.raises(DomainError):
         expression_by_S(to_mpf("0.5"), _wc(("0.6", "0.5"), 1), CTX)

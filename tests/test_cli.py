@@ -2,10 +2,15 @@
 environment overrides, and deterministic repeated invocations."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import mtzeta
 from mtzeta.cli import cli_main
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import QuadratureError
@@ -90,6 +95,13 @@ def test_eval_budget_exit_3(capsys):
     # rho = 0.9999999 needs a truncation degree far beyond max_terms
     code, _, err = _run(capsys, ["eval", "S", "--omega", "0.9999999", "--x", "0.3"])
     assert code == 3 and "max_terms" in err
+
+
+def test_eval_t_rank_mismatch_exit_3(capsys):
+    # T_{r,l} needs exactly r weights
+    code, out, err = _run(capsys, ["eval", "T", "--r", "3", "--l", "1", "--omega", "0.1,0.2"])
+    assert code == 3 and out == ""
+    assert "rank must match the number of weights" in err
 
 
 def test_eval_low_bits_default_tolerance(capsys):
@@ -307,3 +319,21 @@ def test_verify_rejects_unread_flags(argv, unread, capsys):
     assert "verify %s does not read" % argv[1] in err
     for flag in unread:
         assert flag in err
+
+
+def _python_m(*argv):
+    """Run ``python -m mtzeta ...`` in a fresh interpreter on this package."""
+    env = dict(os.environ)
+    root = str(Path(mtzeta.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "mtzeta", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_python_m_runs_the_cli():
+    done = _python_m("verify", "r2m2")
+    assert done.returncode == 0, done.stderr
+    reports = _reports(done.stdout)
+    assert len(reports) == 5 and all(report["passed"] for report in reports)
+    assert _python_m("verify", "r2m2", "--bits", "32").returncode == 2

@@ -7,6 +7,7 @@ auxiliary series and its coefficients against term-by-term references
 and one-variable polylogarithms.
 """
 
+import functools
 import time
 from itertools import combinations
 
@@ -496,6 +497,15 @@ def test_s_series_domain():
         s_series(to_mpf("0.3"), (to_mpf("-0.7"), to_mpf("0.4")), CTX)
 
 
+def test_s_series_zero_weight_vanishes():
+    # every k_i >= 1, so one zero weight kills every term, also when the
+    # zero weights come first and leave no |omega| sum to normalize by
+    for omega in (("0", "0", "0.3"), ("0.2", "0"), ("0",)):
+        omega = tuple(to_mpf(o) for o in omega)
+        assert s_series(to_mpf("0.4"), omega, CTX) == 0
+        assert t_coeff(len(omega), 2, omega, CTX) == 0
+
+
 def test_s_series_budget():
     # rho = 0.9 needs a degree far beyond 50; rho >= 1 stays a DomainError
     with pytest.raises(BudgetError, match="max_terms"):
@@ -533,6 +543,142 @@ def test_t_coeff_matches_jet_expansion():
         for l in range(1, 6):
             v = t_coeff(2, l, om, CTX)
             assert abs(sj.coeffs[l] - v) <= mpf(2) ** -(BITS - 24)
+
+
+def test_t_coeff_rank_must_match_weights():
+    with pytest.raises(DomainError, match="rank must match"):
+        t_coeff(3, 1, (to_mpf("0.1"), to_mpf("0.2")), CTX)
+    with pytest.raises(DomainError, match="rank must match"):
+        t_coeff(1, 1, (to_mpf("0.1"), to_mpf("0.2")), CTX)
+
+
+# mpf oracles: the convolution, Pochhammer-jet and harmonic-chain loops
+# that S_r and T_{r,l} ran on before their fixed-point form.  The profile
+# is built once per (omega, precision), with the log-power slack of
+# T_{r,4}, which covers S (slack 2) and every l <= 4; its degree is never
+# below the one the code under test picks.
+
+@functools.lru_cache(maxsize=None)
+def _oracle_degree_profile(omega, ctx):
+    rho = mpf(0)
+    for o in omega:
+        rho += abs(o)
+    r = len(omega)
+    bits = ctx.precision_bits + 16
+    lg = -mp.log(rho, 2)
+    M = int(bits / lg) + 8
+    for _ in range(3):
+        M = int((bits + (4 + r) * mp.log(M + 2, 2)) / lg) + 8
+    with ctx.workprec():
+        D = None
+        for o in omega:
+            c = [mpf(0)] * (M + 1)
+            opow = mpf(1)
+            fact = mpf(1)
+            for k in range(1, M + 1):
+                opow *= o
+                fact *= k
+                c[k] = opow / (k * fact)
+            if D is None:
+                D = c
+            else:
+                nxt = [mpf(0)] * (M + 1)
+                for m1 in range(1, M + 1):
+                    if D[m1] == 0:
+                        continue
+                    v = D[m1]
+                    for k in range(1, M - m1 + 1):
+                        nxt[m1 + k] += v * c[k]
+                D = nxt
+        return D, M
+
+
+def _oracle_s_series(x, omega, ctx):
+    D, M = _oracle_degree_profile(omega, ctx)
+    with ctx.workprec():
+        if isinstance(x, Jet):
+            total = Jet.constant(0, x.degree, x.center)
+            poch = Jet.constant(1, x.degree, x.center)
+        else:
+            total = mpf(0)
+            poch = mpf(1)
+        for m in range(1, M + 1):
+            poch = poch * (x + (m - 1))
+            if D[m] != 0:
+                total = total + poch * D[m]
+        return total
+
+
+def _oracle_t_coeff(l, omega, ctx):
+    D, M = _oracle_degree_profile(omega, ctx)
+    with ctx.workprec():
+        prefix = [mpf(0)] * l
+        total = mpf(0)
+        fact = mpf(1)
+        for m in range(1, M + 1):
+            fact *= m
+            u = [mpf(1), mpf(1) / m] + [prefix[j - 2] / m for j in range(2, l + 1)]
+            if m >= max(len(omega), l) and D[m] != 0:
+                total += u[l] * fact * D[m]
+            for j in range(1, l):
+                prefix[j - 1] += u[j]
+        return total
+
+
+# r = 1..4, mixed signs, rho <= 0.7.  The equal positive pair at 256 bits
+# is where an unweighted binomial convolution, C(m,k) E[m-k] e[k], lets the
+# floors grow like (rho + |omega_b|)^m.  The larger ranks get small rho,
+# to keep the oracle's O(M^2) loop short.
+_ORACLE_WEIGHTS = {
+    64: (("0.6",), ("0.3", "-0.4"), ("0.1", "-0.2", "0.3"), ("0.2", "0.1", "-0.15", "0.25")),
+    256: (("-0.6",), ("0.35", "0.35"), ("0.1", "-0.05", "0.15"), ("0.1", "0.05", "-0.1", "0.05")),
+    1024: (("0.4",), ("0.05", "-0.07"), ("-0.01", "0.02", "0.015", "0.005")),
+}
+
+# the profile depends on omega and the precision only, so the code's own
+# is kept across the x and jet cases of one weight configuration
+_cached_profile = functools.lru_cache(maxsize=None)(series._degree_profile)
+
+
+def _close(got, want, bits, floor=1):
+    """|got - want| <= 2^-bits max(floor, |want|)."""
+    with mp.workprec(2 * bits + 64):
+        return abs(got - want) <= mpf(2) ** -bits * max(floor, abs(want))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_s_series_matches_mpf_oracle(bits, monkeypatch):
+    # S = x (...), so the x^0 coefficient is compared relative to x near
+    # x = 0: a Pochhammer product that keeps x inside loses that accuracy.
+    # Taylor coefficients do not depend on the jet degree, so one degree-5
+    # oracle jet per centre checks the jets of degree 0..5.
+    monkeypatch.setattr(series, "_degree_profile", _cached_profile)
+    ctx = PrecisionContext(precision_bits=bits)
+    for weights in _ORACLE_WEIGHTS[bits]:
+        omega = tuple(to_mpf(o) for o in weights)
+        for x in ("1e-20", "0.05", "0.5", "2.5"):
+            x0 = to_mpf(x)
+            got, want = s_series(x0, omega, ctx), _oracle_s_series(x0, omega, ctx)
+            assert _close(got, want, bits, min(1, x0)), (bits, weights, x)
+            with mp.workprec(2 * bits):
+                want = _oracle_s_series(Jet.variable(x0, 5), omega, ctx).coeffs
+                jets = [Jet.variable(x0, degree) for degree in range(6)]
+            for degree, xj in enumerate(jets):
+                got = s_series(xj, omega, ctx)
+                assert got.degree == degree
+                for n, (g, v) in enumerate(zip(got.coeffs, want)):
+                    assert _close(g, v, bits, min(1, x0) if n == 0 else 1), (bits, weights, x, degree, n)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_t_coeff_matches_mpf_oracle(bits, monkeypatch):
+    monkeypatch.setattr(series, "_degree_profile", _cached_profile)
+    ctx = PrecisionContext(precision_bits=bits)
+    for weights in _ORACLE_WEIGHTS[bits]:
+        omega = tuple(to_mpf(o) for o in weights)
+        for l in range(1, 5):
+            got = t_coeff(len(omega), l, omega, ctx)
+            assert _close(got, _oracle_t_coeff(l, omega, ctx), bits), (bits, weights, l)
 
 
 def test_t21_against_2d_quadrature():
