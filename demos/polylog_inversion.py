@@ -19,10 +19,9 @@ tol = to_mpf("1e-12")
 
 print("omega = 1, a = 3")
 print("k   direction   lhs                      residual")
-for k in range(1, 6):
-    for rep in inversion_point("1", "3", k, ctx, tol):
-        direction = rep.identity_id.rsplit("/", 2)[1]
-        print(
-            "%-3d %-10s  %-24s %s"
-            % (k, direction, mp.nstr(rep.lhs, 16), mp.nstr(rep.residual, 3))
-        )
+for rep in inversion_point("1", "3", 5, ctx, tol):
+    direction = rep.identity_id.rsplit("/", 2)[1]
+    print(
+        "%-3s %-10s  %-24s %s"
+        % (rep.params["k"], direction, mp.nstr(rep.lhs, 16), mp.nstr(rep.residual, 3))
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
+from .context import to_mpf
 from .errors import DomainError
 
 
@@ -20,8 +21,8 @@ class Jet:
     __slots__ = ("center", "coeffs")
 
     def __init__(self, center, coeffs):
-        self.center = mpf(center)
-        self.coeffs = tuple(mpf(c) for c in coeffs)
+        self.center = to_mpf(center)
+        self.coeffs = tuple(to_mpf(c) for c in coeffs)
         if len(self.coeffs) == 0:
             raise DomainError("jet needs at least the degree-0 coefficient")
 
@@ -29,14 +30,15 @@ class Jet:
 
     @classmethod
     def constant(cls, value, degree, center=0):
-        return cls(center, (mpf(value),) + (mpf(0),) * degree)
+        return cls(center, (to_mpf(value),) + (mpf(0),) * degree)
 
     @classmethod
     def variable(cls, center, degree):
         """The identity function x, expanded at center: x0 + xi."""
+        center = to_mpf(center)
         if degree == 0:
-            return cls(center, (mpf(center),))
-        return cls(center, (mpf(center), mpf(1)) + (mpf(0),) * (degree - 1))
+            return cls(center, (center,))
+        return cls(center, (center, mpf(1)) + (mpf(0),) * (degree - 1))
 
     # -- structure ----------------------------------------------------
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
-from .context import GUARD_BITS, PrecisionContext
+from .context import GUARD_BITS, PrecisionContext, to_mpf
 from .errors import DomainError
 from .jets import Jet
 
@@ -161,7 +161,7 @@ def gamma0(u, ctx: PrecisionContext) -> mpf:
 def loggamma_jet(x0, degree: int, ctx: PrecisionContext) -> Jet:
     """Jet of log Gamma at x0 > 0: coefficient k>=1 is psi^(k-1)(x0)/k!."""
     with ctx.workprec():
-        x0v = mpf(x0)
+        x0v = to_mpf(x0)
         if not x0v > 0:
             raise DomainError("loggamma_jet requires x0 > 0")
         coeffs = [mp.loggamma(x0v)]

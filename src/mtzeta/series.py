@@ -132,16 +132,20 @@ def _mellin_over_gamma(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
     with f_i(u) = Gamma(0, omega_i u) for kind "I" and
     -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
-    computed and stored on a miss.  u^{x-1} is exp((x-1) log u) with an
-    exact product, as mpmath's u ** (x-1) computes it, unless x - 1 is an
-    integer or half-integer (exponent field >= -1), where mpmath takes
-    another route and u ** (x-1) is kept."""
+    computed and stored on a miss, one f_i per distinct weight.  u^{x-1}
+    is exp((x-1) log u) with an exact product, as mpmath's u ** (x-1)
+    computes it, unless x - 1 is an integer or half-integer (exponent
+    field >= -1), where mpmath takes another route and u ** (x-1) is
+    kept."""
     global _node_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
     if _node_factors[0] != key:
         _node_factors = (key, {})
     table = _node_factors[1].setdefault(ctx.precision_bits, {})
+    # one factor per distinct weight, multiplied into F in weight order
+    distinct = tuple(dict.fromkeys(w.omega))
+    slots = [distinct.index(om) for om in w.omega]
     with ctx.workprec():
         xm1 = x - 1
         general = xm1._mpf_[2] < -1
@@ -150,12 +154,13 @@ def _mellin_over_gamma(kind, x, w, ctx):
         def integrand(u):
             factors = table.get(u._mpf_)
             if factors is None:
+                if kind == "I":
+                    f = [gamma0(om * u, ctx) for om in distinct]
+                else:
+                    f = [_m_factor(om * u) for om in distinct]
                 F = mp.exp(-w.a * u)
-                for om in w.omega:
-                    if kind == "I":
-                        F *= gamma0(om * u, ctx)
-                    else:
-                        F *= _m_factor(om * u)
+                for i in slots:
+                    F *= f[i]
                 factors = table[u._mpf_] = (F, mp.ln(u, prec=log_prec))
             F, log_u = factors
             if general:
@@ -559,11 +564,56 @@ def zeta_ez_ones(r, x, ctx):
                 raise BudgetError("Euler-Maclaurin tail failed to close")
 
 
+def _smallest_prime_factors(N):
+    """spf[n] for 2 <= n < N: the smallest prime factor of n."""
+    spf = list(range(N))
+    for p in range(2, math.isqrt(N - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _tail_cut(r, x, N, thresh):
+    """A float V past which the tail integrand g_tail(v) e^-v of
+    _zeta_ez_attempt is dropped.  The part cut off stays below
+    tol = thresh 2^-32, 2^-8 of the working precision, both in the value,
+    where the integral carries the prefactor P = N^-x/x, and relative to
+    the integral itself, which exceeds g_tail(0) > 1 (g_tail increases).
+
+    For t >= N >= 1200, 0 < psi(t) + gamma < log t + 1 and 0 < psi'(t) < 1,
+    so 0 < g_tail(v) < L(v)^k with k = r - 1 and L(v) = log N + 1 + v/x.
+    With A = L(V) and C(k,j) j! <= k^j,
+
+        int_V^inf |g_tail| e^-v dv < e^-V sum_j C(k,j) j! A^(k-j) x^-j
+                                    <= e^-V x^-k (b + V)^k,
+
+    b = x (log N + 1) + k.  So max(1, P) times the cut-off part is below
+    tol once V >= c + k log(b + V), c = log(max(1, P)/tol) - k log x.  The
+    right side has slope below 1 in V; V steps to 1 past it until the
+    inequality holds."""
+    k = r - 1
+    log_x = float(mp.log(x))
+    log_N = math.log(N)
+    log_P = -float(x) * log_N - log_x
+    c = float(-mp.log(thresh)) + 32 * math.log(2) + max(0.0, log_P) - k * log_x
+    b = float(x) * (log_N + 1) + k
+    V = 0.0
+    while c + k * math.log(b + V) > V:
+        V = c + k * math.log(b + V) + 1
+    return V
+
+
 def _zeta_ez_attempt(r, x, N, ctx, thresh):
     gamma = euler_gamma(ctx)
     z2 = zeta_value(2, ctx) if r == 3 else None
-    s = 1 + x
-    # direct part over m_r = n < N with running harmonic accumulators
+    neg_s = -1 - x
+    # direct part over m_r = n < N with running harmonic accumulators;
+    # n^-s is completely multiplicative, so only primes take a power and
+    # n = p m with p its smallest prime factor costs one product
+    spf = _smallest_prime_factors(N)
+    inv_pow = [None, mpf(1)] + [None] * (N - 2)  # n^-s
     total = mpf(0)
     H = mpf(0)       # H_{n-1}
     H2 = mpf(0)      # H^(2)_{n-1}
@@ -574,29 +624,38 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
             g = H
         else:
             g = (H * H - H2) / 2
-        total += g / mpf(n) ** s
+        if n > 1:
+            p = spf[n]
+            inv_pow[n] = mpf(n) ** neg_s if p == n else inv_pow[p] * inv_pow[n // p]
+        total += g * inv_pow[n]
         H += mpf(1) / n
         H2 += mpf(1) / (mpf(n) * n)
 
     # tail from n = N on: integral + correction + Bernoulli terms
     Nv = mpf(N)
+    s = 1 + x
     if r == 1:
         integral = Nv ** -x / x
     else:
         # t = N exp(v/x), so log t = log N + v/x without a logarithm per node
         log_N = mp.log(Nv)
+        V = _tail_cut(r, x, N, thresh)
 
-        def g_tail(v):
+        def integrand(v):
+            if v > V:
+                return mp.zero
             y = v / x
             psi, psi1 = _psi_pair(Nv * mp.exp(y), log_N + y)
             if r == 2:
-                return psi + gamma
-            return ((psi + gamma) ** 2 - z2 + psi1) / 2
+                g = psi + gamma
+            else:
+                g = ((psi + gamma) ** 2 - z2 + psi1) / 2
+            return g * mp.exp(-v)
 
         # the raw integrand decays like t^{-1-x}, which defeats any
         # quadrature as x -> 0; t = N exp(v/x) is exact and leaves a
         # unit-rate exponential integral, uniformly stable in x
-        integral = Nv ** -x / x * mp.quad(lambda v: g_tail(v) * mp.exp(-v), [0, mp.inf])
+        integral = Nv ** -x / x * mp.quad(integrand, [0, mp.inf])
 
     K_MAX = 24
     derivs_needed = 2 * K_MAX

@@ -9,9 +9,7 @@ the collected reports by parameters so output order never depends on
 scheduling.
 """
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 from mpmath import mp, mpf
@@ -92,6 +90,10 @@ def _run(point, rows, ctx, tol, threads, default_tol):
     ]
     fork = None
     if threads and int(threads) > 1:
+        # imported here: a serial run does not pay for the pool modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             fork = multiprocessing.get_context("fork")
         except ValueError:
@@ -203,68 +205,64 @@ def suite_r3m3(grid=None, ctx=None, tol=None, threads=1):
 # depth-k inversion pair
 # ---------------------------------------------------------------------------
 
-def inversion_point(omega, a, k, ctx, tol):
+def inversion_point(omega, a, k_max, ctx, tol):
+    """Forward and backward reports for every depth k <= k_max at one
+    (omega, a).  Li_1(y) .. Li_{k_max+1}(y) and the depth series are each
+    evaluated once and shared by the depths."""
     t0 = time.perf_counter()
     o, av = to_mpf(omega), to_mpf(a)
     if not 0 < o < av:
         raise DomainError("inversion identities require 0 < omega < a")
-    k = int(k)
-    if k < 1:
+    k_max = int(k_max)
+    if k_max < 1:
         raise DomainError("depth k must be at least 1")
+    sides = []
     with ctx.workprec():
         y = av / (av + o)
         L = mp.log(y)
         neg = -o / av
         depth_series = [
             mpl_one_var((1,) * (j - 1) + (2,), neg, ctx) + mpf(-1) ** (j + 1) * zeta_value(j + 1, ctx)
-            for j in range(1, k + 1)
+            for j in range(1, k_max + 1)
         ]
-        lhs_f = depth_series[k - 1]
-        rhs_f = -L ** (k + 1) / mp.factorial(k + 1)
-        for j in range(0, k + 1):
-            rhs_f += (
-                mpf(-1) ** (j + 1)
-                / mp.factorial(k - j)
-                * L ** (k - j)
-                * mp.polylog(j + 1, y)
-            )
-        lhs_b = mp.polylog(k + 1, y)
-        rhs_b = -L ** (k + 1) / mp.factorial(k + 1)
-        rhs_b += mp.log(av / o) * L ** k / mp.factorial(k)
-        for j in range(1, k + 1):
-            rhs_b += (
-                mpf(-1) ** (j + 1)
-                / mp.factorial(k - j)
-                * L ** (k - j)
-                * depth_series[j - 1]
-            )
-    params = {"omega": _s(omega), "a": _s(a), "k": str(k)}
-    forward = IdentityReport.from_sides(
-        "polylog-inversion/forward/k%02d" % k,
-        params,
-        lhs_f,
-        rhs_f,
-        tol,
-        {
-            "lhs": "depth-k polylog series at the negative ratio, plus zeta",
-            "rhs": "builtin classical polylogs with log prefactors",
-        },
-        t0,
-    )
-    t1 = time.perf_counter()
-    backward = IdentityReport.from_sides(
-        "polylog-inversion/backward/k%02d" % k,
-        params,
-        lhs_b,
-        rhs_b,
-        tol,
-        {
-            "lhs": "builtin classical polylog",
-            "rhs": "depth-j polylog series with log prefactors and zeta",
-        },
-        t1,
-    )
-    return [forward, backward]
+        li = [mp.polylog(j + 1, y) for j in range(k_max + 1)]
+        for k in range(1, k_max + 1):
+            rhs_f = -L ** (k + 1) / mp.factorial(k + 1)
+            for j in range(0, k + 1):
+                rhs_f += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * li[j]
+            rhs_b = -L ** (k + 1) / mp.factorial(k + 1)
+            rhs_b += mp.log(av / o) * L ** k / mp.factorial(k)
+            for j in range(1, k + 1):
+                rhs_b += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * depth_series[j - 1]
+            sides.append((k, depth_series[k - 1], rhs_f, li[k], rhs_b))
+    reports = []
+    for k, lhs_f, rhs_f, lhs_b, rhs_b in sides:
+        params = {"omega": _s(omega), "a": _s(a), "k": str(k)}
+        reports.append(IdentityReport.from_sides(
+            "polylog-inversion/forward/k%02d" % k,
+            params,
+            lhs_f,
+            rhs_f,
+            tol,
+            {
+                "lhs": "depth-k polylog series at the negative ratio, plus zeta",
+                "rhs": "builtin classical polylogs with log prefactors",
+            },
+            t0,
+        ))
+        reports.append(IdentityReport.from_sides(
+            "polylog-inversion/backward/k%02d" % k,
+            params,
+            lhs_b,
+            rhs_b,
+            tol,
+            {
+                "lhs": "builtin classical polylog",
+                "rhs": "depth-j polylog series with log prefactors and zeta",
+            },
+            t0,
+        ))
+    return reports
 
 
 def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
@@ -272,7 +270,7 @@ def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     grid = INVERSION_GRID if grid is None else grid
-    rows = [(o, a, k) for o, a in grid for k in range(1, k_max + 1)]
+    rows = [(o, a, k_max) for o, a in grid]
     return _run(inversion_point, rows, ctx, tol, threads, _series_tol)
 
 

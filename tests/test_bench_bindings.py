@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import mpmath
+
 from mtzeta import quadrature, suites
 from mtzeta.context import PrecisionContext
 from mtzeta.jets import Jet
@@ -42,3 +44,18 @@ def test_de_quad_0inf_calls_de_quad_01_through_the_module(monkeypatch):
     monkeypatch.setattr(quadrature, "de_quad_01", wrapped)
     quadrature.de_quad_0inf(lambda t: 1 / (1 + t * t), PrecisionContext(precision_bits=128))
     assert len(calls) == 2
+
+
+def test_mzf_reaches_mp_quad_through_the_attribute(monkeypatch):
+    # the mpmath.quad span wraps mpmath.mp.quad; the Euler-Maclaurin tail
+    # of each default r >= 2 mzf point must reach it there, once per point
+    calls = []
+    original = mpmath.mp.quad
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath.mp, "quad", wrapped)
+    suites.suite_mzf(ctx=PrecisionContext())
+    assert len(calls) == 4

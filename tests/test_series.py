@@ -8,6 +8,7 @@ and one-variable polylogarithms.
 """
 
 import functools
+import math
 import time
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from mpmath import mp, mpf
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
 from mtzeta.jets import Jet
-from mtzeta.kernel import euler_gamma, gamma0, zeta_value
+from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.quadrature import de_quad_0inf
 import mtzeta.series as series
@@ -358,6 +359,35 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
         assert value._mpf_ == _plain_mellin(kind, x, w, CTX128)._mpf_, x
 
 
+@pytest.mark.parametrize(
+    "kind, fn, kernel, omega",
+    [("M", m_integral, "_m_factor", ("1", "1", "1")), ("I", i_integral, "gamma0", ("1.5", "1.5"))],
+    ids=["M-111", "I-1.5-1.5"],
+)
+def test_repeated_weights_take_one_factor_per_node(kind, fn, kernel, omega, monkeypatch):
+    # a cold evaluation calls the factor once per node for a repeated
+    # weight, as for a single weight, and F is still the product of one
+    # factor per weight in weight order
+    calls = []
+    original = getattr(series, kernel)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    x = to_mpf("0.7")
+    for om in (omega[:1], omega):
+        fn(to_mpf("3"), _wc(("3",)), CTX128)  # another configuration: om starts cold
+        monkeypatch.setattr(series, kernel, counted)
+        calls.clear()
+        value = fn(x, _wc(om), CTX128)
+        monkeypatch.setattr(series, kernel, original)
+        # the single and the repeated weight converge on different node
+        # sets, so the count is compared per node
+        assert len(calls) == len(series._node_factors[1][CTX128.precision_bits]) > 0, om
+        assert value._mpf_ == _plain_mellin(kind, x, _wc(om), CTX128)._mpf_, om
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
 def test_m_factor_relative_accuracy(bits):
     # against -log(-expm1(-y)) with enough bits that the oracle's own
@@ -522,6 +552,23 @@ def test_s_series_jet_matches_scalar_and_derivative():
         h = mpf(2) ** -40
         fd = (s_series(x0 + h, om, CTX) - s_series(x0 - h, om, CTX)) / (2 * h)
         assert abs(sj.coeffs[1] - fd) <= mpf(2) ** -70
+
+
+def test_jet_built_at_low_precision_keeps_its_center():
+    # a jet built at 53 bits keeps the center it was given, so s_series of
+    # it matches the scalar value at the context's precision, and
+    # loggamma_jet's center equals the variable jet's
+    om = (to_mpf("0.2"), to_mpf("0.3"))
+    x0 = to_mpf("0.05")
+    with mp.workprec(53):
+        xj = Jet.variable(x0, 2)
+    ctx = PrecisionContext(precision_bits=256)
+    sj = s_series(xj, om, ctx)
+    s0 = s_series(x0, om, ctx)
+    with mp.workprec(512):
+        assert abs(sj.coeffs[0] - s0) <= mpf(2) ** -256 * max(1, abs(s0))
+    assert xj.center == x0 and Jet.constant(x0, 1).coeffs[0] == x0
+    assert loggamma_jet(x0, 2, ctx).center == xj.center
 
 
 def test_t_coeff_is_one_var_polylog():
@@ -701,6 +748,107 @@ def test_t21_against_2d_quadrature():
 # ---------------------------------------------------------------------------
 # all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
+
+def _pow_attempt(r, x, N, ctx, thresh):
+    """_zeta_ez_attempt with a power per n in the direct part and the tail
+    integrand evaluated on all of (0, inf): the evaluator before the
+    multiplicative powers and the tail cut."""
+    gamma = euler_gamma(ctx)
+    z2 = zeta_value(2, ctx) if r == 3 else None
+    s = 1 + x
+    total = H = H2 = mpf(0)
+    for n in range(1, N):
+        g = mpf(1) if r == 1 else H if r == 2 else (H * H - H2) / 2
+        total += g / mpf(n) ** s
+        H += mpf(1) / n
+        H2 += mpf(1) / (mpf(n) * n)
+    Nv = mpf(N)
+    log_N = mp.log(Nv)
+
+    def g_tail(v):
+        psi, psi1 = series._psi_pair(Nv * mp.exp(v / x), log_N + v / x)
+        return psi + gamma if r == 2 else ((psi + gamma) ** 2 - z2 + psi1) / 2
+
+    integral = Nv ** -x / x * mp.quad(lambda v: g_tail(v) * mp.exp(-v), [0, mp.inf])
+    g_der = series._g_derivs(r, Nv, 48, ctx)
+    pw = [Nv ** -s]
+    for l in range(1, 49):
+        pw.append(pw[-1] * -(s + l - 1) / Nv)
+
+    def f_deriv(m):
+        return sum(math.comb(m, j) * g_der[j] * pw[m - j] for j in range(m + 1))
+
+    tail = integral + f_deriv(0) / 2
+    prev_mag = None
+    for k in range(1, 25):
+        term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * f_deriv(2 * k - 1)
+        tail -= term
+        mag = abs(term)
+        if mag <= thresh * max(1, abs(total)):
+            return total + tail
+        if prev_mag is not None and mag > prev_mag:
+            return None
+        prev_mag = mag
+    return None
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_zeta_ez_ones_matches_pow_evaluator(bits, monkeypatch):
+    # the multiplicative direct part and the tail cut stay within 2^-bits
+    # of the plain evaluator; the quadrature never evaluates past the cut
+    ctx = PrecisionContext(precision_bits=bits)
+    nodes, beyond, cuts = [], [], []
+    psi_pair, tail_cut = series._psi_pair, series._tail_cut
+
+    def recorded_psi(t, log_t):
+        nodes.append(log_t)
+        if cuts and log_t > cuts[-1]:
+            beyond.append(log_t)
+        return psi_pair(t, log_t)
+
+    def recorded_cut(r, x, N, thresh):
+        V = tail_cut(r, x, N, thresh)
+        cuts.append(mp.log(N) + V / x)  # log t at v = V; each attempt cuts once
+        return V
+
+    monkeypatch.setattr(series, "_psi_pair", recorded_psi)
+    monkeypatch.setattr(series, "_tail_cut", recorded_cut)
+    for x in ("1e-3", "0.5", "1", "5"):
+        x = to_mpf(x)
+        for r in (2, 3):
+            nodes.clear()
+            got = zeta_ez_ones(r, x, ctx)
+            assert cuts and beyond == [], (x, r)
+            cut_nodes = len(nodes)
+            cuts.clear()
+            with monkeypatch.context() as m:
+                m.setattr(series, "_zeta_ez_attempt", _pow_attempt)
+                nodes.clear()
+                want = zeta_ez_ones(r, x, ctx)
+            assert cut_nodes < 0.75 * len(nodes), (x, r)
+            with mp.workprec(2 * bits):
+                assert abs(got - want) <= mpf(2) ** -bits * max(1, abs(want)), (x, r)
+
+
+def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
+    # n^-(1+x) is a power only at the 196 primes below N = 1200; every
+    # composite is a product of two earlier powers
+    x = to_mpf("0.5")
+    powers = []
+    original = type(x).__pow__
+
+    def counted(base, exponent):
+        if exponent in (1 + x, -1 - x) and base == int(base) and 2 <= base < 1200:
+            powers.append(int(base))
+        return original(base, exponent)
+
+    monkeypatch.setattr(type(x), "__pow__", counted)
+    zeta_ez_ones(2, x, CTX128)
+    monkeypatch.undo()
+    primes = [n for n in range(2, 1200) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 196
+    assert sorted(powers) == primes
+
 
 def test_zeta_ez_depth1_is_zeta():
     v = zeta_ez_ones(1, to_mpf("0.5"), CTX)

@@ -2,6 +2,8 @@
 order is deterministic, the two sides of each report travel different
 routes, and parallel dispatch changes nothing but wall time."""
 
+import time
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -11,6 +13,8 @@ from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import DomainError
 from mtzeta import suites
 from mtzeta.kernel import zeta_value
+from mtzeta.polylog import mpl_one_var
+from mtzeta.reports import IdentityReport
 from mtzeta.suites import (
     SUITE_NAMES,
     inversion_point,
@@ -93,6 +97,71 @@ def test_inversion_default_passes():
         for rep in reports:
             assert rep.passed
             assert rep.residual <= mpf(10) ** -12
+
+
+def _inversion_at_depth(omega, a, k, ctx, tol):
+    """Both reports of one depth k, each Li_j(y) and depth series evaluated
+    for this k alone: the suite's evaluator before it shared them."""
+    t0 = time.perf_counter()
+    o, av = to_mpf(omega), to_mpf(a)
+    with ctx.workprec():
+        y = av / (av + o)
+        L = mp.log(y)
+        depth_series = [
+            mpl_one_var((1,) * (j - 1) + (2,), -o / av, ctx) + mpf(-1) ** (j + 1) * zeta_value(j + 1, ctx)
+            for j in range(1, k + 1)
+        ]
+        lhs_f = depth_series[k - 1]
+        rhs_f = -L ** (k + 1) / mp.factorial(k + 1)
+        for j in range(0, k + 1):
+            rhs_f += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * mp.polylog(j + 1, y)
+        lhs_b = mp.polylog(k + 1, y)
+        rhs_b = -L ** (k + 1) / mp.factorial(k + 1)
+        rhs_b += mp.log(av / o) * L ** k / mp.factorial(k)
+        for j in range(1, k + 1):
+            rhs_b += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * depth_series[j - 1]
+    params = {"omega": omega, "a": a, "k": str(k)}
+    return [
+        IdentityReport.from_sides(
+            "polylog-inversion/forward/k%02d" % k, params, lhs_f, rhs_f, tol,
+            {
+                "lhs": "depth-k polylog series at the negative ratio, plus zeta",
+                "rhs": "builtin classical polylogs with log prefactors",
+            },
+            t0,
+        ),
+        IdentityReport.from_sides(
+            "polylog-inversion/backward/k%02d" % k, params, lhs_b, rhs_b, tol,
+            {
+                "lhs": "builtin classical polylog",
+                "rhs": "depth-j polylog series with log prefactors and zeta",
+            },
+            t0,
+        ),
+    ]
+
+
+def test_inversion_shares_classical_polylogs_across_depths(monkeypatch):
+    # Li_1 .. Li_6 once each for the default k_max = 5, against 25 calls
+    # when every depth evaluated its own; the reports are unchanged
+    calls = []
+    original = mp.polylog
+
+    def counted(s, z):
+        calls.append(s)
+        return original(s, z)
+
+    monkeypatch.setattr(mp, "polylog", counted)
+    reports = suite_inversion(ctx=CTX)
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+    tol = suites._series_tol(CTX, None)
+    (omega, a), = suites.INVERSION_GRID
+    expected = [
+        rep for k in range(1, suites.INVERSION_K_MAX + 1) for rep in _inversion_at_depth(omega, a, k, CTX, tol)
+    ]
+    expected.sort(key=lambda rep: rep.sort_key())
+    assert len(reports) == 10
+    assert [replace(r, wall_time_ms=0) for r in reports] == [replace(r, wall_time_ms=0) for r in expected]
 
 
 def test_inversion_formulas_are_mutual_inverses():
