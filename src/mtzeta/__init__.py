@@ -69,7 +69,6 @@ from .suites import (
     suite_r3m3,
     verify_all,
 )
-from .cli import cli_main
 
 __all__ = [
     "BudgetError",
@@ -87,7 +86,6 @@ __all__ = [
     "bell_complete",
     "c_coeff",
     "c_prime_coeff",
-    "cli_main",
     "compositions",
     "disjoint_subset_families",
     "euler_gamma",

@@ -3,8 +3,11 @@
 Subcommands: eval (compute one object and print JSON), verify (run a
 named suite or all of them, one JSON report per line), expand (print
 the truncated expansion coefficient table), table (sweep a grid to
-CSV).  Exit codes: 0 all checks pass, 1 tolerance or accuracy failure,
-2 usage error, 3 violated precondition.
+CSV).  eval and table read one declaration, EVAL_OBJECTS; each
+subcommand registers only the flags it reads and refuses, with
+_reject_unread, those the chosen object or suite does not read.  Exit
+codes: 0 all checks pass, 1 tolerance or accuracy failure, 2 usage
+error, 3 violated precondition.
 """
 
 import argparse
@@ -35,13 +38,6 @@ _OBJECT_ALIASES = {
     "lambda": "Lambda",
 }
 
-EVAL_OBJECTS = (
-    "M", "I", "S", "T", "Li", "Li0", "Li1",
-    "c", "cprime", "Lambda", "Bell", "Stirling",
-)
-
-VERIFY_NAMES = suites.SUITE_NAMES + ("all",)
-
 
 class _UsageError(Exception):
     pass
@@ -56,154 +52,152 @@ def _split_list(text):
 
 def _int_list(text):
     try:
-        return [int(p) for p in _split_list(text)]
+        return [str(int(p)) for p in _split_list(text)]
     except ValueError:
         raise _UsageError("expected integers, got %r" % (text,))
 
 
 def _require(ns, names):
-    missing = [n for n in names if getattr(ns, n.replace("-", "_"), None) is None]
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(ns, n) is None]
     if missing:
-        raise _UsageError(
-            "missing required option(s): %s" % ", ".join("--" + n for n in missing)
-        )
+        raise _UsageError("missing required option(s): %s" % ", ".join(missing))
 
 
-def _settings(ns):
-    if ns.bits is not None:
-        bits = ns.bits
-    else:
-        raw = os.environ.get("MTZ_PRECISION_BITS", "256")
-        try:
-            bits = int(raw)
-        except ValueError:
-            raise _UsageError("MTZ_PRECISION_BITS must be an integer, got %r" % raw)
+def _env_int(name, default):
+    raw = os.environ.get(name, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError("%s must be an integer, got %r" % (name, raw))
+
+
+def _context(ns):
+    bits = ns.bits if ns.bits is not None else _env_int("MTZ_PRECISION_BITS", "256")
     if bits < 64:
         raise _UsageError("precision must be at least 64 bits")
-    if ns.threads is not None:
-        threads = ns.threads
-    else:
-        raw = os.environ.get("MTZ_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise _UsageError("MTZ_THREADS must be an integer, got %r" % raw)
-    if threads < 1:
-        raise _UsageError("threads must be at least 1")
-    ctx = PrecisionContext(precision_bits=bits)
-    tol = to_mpf(ns.tol) if ns.tol is not None else None
-    return ctx, tol, threads
-
-
-def _weights_from(ns, count=None):
-    _require(ns, ["omega"])
-    omega = _split_list(ns.omega)
-    if count is not None and len(omega) != count:
-        raise _UsageError("expected %d weights, got %d" % (count, len(omega)))
-    a = ns.a if ns.a is not None else "0"
-    return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a)), omega, a
-
-
-def _write_line(path, line):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line)
-        fh.write("\n")
+    return PrecisionContext(precision_bits=bits)
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_value(ns, obj, ctx):
-    params = {}
-    if obj == "M":
-        _require(ns, ["x"])
-        w, omega, a = _weights_from(ns)
-        params.update(omega=omega, a=str(a), x=str(ns.x))
-        value = m_integral(to_mpf(ns.x), w, ctx)
-        method = "double-exponential quadrature of the log-product integral"
-    elif obj == "I":
-        _require(ns, ["x"])
-        w, omega, a = _weights_from(ns)
-        params.update(omega=omega, a=str(a), x=str(ns.x))
-        value = i_integral(to_mpf(ns.x), w, ctx)
-        method = "double-exponential quadrature of the incomplete-gamma product"
-    elif obj == "S":
-        _require(ns, ["omega", "x"])
-        omega = _split_list(ns.omega)
-        params.update(omega=omega, x=str(ns.x))
-        value = s_series(to_mpf(ns.x), tuple(to_mpf(o) for o in omega), ctx)
-        method = "rising-factorial series with convolved coefficients"
-    elif obj == "T":
-        _require(ns, ["r", "l", "omega"])
-        omega = _split_list(ns.omega)
-        params.update(r=str(ns.r), l=str(ns.l), omega=omega)
-        value = t_coeff(int(ns.r), int(ns.l), tuple(to_mpf(o) for o in omega), ctx)
-        method = "harmonic-chain convolution series"
-    elif obj == "Li":
-        _require(ns, ["index", "z"])
-        index = _int_list(ns.index)
-        zs = _split_list(ns.z)
-        params.update(index=[str(k) for k in index], z=zs)
-        if len(zs) == 1 and len(index) > 1:
-            value = mpl_one_var(tuple(index), to_mpf(zs[0]), ctx)
-            method = "one-variable nested series"
-        else:
-            value = mpl(
-                PolylogArgs(tuple(index), tuple(to_mpf(z) for z in zs)), ctx
-            )
-            method = "multi-variable nested series"
-    elif obj in ("Li0", "Li1"):
-        _require(ns, ["index", "z", "x"])
-        index = _int_list(ns.index)
-        zs = _split_list(ns.z)
-        params.update(index=[str(k) for k in index], z=zs, x=str(ns.x))
-        args = PolylogArgs(tuple(index), tuple(to_mpf(z) for z in zs))
-        if obj == "Li0":
-            value = hurwitz_li0(to_mpf(ns.x), args, ctx)
-            method = "shifted nested series from n=0"
-        else:
-            value = hurwitz_li1(to_mpf(ns.x), args, ctx)
-            method = "shifted nested series from n=1"
-    elif obj in ("c", "cprime"):
-        _require(ns, ["r", "m"])
-        w, omega, a = _weights_from(ns, count=int(ns.r))
-        params.update(r=str(ns.r), m=str(ns.m), omega=omega, a=str(a))
-        if obj == "c":
-            value = c_coeff(int(ns.r), int(ns.m), w, ctx)
-            method = "subset-family polylog combination"
-        else:
-            value = c_prime_coeff(int(ns.r), int(ns.m), w, ctx)
-            method = "symmetric-function and Bell-polynomial closed form"
-    elif obj == "Lambda":
-        _require(ns, ["omega", "k"])
-        omega = _split_list(ns.omega)
-        params.update(omega=omega, k=str(ns.k))
-        value = lambda_k(tuple(to_mpf(o) for o in omega), int(ns.k), ctx)
-        method = "elementary symmetric polynomial in log weights"
-    elif obj == "Bell":
-        _require(ns, ["n", "args"])
-        xs = _split_list(ns.args)
-        params.update(n=str(ns.n), args=xs)
-        with ctx.workprec():
-            value = bell_complete(int(ns.n), [to_mpf(v) for v in xs])
-        method = "complete Bell polynomial recurrence"
-    elif obj == "Stirling":
-        _require(ns, ["n", "k"])
-        params.update(n=str(ns.n), k=str(ns.k))
-        value = stirling_first_unsigned(int(ns.n), int(ns.k))
-        method = "triangular recurrence, exact integers"
-    else:
+# the comma-separated flags, each with the reader of its items
+_LIST_FLAGS = {
+    **dict.fromkeys(("omega", "z", "args", "x_grid"), _split_list),
+    **dict.fromkeys(("index", "m_grid"), _int_list),
+}
+
+
+def _reject_unread(ns, label, reads, flags):
+    """Refuse each of `flags` given on the command line that `reads` does
+    not name, or that `reads` maps to a companion flag left out."""
+    unread = []
+    for flag in flags:
+        if getattr(ns, flag) is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        needs = reads.get(flag)
+        if flag not in reads:
+            unread.append(option)
+        elif needs is not None and getattr(ns, needs) is None:
+            unread.append("%s without --%s" % (option, needs))
+    if unread:
+        raise _UsageError("%s does not read %s" % (label, ", ".join(unread)))
+
+
+def _values(ns, label, flags, registered):
+    """Map each of `flags` to its text, or list of texts, after refusing
+    the other `registered` flags.  All but --a (default 0) are required.
+    A weight configuration (flags with --a) checks its count against --r."""
+    weighted = "a" in flags
+    _reject_unread(ns, label, dict.fromkeys(flags + ("r",) * weighted), registered)
+    _require(ns, [f for f in flags if f != "a"])
+    values = {}
+    for flag in flags:
+        text = getattr(ns, flag)
+        values[flag] = "0" if text is None else _LIST_FLAGS.get(flag, str)(text)
+    if weighted and ns.r is not None and len(values["omega"]) != int(ns.r):
         raise _UsageError(
-            "unknown object %r; choose from %s" % (ns.object, ", ".join(EVAL_OBJECTS))
+            "--r expects %d weights, got %d" % (int(ns.r), len(values["omega"]))
         )
-    return params, value, method
+    return values
+
+
+def _mpfs(texts):
+    return tuple(to_mpf(t) for t in texts)
+
+
+def _weights(v):
+    return WeightConfig(_mpfs(v["omega"]), to_mpf(v["a"]))
+
+
+def _polylog_args(v):
+    return PolylogArgs(tuple(int(k) for k in v["index"]), _mpfs(v["z"]))
+
+
+def _eval_li(v, ctx):
+    index, zs = tuple(int(k) for k in v["index"]), _mpfs(v["z"])
+    if len(zs) == 1 and len(index) > 1:
+        return mpl_one_var(index, zs[0], ctx), "one-variable nested series"
+    return mpl(PolylogArgs(index, zs), ctx), "multi-variable nested series"
+
+
+# Each eval object: the flags it reads, in the order of its params, and
+# its evaluator (values, ctx) -> (value, method), values as _values
+# returns them.  Evaluators look library functions up when they run.
+EVAL_OBJECTS = {
+    "M": (("omega", "a", "x"), lambda v, ctx: (
+        m_integral(to_mpf(v["x"]), _weights(v), ctx),
+        "double-exponential quadrature of the log-product integral")),
+    "I": (("omega", "a", "x"), lambda v, ctx: (
+        i_integral(to_mpf(v["x"]), _weights(v), ctx),
+        "double-exponential quadrature of the incomplete-gamma product")),
+    "S": (("omega", "x"), lambda v, ctx: (
+        s_series(to_mpf(v["x"]), _mpfs(v["omega"]), ctx),
+        "rising-factorial series with convolved coefficients")),
+    "T": (("r", "l", "omega"), lambda v, ctx: (
+        t_coeff(int(v["r"]), int(v["l"]), _mpfs(v["omega"]), ctx),
+        "harmonic-chain convolution series")),
+    "Li": (("index", "z"), _eval_li),
+    "Li0": (("index", "z", "x"), lambda v, ctx: (
+        hurwitz_li0(to_mpf(v["x"]), _polylog_args(v), ctx),
+        "shifted nested series from n=0")),
+    "Li1": (("index", "z", "x"), lambda v, ctx: (
+        hurwitz_li1(to_mpf(v["x"]), _polylog_args(v), ctx),
+        "shifted nested series from n=1")),
+    "c": (("r", "m", "omega", "a"), lambda v, ctx: (
+        c_coeff(int(v["r"]), int(v["m"]), _weights(v), ctx),
+        "subset-family polylog combination")),
+    "cprime": (("r", "m", "omega", "a"), lambda v, ctx: (
+        c_prime_coeff(int(v["r"]), int(v["m"]), _weights(v), ctx),
+        "symmetric-function and Bell-polynomial closed form")),
+    "Lambda": (("omega", "k"), lambda v, ctx: (
+        lambda_k(_mpfs(v["omega"]), int(v["k"]), ctx),
+        "elementary symmetric polynomial in log weights")),
+    "Bell": (("n", "args"), lambda v, ctx: (
+        bell_complete(int(v["n"]), list(_mpfs(v["args"]))),
+        "complete Bell polynomial recurrence")),
+    "Stirling": (("n", "k"), lambda v, ctx: (
+        stirling_first_unsigned(int(v["n"]), int(v["k"])),
+        "triangular recurrence, exact integers")),
+}
+
+_EVAL_FLAGS = tuple(dict.fromkeys(f for flags, _ in EVAL_OBJECTS.values() for f in flags))
 
 
 def _cmd_eval(ns):
-    ctx, _, _ = _settings(ns)
+    """compute one object"""
+    ctx = _context(ns)
     obj = _OBJECT_ALIASES.get(ns.object, ns.object)
-    params, value, method = _eval_value(ns, obj, ctx)
+    if obj not in EVAL_OBJECTS:
+        raise _UsageError(
+            "unknown object %r; choose from %s" % (ns.object, ", ".join(EVAL_OBJECTS))
+        )
+    flags, evaluate = EVAL_OBJECTS[obj]
+    params = _values(ns, "eval " + obj, flags, _EVAL_FLAGS)
+    with ctx.workprec():
+        value, method = evaluate(params, ctx)
     rendered = str(value) if isinstance(value, int) else value_str(value, ctx.precision_bits)
     out = {
         "schema": "mtz-eval/1",
@@ -216,7 +210,8 @@ def _cmd_eval(ns):
     line = json.dumps(out, separators=(",", ":"))
     print(line)
     if ns.json:
-        _write_line(ns.json, line)
+        with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(line + "\n")
     if ns.csv:
         exact = str(value) if isinstance(value, int) else exact_decimal(value)
         with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
@@ -235,41 +230,31 @@ def _cmd_eval(ns):
 # suites whose --omega/--a give one grid row, by weight count
 _GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
 
-# the suite flags each verify name reads; --a is read only with --omega,
-# and the asymptotic-order flags other than --method only with --method
-_SUITE_FLAGS = {
-    "all": (),
-    "r2m2": ("omega", "a"),
-    "r3m3": ("omega", "a"),
-    "inversion": ("omega", "a", "k_max"),
-    "asymptotic-order": ("method", "omega", "a", "r", "x_ladder", "order"),
-    "mzf": ("r", "x_grid"),
+_VERIFY_FLAGS = ("omega", "a", "r", "k_max", "method", "x_ladder", "x_grid", "order")
+
+# the suite flags each verify name reads, each mapped to the flag it
+# needs beside it: --a is read only with --omega, and the
+# asymptotic-order flags other than --method only with --method
+_VERIFY_READS = {
+    "r2m2": {"omega": None, "a": "omega"},
+    "r3m3": {"omega": None, "a": "omega"},
+    "inversion": {"omega": None, "a": "omega", "k_max": None},
+    "asymptotic-order": dict.fromkeys(
+        ("method", "omega", "a", "r", "x_ladder", "order"), "method"
+    ),
+    "mzf": {"r": None, "x_grid": None},
+    "all": {},
 }
-
-
-def _reject_unread_flags(ns, name):
-    unread = []
-    for flag in ("omega", "a", "r", "k_max", "method", "x_ladder", "x_grid", "order"):
-        if getattr(ns, flag) is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        needs = "method" if name == "asymptotic-order" else "omega" if flag == "a" else None
-        if flag not in _SUITE_FLAGS[name]:
-            unread.append(option)
-        elif needs is not None and getattr(ns, needs) is None:
-            unread.append("%s without --%s" % (option, needs))
-    if unread:
-        raise _UsageError("verify %s does not read %s" % (name, ", ".join(unread)))
 
 
 def _verify_reports(ns, ctx, tol, threads):
     """Map the verify flags to the named suite's keyword options."""
     name = ns.suite
-    if name not in VERIFY_NAMES:
+    if name not in _VERIFY_READS:
         raise _UsageError(
-            "unknown suite %r; choose from %s" % (name, ", ".join(VERIFY_NAMES))
+            "unknown suite %r; choose from %s" % (name, ", ".join(_VERIFY_READS))
         )
-    _reject_unread_flags(ns, name)
+    _reject_unread(ns, "verify " + name, _VERIFY_READS[name], _VERIFY_FLAGS)
     if name == "all":
         return suites.verify_all(ctx=ctx, tol=tol, threads=threads)
     options = {}
@@ -304,7 +289,12 @@ def _verify_reports(ns, ctx, tol, threads):
 
 
 def _cmd_verify(ns):
-    ctx, tol, threads = _settings(ns)
+    """run a verification suite"""
+    ctx = _context(ns)
+    threads = ns.threads if ns.threads is not None else _env_int("MTZ_THREADS", "1")
+    if threads < 1:
+        raise _UsageError("threads must be at least 1")
+    tol = to_mpf(ns.tol) if ns.tol is not None else None
     reports = _verify_reports(ns, ctx, tol, threads)
     bits = ctx.precision_bits
     for report in reports:
@@ -336,14 +326,16 @@ def _cmd_verify(ns):
 # expand
 # ---------------------------------------------------------------------------
 
+_EXPAND_FLAGS = ("r", "omega", "a", "order")
+
+
 def _cmd_expand(ns):
-    ctx, _, _ = _settings(ns)
-    _require(ns, ["r", "order"])
-    w, omega, a = _weights_from(ns, count=int(ns.r))
-    expansion = i_expansion(w, int(ns.order), ctx)
-    rows = []
-    for m, (power, coeff) in enumerate(zip(expansion.powers, expansion.coeffs)):
-        rows.append((m, power, coeff))
+    """truncated expansion coefficients"""
+    ctx = _context(ns)
+    v = _values(ns, "expand", _EXPAND_FLAGS, _EXPAND_FLAGS)
+    with ctx.workprec():
+        expansion = i_expansion(_weights(v), int(v["order"]), ctx)
+    rows = [(m, p, c) for m, (p, c) in enumerate(zip(expansion.powers, expansion.coeffs))]
     header = "%-4s %-6s %s" % ("m", "power", "coefficient")
     print(header)
     for m, power, coeff in rows:
@@ -351,20 +343,15 @@ def _cmd_expand(ns):
     if ns.json:
         with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
             for m, power, coeff in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "schema": "mtz-expand/1",
-                            "omega": omega,
-                            "a": str(a),
-                            "m": m,
-                            "power": power,
-                            "coeff": value_str(coeff, ctx.precision_bits),
-                        },
-                        separators=(",", ":"),
-                    )
-                )
-                fh.write("\n")
+                record = {
+                    "schema": "mtz-expand/1",
+                    "omega": v["omega"],
+                    "a": v["a"],
+                    "m": m,
+                    "power": power,
+                    "coeff": value_str(coeff, ctx.precision_bits),
+                }
+                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     if ns.csv:
         with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
             write_table_csv(
@@ -379,31 +366,37 @@ def _cmd_expand(ns):
 # table
 # ---------------------------------------------------------------------------
 
+# the flag each table object's grid replaces
+_TABLE_GRIDS = {"M": "x", "I": "x", "c": "m", "cprime": "m"}
+
+
+def _table_flags(obj):
+    """obj's eval flags, the one its grid replaces moved last as the grid."""
+    point = _TABLE_GRIDS[obj]
+    return tuple(f for f in EVAL_OBJECTS[obj][0] if f != point) + (point + "_grid",)
+
+
+_TABLE_FLAGS = tuple(dict.fromkeys(f for obj in _TABLE_GRIDS for f in _table_flags(obj)))
+
+
 def _cmd_table(ns):
-    ctx, _, _ = _settings(ns)
+    """grid sweep to CSV"""
+    ctx = _context(ns)
     obj = _OBJECT_ALIASES.get(ns.object, ns.object)
-    if obj in ("M", "I"):
-        _require(ns, ["x_grid"])
-        w, omega, a = _weights_from(ns)
-        fn = m_integral if obj == "M" else i_integral
-        header = ["object", "omega", "a", "x", "value"]
-        rows = []
-        for xs in _split_list(ns.x_grid):
-            value = fn(to_mpf(xs), w, ctx)
-            rows.append([obj, ",".join(omega), str(a), xs, exact_decimal(value)])
-    elif obj in ("c", "cprime"):
-        _require(ns, ["r", "m_grid"])
-        w, omega, a = _weights_from(ns, count=int(ns.r))
-        fn = c_coeff if obj == "c" else c_prime_coeff
-        header = ["object", "r", "omega", "a", "m", "value"]
-        rows = []
-        for ms in _int_list(ns.m_grid):
-            value = fn(int(ns.r), ms, w, ctx)
-            rows.append(
-                [obj, str(ns.r), ",".join(omega), str(a), str(ms), exact_decimal(value)]
-            )
-    else:
-        raise _UsageError("table supports objects M, I, c, cprime; got %r" % ns.object)
+    if obj not in _TABLE_GRIDS:
+        raise _UsageError(
+            "table supports objects %s; got %r" % (", ".join(_TABLE_GRIDS), ns.object)
+        )
+    flags = _table_flags(obj)
+    values = _values(ns, "table " + obj, flags, _TABLE_FLAGS)
+    point, grid = _TABLE_GRIDS[obj], values.pop(flags[-1])
+    header = ["object"] + list(values) + [point, "value"]
+    cells = [obj] + [",".join(t) if isinstance(t, list) else t for t in values.values()]
+    rows = []
+    with ctx.workprec():
+        for item in grid:
+            value, _ = EVAL_OBJECTS[obj][1](dict(values, **{point: item}), ctx)
+            rows.append(cells + [item, exact_decimal(value)])
     if ns.csv:
         with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
             write_table_csv(header, rows, fh)
@@ -416,64 +409,41 @@ def _cmd_table(ns):
 # parser and entry points
 # ---------------------------------------------------------------------------
 
+# argparse keywords of the flags that take a type, a metavar or help text
+_FLAG_OPTIONS = {
+    "bits": dict(type=int, help="working precision in bits"),
+    "tol": dict(help="tolerance as a decimal string"),
+    "json": dict(metavar="PATH", help="write JSON lines to PATH"),
+    "csv": dict(metavar="PATH", help="write CSV to PATH"),
+    "threads": dict(type=int, help="worker processes"),
+    "k_max": dict(type=int),
+    "omega": dict(help="comma-separated weights"),
+    "index": dict(help="comma-separated exponents"),
+    "z": dict(help="comma-separated arguments"),
+    "args": dict(help="comma-separated values"),
+}
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", type=int, default=None, help="working precision in bits")
-    common.add_argument("--tol", default=None, help="tolerance as a decimal string")
-    common.add_argument("--json", metavar="PATH", help="write JSON lines to PATH")
-    common.add_argument("--csv", metavar="PATH", help="write CSV to PATH")
-    common.add_argument("--threads", type=int, default=None, help="worker processes")
-
-    numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--r", default=None)
-    numeric.add_argument("--m", default=None)
-    numeric.add_argument("--omega", default=None, help="comma-separated weights")
-    numeric.add_argument("--a", default=None)
-    numeric.add_argument("--x", default=None)
-    numeric.add_argument("--n", default=None)
-    numeric.add_argument("--k", default=None)
-    numeric.add_argument("--l", default=None)
-    numeric.add_argument("--index", default=None, help="comma-separated exponents")
-    numeric.add_argument("--z", default=None, help="comma-separated arguments")
-    numeric.add_argument("--args", default=None, help="comma-separated values")
-    numeric.add_argument("--order", default=None)
-
     parser = argparse.ArgumentParser(
         prog="mtz",
         description="High-precision evaluators and identity checks for "
         "harmonic multi-sums, their integral analogues, and multiple polylogarithms.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p_eval = sub.add_parser("eval", parents=[common, numeric], help="compute one object")
-    p_eval.add_argument("object")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p_verify.add_argument("suite")
-    p_verify.add_argument("--omega", default=None)
-    p_verify.add_argument("--a", default=None)
-    p_verify.add_argument("--r", default=None)
-    p_verify.add_argument("--k-max", type=int, default=None)
-    p_verify.add_argument("--method", default=None)
-    p_verify.add_argument("--x-ladder", default=None)
-    p_verify.add_argument("--x-grid", default=None)
-    p_verify.add_argument("--order", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_expand = sub.add_parser(
-        "expand", parents=[common, numeric], help="truncated expansion coefficients"
-    )
-    p_expand.set_defaults(func=_cmd_expand)
-
-    p_table = sub.add_parser(
-        "table", parents=[common, numeric], help="grid sweep to CSV"
-    )
-    p_table.add_argument("object")
-    p_table.add_argument("--x-grid", default=None)
-    p_table.add_argument("--m-grid", default=None)
-    p_table.set_defaults(func=_cmd_table)
-
+    for name, func, positional, flags in (
+        ("eval", _cmd_eval, "object", _EVAL_FLAGS + ("json",)),
+        ("verify", _cmd_verify, "suite", _VERIFY_FLAGS + ("tol", "json", "threads")),
+        ("expand", _cmd_expand, None, _EXPAND_FLAGS + ("json",)),
+        ("table", _cmd_table, "object", _TABLE_FLAGS),
+    ):
+        # no prefix matching, so e.g. table's --x-grid never takes --x
+        p = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
+        if positional is not None:
+            p.add_argument(positional)
+        for flag in ("bits",) + flags + ("csv",):
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAG_OPTIONS.get(flag, {}))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -177,8 +177,8 @@ def lambda_k(omega, k, ctx):
     """
     omega = [to_mpf(w) for w in omega]
     k = int(k)
-    if any(w <= 0 for w in omega):
-        raise DomainError("weights must be positive")
+    if any(not 0 < w < mp.inf for w in omega):
+        raise DomainError("weights must be positive and finite")
     if k < 0 or k > len(omega):
         raise DomainError("lambda_k needs 0 <= k <= len(omega)")
     with ctx.workprec():

@@ -35,11 +35,11 @@ def to_mpf(value) -> mpf:
 
 
 def positive_x(x) -> mpf:
-    """to_mpf(x), refusing x <= 0: every x-dependent evaluation (shifted
-    polylogs, the integrals, the main terms) lives on x > 0."""
+    """to_mpf(x), refusing all but finite x > 0, where every x-dependent
+    evaluation (shifted polylogs, the integrals, the main terms) lives."""
     x = to_mpf(x)
-    if x <= 0:
-        raise DomainError("x must be positive, got %s" % x)
+    if not 0 < x < mp.inf:
+        raise DomainError("x must be positive and finite, got %s" % x)
     return x
 
 

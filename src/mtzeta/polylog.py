@@ -91,7 +91,7 @@ class PolylogArgs:
         args = tuple(to_mpf(z) for z in self.args)
         if len(args) != index.depth:
             raise DomainError("index and argument lengths differ")
-        if any(abs(z) >= 1 for z in args):
+        if any(not abs(z) < 1 for z in args):
             raise DomainError("arguments must satisfy |z| < 1")
         object.__setattr__(self, "args", args)
 
@@ -196,7 +196,7 @@ def mpl_one_var(index, z, ctx):
     if not isinstance(index, MultiIndex):
         index = MultiIndex(tuple(index))
     z = to_mpf(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("mpl_one_var needs |z| < 1")
     zs = (mpf(1),) * (index.depth - 1) + (z,)
     return _sum_with_cache("m", index.parts, zs, mpf(0), 1, ctx)

@@ -46,11 +46,11 @@ class WeightConfig:
 
     def __post_init__(self):
         omega = tuple(to_mpf(w) for w in self.omega)
-        if not omega or any(w <= 0 for w in omega):
-            raise DomainError("weights must be positive")
+        if not omega or any(not 0 < w < mp.inf for w in omega):
+            raise DomainError("weights must be positive and finite")
         a = to_mpf(self.a)
-        if a < 0:
-            raise DomainError("shift a must be nonnegative")
+        if not 0 <= a < mp.inf:
+            raise DomainError("shift a must be nonnegative and finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_subset_sums", {})
@@ -326,7 +326,7 @@ def _degree_profile(omega, ctx, extra_log_powers):
         for o in omega:
             rho += abs(o)
             partial.append(rho)
-    if rho >= 1:
+    if not rho < 1:
         raise DomainError("series requires sum of |omega_i| < 1")
     r = len(omega)
     bits = ctx.precision_bits + 16

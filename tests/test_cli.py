@@ -11,9 +11,27 @@ import pytest
 from mpmath import mp, mpf
 
 import mtzeta
-from mtzeta.cli import cli_main
+from mtzeta import (
+    PolylogArgs,
+    WeightConfig,
+    bell_complete,
+    c_coeff,
+    c_prime_coeff,
+    hurwitz_li0,
+    hurwitz_li1,
+    i_integral,
+    lambda_k,
+    m_integral,
+    mpl,
+    mpl_one_var,
+    s_series,
+    stirling_first_unsigned,
+    t_coeff,
+)
+from mtzeta.cli import EVAL_OBJECTS, cli_main
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import QuadratureError
+from mtzeta.reports import value_str
 
 CTX = PrecisionContext()
 
@@ -321,13 +339,185 @@ def test_verify_rejects_unread_flags(argv, unread, capsys):
         assert flag in err
 
 
-def _python_m(*argv):
-    """Run ``python -m mtzeta ...`` in a fresh interpreter on this package."""
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["eval", "M", "--omega", "1", "--x", "0.5", "--k", "3", "--index", "1,2"],
+         ["--k", "--index"]),
+        (["eval", "I", "--r", "3", "--omega", "1,2", "--a", "0", "--x", "0.5"], ["--r"]),
+        (["eval", "S", "--omega", "0.5", "--x", "0.3", "--a", "7"], ["--a"]),
+        (["eval", "Lambda", "--omega", "2,3", "--k", "1", "--tol", "1e-5", "--threads", "3"],
+         ["--tol", "--threads"]),
+        (["table", "M", "--omega", "1", "--x-grid", "0.5", "--json", "out.json"], ["--json"]),
+        (["table", "M", "--omega", "1", "--x-grid", "0.5", "--m-grid", "3"], ["--m-grid"]),
+        (["table", "I", "--r", "5", "--omega", "1", "--a", "2", "--x-grid", "0.5"], ["--r"]),
+        (["expand", "--r", "1", "--omega", "1", "--order", "2", "--x", "5", "--tol", "1e-3",
+          "--threads", "4"], ["--x", "--tol", "--threads"]),
+        (["eval", "Li0", "--index", "1", "--z", "0.5", "--x", "0.5", "--omega", "1"],
+         ["--omega"]),
+        (["eval", "M", "--r", "2", "--omega", "1", "--x", "0.5"], ["--r"]),
+        (["table", "M", "--omega", "1", "--x", "0.5"], ["--x"]),
+    ],
+    ids=["eval-M-k-index", "eval-I-rank", "eval-S-a", "eval-Lambda-tol-threads",
+         "table-json", "table-M-m-grid", "table-I-rank", "expand-x-tol-threads",
+         "eval-Li0-omega", "eval-M-rank", "table-x-not-x-grid"],
+)
+def test_eval_table_expand_reject_unread_flags(argv, unread, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    for flag in unread:
+        assert flag in err
+
+
+def _vals(texts):
+    return tuple(to_mpf(t) for t in texts)
+
+
+# argv tail, canonical object, params and method as eval prints them, and
+# the direct library call that eval must reproduce
+EVAL_CASES = [
+    ("M", ["--omega", "1,2", "--a", "0.5", "--x", "0.3"], "M",
+     {"omega": ["1", "2"], "a": "0.5", "x": "0.3"},
+     "double-exponential quadrature of the log-product integral",
+     lambda: m_integral(to_mpf("0.3"), WeightConfig((1, 2), to_mpf("0.5")), CTX)),
+    ("I", ["--r", "1", "--omega", "1", "--a", "2", "--x", "0.4"], "I",
+     {"omega": ["1"], "a": "2", "x": "0.4"},
+     "double-exponential quadrature of the incomplete-gamma product",
+     lambda: i_integral(to_mpf("0.4"), WeightConfig((1,), 2), CTX)),
+    ("S", ["--omega", "0.3,-0.2", "--x", "0.4"], "S",
+     {"omega": ["0.3", "-0.2"], "x": "0.4"},
+     "rising-factorial series with convolved coefficients",
+     lambda: s_series(to_mpf("0.4"), _vals(["0.3", "-0.2"]), CTX)),
+    ("T", ["--r", "2", "--l", "2", "--omega", "0.1,0.2"], "T",
+     {"r": "2", "l": "2", "omega": ["0.1", "0.2"]},
+     "harmonic-chain convolution series",
+     lambda: t_coeff(2, 2, _vals(["0.1", "0.2"]), CTX)),
+    ("Li", ["--index", "1,2", "--z", "0.3"], "Li",
+     {"index": ["1", "2"], "z": ["0.3"]},
+     "one-variable nested series",
+     lambda: mpl_one_var((1, 2), to_mpf("0.3"), CTX)),
+    ("Li", ["--index", "1,2", "--z", "0.3,0.4"], "Li",
+     {"index": ["1", "2"], "z": ["0.3", "0.4"]},
+     "multi-variable nested series",
+     lambda: mpl(PolylogArgs((1, 2), _vals(["0.3", "0.4"])), CTX)),
+    ("Li0", ["--index", "1,2", "--z", "0.3,0.4", "--x", "0.5"], "Li0",
+     {"index": ["1", "2"], "z": ["0.3", "0.4"], "x": "0.5"},
+     "shifted nested series from n=0",
+     lambda: hurwitz_li0(to_mpf("0.5"), PolylogArgs((1, 2), _vals(["0.3", "0.4"])), CTX)),
+    ("Li1", ["--index", "02", "--z", "0.3", "--x", "0.5"], "Li1",
+     {"index": ["2"], "z": ["0.3"], "x": "0.5"},
+     "shifted nested series from n=1",
+     lambda: hurwitz_li1(to_mpf("0.5"), PolylogArgs((2,), _vals(["0.3"])), CTX)),
+    ("c", ["--r", "2", "--m", "2", "--omega", "1,2", "--a", "0.3"], "c",
+     {"r": "2", "m": "2", "omega": ["1", "2"], "a": "0.3"},
+     "subset-family polylog combination",
+     lambda: c_coeff(2, 2, WeightConfig((1, 2), to_mpf("0.3")), CTX)),
+    ("cprime", ["--r", "2", "--m", "2", "--omega", "1,2", "--a", "0.3"], "cprime",
+     {"r": "2", "m": "2", "omega": ["1", "2"], "a": "0.3"},
+     "symmetric-function and Bell-polynomial closed form",
+     lambda: c_prime_coeff(2, 2, WeightConfig((1, 2), to_mpf("0.3")), CTX)),
+    ("c'", ["--r", "2", "--m", "1", "--omega", "1,2"], "cprime",
+     {"r": "2", "m": "1", "omega": ["1", "2"], "a": "0"},
+     "symmetric-function and Bell-polynomial closed form",
+     lambda: c_prime_coeff(2, 1, WeightConfig((1, 2), 0), CTX)),
+    ("c′", ["--r", "2", "--m", "2", "--omega", "1,3", "--a", "2"], "cprime",
+     {"r": "2", "m": "2", "omega": ["1", "3"], "a": "2"},
+     "symmetric-function and Bell-polynomial closed form",
+     lambda: c_prime_coeff(2, 2, WeightConfig((1, 3), 2), CTX)),
+    ("Lambda", ["--omega", "0.3,3", "--k", "1"], "Lambda",
+     {"omega": ["0.3", "3"], "k": "1"},
+     "elementary symmetric polynomial in log weights",
+     lambda: lambda_k(_vals(["0.3", "3"]), 1, CTX)),
+    ("Λ", ["--omega", "2,3,5", "--k", "2"], "Lambda",
+     {"omega": ["2", "3", "5"], "k": "2"},
+     "elementary symmetric polynomial in log weights",
+     lambda: lambda_k((2, 3, 5), 2, CTX)),
+    ("lambda", ["--omega", "2,3", "--k", "0"], "Lambda",
+     {"omega": ["2", "3"], "k": "0"},
+     "elementary symmetric polynomial in log weights",
+     lambda: lambda_k((2, 3), 0, CTX)),
+    ("Bell", ["--n", "4", "--args", "0.1,0.2,0.3,0.4"], "Bell",
+     {"n": "4", "args": ["0.1", "0.2", "0.3", "0.4"]},
+     "complete Bell polynomial recurrence",
+     lambda: bell_complete(4, list(_vals(["0.1", "0.2", "0.3", "0.4"])))),
+    ("Stirling", ["--n", "7", "--k", "3"], "Stirling",
+     {"n": "7", "k": "3"},
+     "triangular recurrence, exact integers",
+     lambda: stirling_first_unsigned(7, 3)),
+]
+
+
+def test_eval_cases_cover_every_object():
+    assert {case[2] for case in EVAL_CASES} == set(EVAL_OBJECTS)
+    assert {case[0] for case in EVAL_CASES} >= {"c'", "c′", "Λ", "lambda"}
+
+
+@pytest.mark.parametrize(
+    "name, tail, obj, params, method, direct",
+    EVAL_CASES,
+    ids=["%s-%d" % (case[0], i) for i, case in enumerate(EVAL_CASES)],
+)
+def test_eval_object_params_method_value(name, tail, obj, params, method, direct, capsys):
+    code, out, err = _run(capsys, ["eval", name] + tail)
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["object"], data["params"], data["method"]) == (obj, params, method)
+    assert tuple(params) == EVAL_OBJECTS[obj][0]
+    with CTX.workprec():
+        value = direct()
+    expected = str(value) if isinstance(value, int) else value_str(value, 256)
+    assert data["value"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        (["eval", "Lambda", "--omega", "0.3,3", "--k", "1"], lambda: mp.log(mpf("0.9"))),
+        (["eval", "Li", "--index", "2", "--z", "0.3"], lambda: mp.polylog(2, mpf("0.3"))),
+    ],
+    ids=["Lambda", "Li"],
+)
+def test_eval_parses_decimals_at_working_precision(argv, exact, capsys):
+    # above 992 bits a decimal parsed at the 1024-bit floor of to_mpf
+    # would be off by about 2^-1024
+    code, out, err = _run(capsys, argv + ["--bits", "2048"])
+    assert code == 0, err
+    with mp.workprec(2300):
+        value = mpf(json.loads(out)["value"])
+        assert abs(value - exact()) <= mpf(2) ** -2040 * max(1, abs(value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "M", "--omega", "nan", "--x", "0.5"],
+        ["eval", "M", "--omega", "inf", "--x", "0.5"],
+        ["eval", "Li0", "--index", "1", "--z", "0.5", "--x", "nan"],
+        ["eval", "Li", "--index", "2", "--z", "nan"],
+        ["eval", "Li", "--index", "1,2", "--z", "nan"],
+        ["eval", "c", "--r", "1", "--m", "1", "--omega", "inf"],
+        ["eval", "I", "--omega", "1", "--a", "inf", "--x", "0.5"],
+        ["eval", "Lambda", "--omega", "nan,1", "--k", "1"],
+        ["eval", "T", "--r", "1", "--l", "1", "--omega", "nan"],
+        ["verify", "mzf", "--r", "2", "--x-grid", "nan"],
+    ],
+    ids=["M-nan", "M-inf", "Li0-x-nan", "Li-nan", "Li-one-var-nan", "c-inf", "I-a-inf",
+         "Lambda-nan", "T-nan", "mzf-x-nan"],
+)
+def test_non_finite_parameters_exit_3(argv, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "precondition violated" in err and "Traceback" not in err
+
+
+def _python_m(*argv, module="mtzeta"):
+    """Run ``python -m <module> ...`` in a fresh interpreter on this package."""
     env = dict(os.environ)
     root = str(Path(mtzeta.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "mtzeta", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
     )
 
 
@@ -337,3 +527,7 @@ def test_python_m_runs_the_cli():
     reports = _reports(done.stdout)
     assert len(reports) == 5 and all(report["passed"] for report in reports)
     assert _python_m("verify", "r2m2", "--bits", "32").returncode == 2
+    # the package does not import cli, so runpy has no module to warn about
+    done = _python_m("verify", "r2m2", module="mtzeta.cli")
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(_reports(done.stdout)) == 5
