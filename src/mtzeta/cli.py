@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+from mpmath import mp
+
 from .asymptotics import c_coeff, c_prime_coeff, i_expansion
 from .combinatorics import lambda_k
 from .context import PrecisionContext, to_mpf
@@ -128,6 +130,13 @@ def _mpfs(texts):
     return tuple(to_mpf(t) for t in texts)
 
 
+def _finite_mpfs(texts):
+    values = _mpfs(texts)
+    if not all(mp.isfinite(v) for v in values):
+        raise DomainError("arguments must be finite")
+    return values
+
+
 def _weights(v):
     return WeightConfig(_mpfs(v["omega"]), to_mpf(v["a"]))
 
@@ -176,7 +185,7 @@ EVAL_OBJECTS = {
         lambda_k(_mpfs(v["omega"]), int(v["k"]), ctx),
         "elementary symmetric polynomial in log weights")),
     "Bell": (("n", "args"), lambda v, ctx: (
-        bell_complete(int(v["n"]), list(_mpfs(v["args"]))),
+        bell_complete(int(v["n"]), list(_finite_mpfs(v["args"]))),
         "complete Bell polynomial recurrence")),
     "Stirling": (("n", "k"), lambda v, ctx: (
         stirling_first_unsigned(int(v["n"]), int(v["k"])),
@@ -295,6 +304,8 @@ def _cmd_verify(ns):
     if threads < 1:
         raise _UsageError("threads must be at least 1")
     tol = to_mpf(ns.tol) if ns.tol is not None else None
+    if tol is not None and not 0 < tol < mp.inf:
+        raise _UsageError("--tol must be positive and finite, got %r" % ns.tol)
     reports = _verify_reports(ns, ctx, tol, threads)
     bits = ctx.precision_bits
     for report in reports:
@@ -447,6 +458,18 @@ def _build_parser():
     return parser
 
 
+def _check_writable(path):
+    """Refuse an output path that cannot be written, before evaluating."""
+    if path is None:
+        return
+    target = os.path.abspath(path)
+    parent = os.path.dirname(target)
+    if os.path.isdir(target) or not os.path.isdir(parent):
+        raise _UsageError("cannot write %s: not a file in an existing directory" % path)
+    if not os.access(target if os.path.exists(target) else parent, os.W_OK):
+        raise _UsageError("cannot write %s: permission denied" % path)
+
+
 def cli_main(argv):
     parser = _build_parser()
     try:
@@ -458,6 +481,8 @@ def cli_main(argv):
         parser.print_usage(sys.stderr)
         return 2
     try:
+        for flag in ("json", "csv"):
+            _check_writable(getattr(ns, flag, None))
         return ns.func(ns)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -34,6 +34,15 @@ du/dt) in visiting order and grows lazily to the farthest node any call
 has reached; every later call at that precision, both halves of
 de_quad_0inf included, reads the stored nodes.  The tail cut, the
 finiteness check, the divergence limit and the level cap stay per call.
+
+de_quad_0inf maps its far piece (1,inf) onto (0,1) by u = 1 - log v.
+Under the tanh-sinh nodes v ~ exp(-pi sinh t), so u grows like
+pi sinh(t): an integrand decaying like e^{-cu} becomes doubly
+exponential in t, as on (0,1).  The map u = 1/v would make it triply
+exponential, which over-transforms (Mori and Sugihara, J. Comput. Appl.
+Math. 127, 2001): the step must then resolve the integrand on a scale
+that shrinks doubly exponentially, costing about one more level.  The
+mapped u of each node lives in a second table keyed by (mp.prec, v).
 """
 
 from mpmath import mp, mpf
@@ -50,6 +59,9 @@ _TAIL_RUN = 3
 # (mp.prec, level) -> [(u_left, u_right, du/dt), ...] in the order
 # _row_sum visits them; entries are pure functions of their key
 _nodes = {}
+
+# (mp.prec, v._mpf_) -> 1 - log v, the far-piece map of de_quad_0inf
+_far_u = {}
 
 
 def _row_sum(f, level, cut):
@@ -109,10 +121,13 @@ def de_quad_01(f, ctx, tol=None):
     other side is still significant.  The Mellin integrands of series
     cannot do this: towards an endpoint where the integrand is smooth
     the terms fall with the weight alone, and towards u -> 0
-    (u^{x-1} log^r u) or u -> inf (u^{x+1} e^{-(a+|omega|)u} once
-    v = 1/u) they rise only polynomially to a single maximum, never
-    below the cut before it.  Mass at widely separated scales is not
-    covered by this.
+    (u^{x-1} log^r u) they rise only polynomially to a single maximum,
+    never below the cut before it.  On the far piece of de_quad_0inf,
+    towards v -> 0, the term at t is about pi cosh(t) F(u) u^{x-1} at
+    u = 1 + pi sinh(t) (F(u) ~ e^{-(a+|omega|)u} times powers of u):
+    it rises with u^x until u ~ x/(a+|omega|) and then falls doubly
+    exponentially, one maximum again.  Mass at widely separated scales
+    is not covered by this.
     """
     with ctx.workprec():
         if tol is None:
@@ -138,8 +153,24 @@ def de_quad_01(f, ctx, tol=None):
 
 
 def de_quad_0inf(f, ctx, tol=None):
-    """Integrate f over (0,inf), split at 1 with v = 1/u on the far piece."""
+    """Integrate f over (0,inf), split at 1 with u = 1 - log v on the far
+    piece (Jacobian 1/v).
+
+    f must decay at least exponentially as u -> inf, as the Mellin
+    integrands of series do (like e^{-(a+|omega|)u} times powers of u).
+    An algebraic tail like 1/u^2 gives far terms that fall only like
+    1/sinh(t), still near 1e-9 at t = 20, so it raises QuadratureError
+    at that limit in the first far row.  The mapped u of each node is
+    kept in _far_u, so a warm call takes no logarithm."""
     near = de_quad_01(f, ctx, tol)
-    far = de_quad_01(lambda v: f(1 / v) / (v * v), ctx, tol)
+
+    def far(v):
+        key = (mp.prec, v._mpf_)
+        u = _far_u.get(key)
+        if u is None:
+            u = _far_u[key] = 1 - mp.ln(v)
+        return f(u) / v
+
+    rest = de_quad_01(far, ctx, tol)
     with ctx.workprec():
-        return +(near + far)
+        return +(near + rest)

@@ -366,8 +366,8 @@ def s_series(x, omega, ctx):
     """S_r(x, omega) = sum over k_i >= 1 of
     (x)_{k_1+...+k_r} prod omega_i^{k_i}/(k_i k_i!), grouped by total
     degree.  Negative omega_i are allowed; sum of |omega_i| < 1 is
-    required.  x may be a Jet, in which case a truncated Taylor expansion
-    of the same degree comes back.
+    required, and x must be finite.  x may be a Jet, in which case a
+    truncated Taylor expansion of the same degree comes back.
 
     With E from _degree_profile, S = x sum_m c_m E[m] where
     c_m = rho^m (x+1)_{m-1}/m! = c_{m-1} rho (x+m-1)/m.  Factoring out x
@@ -379,9 +379,11 @@ def s_series(x, omega, ctx):
     c_m, the r m^2 2^-wp error of E[m] adds about 2r/(1-rho)^3 units of
     2^-wp for x <= 1 and r (1+x)/(1-rho)^(x+2) above, so the error stays
     many bits below 2^-precision_bits max(1, |S|) unless rho is near 1."""
+    xs = x.coeffs if isinstance(x, Jet) else (to_mpf(x),)
+    if not all(mp.isfinite(c) for c in xs):
+        raise DomainError("x must be finite")
     E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=2)
     one = 1 << wp
-    xs = x.coeffs if isinstance(x, Jet) else (to_mpf(x),)
     with ctx.workprec():
         R = to_fixed(rho._mpf_, wp)
         base = to_fixed(xs[0]._mpf_, wp) - one  # x0 - 1

@@ -42,7 +42,9 @@ def test_de_quad_0inf_calls_de_quad_01_through_the_module(monkeypatch):
         return original(f, ctx, tol)
 
     monkeypatch.setattr(quadrature, "de_quad_01", wrapped)
-    quadrature.de_quad_0inf(lambda t: 1 / (1 + t * t), PrecisionContext(precision_bits=128))
+    quadrature.de_quad_0inf(
+        lambda t: mpmath.exp(-t) / (1 + t * t), PrecisionContext(precision_bits=128)
+    )
     assert len(calls) == 2
 
 

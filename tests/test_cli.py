@@ -511,6 +511,44 @@ def test_non_finite_parameters_exit_3(argv, capsys):
     assert "precondition violated" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "S", "--omega", "0.5", "--x", "nan"], ["eval", "Bell", "--n", "2", "--args", "nan,1"]],
+    ids=["S-x-nan", "Bell-nan"],
+)
+def test_non_finite_series_and_bell_arguments_exit_3(argv, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "precondition violated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_verify_refuses_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
+    # a suite that ran would have printed its reports
+    code, out, err = _run(capsys, ["verify", "r2m2", "--tol", tol])
+    assert code == 2 and out == ""
+    assert "--tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "r2m2", "--json"],
+        ["verify", "r2m2", "--csv"],
+        ["eval", "Stirling", "--n", "5", "--k", "2", "--json"],
+        ["expand", "--omega", "1,1", "--a", "3", "--order", "2", "--csv"],
+        ["table", "I", "--omega", "1", "--x-grid", "0.5", "--csv"],
+    ],
+    ids=["verify-json", "verify-csv", "eval-json", "expand-csv", "table-csv"],
+)
+def test_unwritable_output_path_exits_2_before_evaluating(argv, tmp_path, capsys):
+    # every subcommand prints its result before it writes a file
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = _run(capsys, argv + [str(path)])
+        assert code == 2 and out == "", path
+        assert "cannot write" in err and "Traceback" not in err
+
+
 def _python_m(*argv, module="mtzeta"):
     """Run ``python -m <module> ...`` in a fresh interpreter on this package."""
     env = dict(os.environ)

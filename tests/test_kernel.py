@@ -358,6 +358,22 @@ def _gamma0_mpf_series(u, ctx):
         return +total
 
 
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 768, 1024])
+def test_gamma0_matches_e1_across_the_fraction_window(bits):
+    # the continued fraction runs for 4 + p/15 <= u < 0.69 (p + 20), p the
+    # working precision; the grid straddles both ends and spans the window
+    p = bits + GUARD_BITS
+    lo, hi = 4 + mpf(p) / 15, mpf("0.69") * (p + 20)
+    ctx = PrecisionContext(precision_bits=bits)
+    us = [mpf("1.5"), lo * mpf("0.97"), lo, lo * mpf("1.03"), (lo + hi) / 2, hi * mpf("0.97")]
+    us += [hi - mpf(2) ** -20, hi, hi * mpf("1.03")]
+    for u in us:
+        got = gamma0(u, ctx)
+        with mp.workprec(bits + 64):
+            want = mp.e1(u)
+            assert abs(got - want) <= mpf(2) ** -bits * want, (bits, u)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 def test_gamma0_series_matches_mpf_loop(bits):
     ctx = PrecisionContext(precision_bits=bits)

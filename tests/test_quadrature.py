@@ -3,6 +3,8 @@ singularities, plus failure-mode behavior, and the node table against
 nodes recomputed on every call.
 """
 
+import time
+
 import pytest
 from mpmath import mp, mpf
 
@@ -151,7 +153,7 @@ def _oracle_quad_01(f, ctx, row_sum=_oracle_row_sum):
 
 def _oracle_quad_0inf(f, ctx, row_sum=_oracle_row_sum):
     near = _oracle_quad_01(f, ctx, row_sum)
-    far = _oracle_quad_01(lambda v: f(1 / v) / (v * v), ctx, row_sum)
+    far = _oracle_quad_01(lambda v: f(1 - mp.ln(v)) / v, ctx, row_sum)
     with ctx.workprec():
         return +(near + far)
 
@@ -185,6 +187,33 @@ def test_warm_table_computes_no_node(cold_nodes, monkeypatch):
     second = de_quad_0inf(f, CTX)
     assert cosh_calls == []
     assert first._mpf_ == second._mpf_
+
+
+def test_warm_far_map_takes_no_logarithm(cold_nodes, monkeypatch):
+    monkeypatch.setattr(quadrature, "_far_u", {})
+    ln_calls = []
+    ln = mp.ln
+
+    def counted(*args, **kwargs):
+        ln_calls.append(args)
+        return ln(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "ln", counted)
+    f = lambda t: mp.exp(-t) / (1 + t)
+    first = de_quad_0inf(f, CTX)
+    assert ln_calls
+    ln_calls.clear()
+    second = de_quad_0inf(f, CTX)
+    assert ln_calls == []
+    assert first._mpf_ == second._mpf_
+
+
+def test_algebraic_tail_raises_fast():
+    # 1/(1+t^2) decays only algebraically, outside de_quad_0inf's contract
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="does not decay"):
+        de_quad_0inf(lambda t: 1 / (1 + t * t), CTX)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,9 @@ def test_equal_weight_configs_share_node_factors(monkeypatch):
     i_integral(to_mpf("0.5"), _wc(("0.6", "1.7")), CTX128)
     assert calls
     calls.clear()
-    # a separately built, equal configuration; the smaller x reached
-    # every node the larger one needs
-    i_integral(to_mpf("0.9"), _wc(("0.6", "1.7")), CTX128)
+    # a separately built, equal configuration at the same x, which
+    # reaches the same nodes
+    i_integral(to_mpf("0.5"), _wc(("0.6", "1.7")), CTX128)
     assert calls == []
 
 
@@ -386,6 +386,29 @@ def test_repeated_weights_take_one_factor_per_node(kind, fn, kernel, omega, monk
         # sets, so the count is compared per node
         assert len(calls) == len(series._node_factors[1][CTX128.precision_bits]) > 0, om
         assert value._mpf_ == _plain_mellin(kind, x, _wc(om), CTX128)._mpf_, om
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize(
+    "fn, omega, a, x",
+    [
+        (i_integral, ("1.6",), "0", "0.65"),
+        (m_integral, ("0.5", "2"), "1", "1"),
+        (m_integral, ("0.003", "0.5", "2.4"), "0", "1.2"),
+    ],
+    ids=["I-r1", "M-r2", "M-r3-wide"],
+)
+def test_integrals_earn_their_digits(fn, omega, a, x, bits):
+    # the quad-table rows at the default target_tol: within 2^-(bits-16)
+    # of a reference at bits + 160 refined to 2^-(bits+32), and within
+    # target_tol at 512 bits, where target_tol is 1e-30
+    x, w = to_mpf(x), _wc(omega, a)
+    ctx = PrecisionContext(precision_bits=bits)
+    ref_ctx = PrecisionContext(precision_bits=bits + 160, target_tol=mpf(2) ** -(bits + 32))
+    got, want = fn(x, w, ctx), fn(x, w, ref_ctx)
+    with mp.workprec(bits + 160):
+        tol = ctx.target_tol if bits == 512 else mpf(2) ** -(bits - 16)
+        assert abs(got - want) <= tol * max(1, abs(want))
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
