@@ -448,7 +448,8 @@ def t_coeff(r, l, omega, ctx):
 # all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
 
-# B_2k as exact (numerator, denominator) pairs; k stays below about 60
+# B_2k as exact (numerator, denominator) pairs; at 1024 bits k reaches about
+# 110, in the polygammas of order up to 2K of _zeta_ez_attempt's tail
 _bernfrac = functools.lru_cache(maxsize=None)(mp.bernfrac)
 
 
@@ -549,7 +550,9 @@ def zeta_ez_ones(r, x, ctx):
 
     folded to a single sum over m_r with closed-form inner chains, a
     direct part to N, and an Euler-Maclaurin tail whose derivatives are
-    exact polygamma combinations.  Depth r <= 3."""
+    exact polygamma combinations.  The number of Bernoulli terms follows
+    the precision, so N = 1200 closes from 64 to 1024 bits; N doubles
+    only when an attempt does not close.  Depth r <= 3."""
     x = positive_x(x)
     r = int(r)
     if not 1 <= r <= 3:
@@ -577,37 +580,13 @@ def _smallest_prime_factors(N):
     return spf
 
 
-def _tail_cut(r, x, N, thresh):
-    """A float V past which the tail integrand g_tail(v) e^-v of
-    _zeta_ez_attempt is dropped.  The part cut off stays below
-    tol = thresh 2^-32, 2^-8 of the working precision, both in the value,
-    where the integral carries the prefactor P = N^-x/x, and relative to
-    the integral itself, which exceeds g_tail(0) > 1 (g_tail increases).
-
-    For t >= N >= 1200, 0 < psi(t) + gamma < log t + 1 and 0 < psi'(t) < 1,
-    so 0 < g_tail(v) < L(v)^k with k = r - 1 and L(v) = log N + 1 + v/x.
-    With A = L(V) and C(k,j) j! <= k^j,
-
-        int_V^inf |g_tail| e^-v dv < e^-V sum_j C(k,j) j! A^(k-j) x^-j
-                                    <= e^-V x^-k (b + V)^k,
-
-    b = x (log N + 1) + k.  So max(1, P) times the cut-off part is below
-    tol once V >= c + k log(b + V), c = log(max(1, P)/tol) - k log x.  The
-    right side has slope below 1 in V; V steps to 1 past it until the
-    inequality holds."""
-    k = r - 1
-    log_x = float(mp.log(x))
-    log_N = math.log(N)
-    log_P = -float(x) * log_N - log_x
-    c = float(-mp.log(thresh)) + 32 * math.log(2) + max(0.0, log_P) - k * log_x
-    b = float(x) * (log_N + 1) + k
-    V = 0.0
-    while c + k * math.log(b + V) > V:
-        V = c + k * math.log(b + V) + 1
-    return V
-
-
 def _zeta_ez_attempt(r, x, N, ctx, thresh):
+    """zeta_ez_ones with cutoff N, or None when the Euler-Maclaurin
+    Bernoulli terms turn, or do not fall below thresh max(1, |direct part|)
+    within the K of them that a bound from the precision, N and s allows.
+    They are summed right after the direct part, so an attempt that does
+    not close never pays for the tail integral; that integral runs through
+    mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
     gamma = euler_gamma(ctx)
     z2 = zeta_value(2, ctx) if r == 3 else None
     neg_s = -1 - x
@@ -633,39 +612,34 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
         H += mpf(1) / n
         H2 += mpf(1) / (mpf(n) * n)
 
-    # tail from n = N on: integral + correction + Bernoulli terms
+    # tail from n = N on: int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)
+    # for f(t) = g_{r-1}(t) t^-s; the Bernoulli terms decide whether the
+    # attempt closes, so they come first and the integral only after
     Nv = mpf(N)
+    log_N = mp.log(Nv)
     s = 1 + x
-    if r == 1:
-        integral = Nv ** -x / x
-    else:
-        # t = N exp(v/x), so log t = log N + v/x without a logarithm per node
-        log_N = mp.log(Nv)
-        V = _tail_cut(r, x, N, thresh)
-
-        def integrand(v):
-            if v > V:
-                return mp.zero
-            y = v / x
-            psi, psi1 = _psi_pair(Nv * mp.exp(y), log_N + y)
-            if r == 2:
-                g = psi + gamma
-            else:
-                g = ((psi + gamma) ** 2 - z2 + psi1) / 2
-            return g * mp.exp(-v)
-
-        # the raw integrand decays like t^{-1-x}, which defeats any
-        # quadrature as x -> 0; t = N exp(v/x) is exact and leaves a
-        # unit-rate exponential integral, uniformly stable in x
-        integral = Nv ** -x / x * mp.quad(integrand, [0, mp.inf])
-
-    K_MAX = 24
-    derivs_needed = 2 * K_MAX
-    g_der = _g_derivs(r, Nv, derivs_needed, ctx)
-    # power-law derivative ladder: d^l t^{-s} = (-1)^l (s)_l t^{-s-l}
+    # the cap K on the Bernoulli terms.  For t >= N >= 1200,
+    # 0 < psi(t) + gamma < log t + 1, |psi^(j)(t)| < 1.1 (j-1)! t^-j for
+    # j <= 2K, and C(m,j) (j-1)! (s)_(m-j) <= (s)_m, so by Leibniz's rule
+    # |f^(m)(N)| <= (m+1)^(r-1) L |pw[m]| with L = (log N + 2)^(r-1) (with
+    # room to spare at r = 3), on the power-law derivative ladder
+    # pw[l] = d^l t^{-s} at N = (-1)^l (s)_l N^{-s-l}.  As
+    # |B_2k|/(2k)! < 4 (2 pi)^-2k, term k is below
+    # b_k = 4 (2 pi)^-2k (2k)^(r-1) L |pw[2k-1]|; K is the first k with
+    # b_k <= thresh, or the first where b_k stops falling
     pw = [Nv ** -s]
-    for l in range(1, derivs_needed + 1):
-        pw.append(pw[-1] * -(s + l - 1) / Nv)
+    L = (log_N + 2) ** (r - 1)
+    two_pi_sq = (2 * mp.pi) ** 2
+    K, prev = 0, mp.inf
+    while True:
+        K += 1
+        while len(pw) < 2 * K:
+            pw.append(pw[-1] * -(s + len(pw) - 1) / Nv)
+        b = 4 * (2 * K) ** (r - 1) * L * abs(pw[-1]) / two_pi_sq ** K
+        if b <= thresh or b >= prev:
+            break
+        prev = b
+    g_der = _g_derivs(r, Nv, 2 * K - 1, ctx)
 
     def f_deriv(m):
         acc = mpf(0)
@@ -673,15 +647,34 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
             acc += math.comb(m, j) * g_der[j] * pw[m - j]
         return acc
 
-    tail = integral + f_deriv(0) / 2
+    bernoulli = mpf(0)
     prev_mag = None
-    for k in range(1, K_MAX + 1):
+    for k in range(1, K + 1):
         term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * f_deriv(2 * k - 1)
-        tail -= term
+        bernoulli += term
         mag = abs(term)
         if mag <= thresh * max(1, abs(total)):
-            return total + tail
+            break
         if prev_mag is not None and mag > prev_mag:
             return None  # asymptotic series turned; need larger N
         prev_mag = mag
-    return None
+    else:
+        return None
+
+    if r == 1:
+        integral = Nv ** -x / x
+    else:
+        # the raw integrand decays like t^{-1-x}, which defeats any
+        # quadrature as x -> 0; t = N u^(-1/x) is exact and leaves
+        # int_0^1 g_{r-1}(t) du, whose decay is the end u = 0, uniformly
+        # stable in x; log t = log N + v/x with v = -log u
+        def integrand(u):
+            y = -mp.log(u) / x
+            psi, psi1 = _psi_pair(Nv * mp.exp(y), log_N + y)
+            if r == 2:
+                return psi + gamma
+            return ((psi + gamma) ** 2 - z2 + psi1) / 2
+
+        integral = Nv ** -x / x * mp.quad(integrand, [0, 1])
+    return total + (integral + f_deriv(0) / 2 - bernoulli)
+

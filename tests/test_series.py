@@ -817,38 +817,31 @@ def _pow_attempt(r, x, N, ctx, thresh):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_zeta_ez_ones_matches_pow_evaluator(bits, monkeypatch):
-    # the multiplicative direct part and the tail cut stay within 2^-bits
-    # of the plain evaluator; the quadrature never evaluates past the cut
+    # the multiplicative direct part and the tail mapped onto (0, 1) stay
+    # within 2^-bits of the plain evaluator; the map takes at most a third
+    # of the plain evaluator's tail nodes, and no more than it at x = 10^-3,
+    # where a layer of width x at the start of the tail sets the degree
     ctx = PrecisionContext(precision_bits=bits)
-    nodes, beyond, cuts = [], [], []
-    psi_pair, tail_cut = series._psi_pair, series._tail_cut
+    nodes = []
+    psi_pair = series._psi_pair
 
     def recorded_psi(t, log_t):
         nodes.append(log_t)
-        if cuts and log_t > cuts[-1]:
-            beyond.append(log_t)
         return psi_pair(t, log_t)
 
-    def recorded_cut(r, x, N, thresh):
-        V = tail_cut(r, x, N, thresh)
-        cuts.append(mp.log(N) + V / x)  # log t at v = V; each attempt cuts once
-        return V
-
     monkeypatch.setattr(series, "_psi_pair", recorded_psi)
-    monkeypatch.setattr(series, "_tail_cut", recorded_cut)
     for x in ("1e-3", "0.5", "1", "5"):
         x = to_mpf(x)
         for r in (2, 3):
             nodes.clear()
             got = zeta_ez_ones(r, x, ctx)
-            assert cuts and beyond == [], (x, r)
-            cut_nodes = len(nodes)
-            cuts.clear()
+            map_nodes = len(nodes)
             with monkeypatch.context() as m:
                 m.setattr(series, "_zeta_ez_attempt", _pow_attempt)
                 nodes.clear()
                 want = zeta_ez_ones(r, x, ctx)
-            assert cut_nodes < 0.75 * len(nodes), (x, r)
+            bound = len(nodes) if x < 0.01 else len(nodes) / 3
+            assert map_nodes <= bound, (x, r, map_nodes, len(nodes))
             with mp.workprec(2 * bits):
                 assert abs(got - want) <= mpf(2) ** -bits * max(1, abs(want)), (x, r)
 
@@ -887,6 +880,38 @@ def test_zeta_ez_classical_values():
         # collapses to pi^4/90
         assert abs(v2 - mp.zeta(3)) <= mpf(2) ** -(BITS - 24)
         assert abs(v3 - mp.pi ** 4 / 90) <= mpf(2) ** -(BITS - 24)
+
+
+def test_zeta_ez_classical_values_at_1024_bits(monkeypatch):
+    # the Bernoulli count follows the precision, so 1024 bits still
+    # closes at the first cutoff
+    ctx = PrecisionContext(precision_bits=1024)
+    cutoffs = []
+    attempt = series._zeta_ez_attempt
+
+    def recorded(r, x, N, ctx, thresh):
+        cutoffs.append(N)
+        return attempt(r, x, N, ctx, thresh)
+
+    monkeypatch.setattr(series, "_zeta_ez_attempt", recorded)
+    v2 = zeta_ez_ones(2, 1, ctx)
+    v3 = zeta_ez_ones(3, 1, ctx)
+    assert cutoffs == [1200, 1200]
+    with ctx.workprec():
+        assert abs(v2 - mp.zeta(3)) <= mpf(2) ** -(1024 - 24)
+        assert abs(v3 - mp.pi ** 4 / 90) <= mpf(2) ** -(1024 - 24)
+
+
+def test_zeta_ez_attempt_that_cannot_close_skips_the_integral(monkeypatch):
+    # at N = 8 the Bernoulli terms turn, and the attempt gives up before
+    # it pays for the tail integral
+    quads = []
+    monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: quads.append(args))
+    with CTX.workprec():
+        thresh = mpf(2) ** -(BITS + 8)
+        for r in (2, 3):
+            assert series._zeta_ez_attempt(r, to_mpf("0.5"), 8, CTX, thresh) is None
+    assert quads == []
 
 
 def test_m_collapses_to_euler_zagier():

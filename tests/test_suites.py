@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import DomainError
-from mtzeta import suites
+from mtzeta import series, suites
 from mtzeta.kernel import zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.reports import IdentityReport
@@ -250,6 +250,22 @@ def test_mzf_suite_hits_double_zeta_oracle():
         r3 = next(r for r in reports if r.params == {"r": "3", "x": "0.5"})
         assert r3.tolerance == to_mpf("1e-9")
         assert r3.residual <= mpf(10) ** -30
+
+
+def test_mzf_suite_at_512_bits_closes_at_the_first_cutoff(monkeypatch):
+    ctx = PrecisionContext(precision_bits=512)
+    cutoffs = []
+    attempt = series._zeta_ez_attempt
+
+    def recorded(r, x, N, ctx, thresh):
+        cutoffs.append(N)
+        return attempt(r, x, N, ctx, thresh)
+
+    monkeypatch.setattr(series, "_zeta_ez_attempt", recorded)
+    reports = suite_mzf(ctx=ctx)
+    assert len(reports) == 6
+    assert all(rep.passed for rep in reports)
+    assert cutoffs == [1200] * 4  # one zeta_ez_ones per r >= 2 point
 
 
 def test_mzf_rejects_rank():
