@@ -11,25 +11,25 @@ digits is a genuine cross-check.
 
 from mpmath import mp
 
-from mtzeta import PrecisionContext, to_mpf
-from mtzeta.suites import r2m2_point, r3m3_point
+from mtzeta import PrecisionContext
+from mtzeta.suites import suite_r2m2, suite_r3m3
 
 ctx = PrecisionContext()
 tol = "1e-12"
 
 print("depth two, weights (omega1, omega2) with shift a:")
-for omega1, omega2, a in (("1", "1", "0"), ("2", "3", "1"), ("0.5", "1.5", "0.25")):
-    rep = r2m2_point(omega1, omega2, a, ctx, to_mpf(tol))
+grid = [("1", "1", "0"), ("2", "3", "1"), ("0.5", "1.5", "0.25")]
+for rep in suite_r2m2(grid=grid, ctx=ctx, tol=tol):
     print(
-        "  (%s, %s; a=%s)  lhs %s  residual %s"
-        % (omega1, omega2, a, mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
+        "  (%s; a=%s)  lhs %s  residual %s"
+        % (", ".join(rep.params["omega"]), rep.params["a"], mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
     )
 
 print()
 print("depth three, weights (omega1, omega2, omega3) with shift a:")
-for omega1, omega2, omega3, a in (("1", "1", "1", "0"), ("1", "2", "3", "1")):
-    rep = r3m3_point(omega1, omega2, omega3, a, ctx, to_mpf(tol))
+grid = [("1", "1", "1", "0"), ("1", "2", "3", "1")]
+for rep in suite_r3m3(grid=grid, ctx=ctx, tol=tol):
     print(
-        "  (%s, %s, %s; a=%s)  lhs %s  residual %s"
-        % (omega1, omega2, omega3, a, mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
+        "  (%s; a=%s)  lhs %s  residual %s"
+        % (", ".join(rep.params["omega"]), rep.params["a"], mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
     )

@@ -11,15 +11,15 @@ polylogarithm on the other.
 
 from mpmath import mp
 
-from mtzeta import PrecisionContext, to_mpf
-from mtzeta.suites import inversion_point
+from mtzeta import PrecisionContext
+from mtzeta.suites import suite_inversion
 
 ctx = PrecisionContext()
-tol = to_mpf("1e-12")
 
 print("omega = 1, a = 3")
 print("k   direction   lhs                      residual")
-for rep in inversion_point("1", "3", 5, ctx, tol):
+reports = suite_inversion(k_max=5, grid=[("1", "3")], ctx=ctx, tol="1e-12")
+for rep in sorted(reports, key=lambda rep: int(rep.params["k"])):
     direction = rep.identity_id.rsplit("/", 2)[1]
     print(
         "%-3s %-10s  %-24s %s"

@@ -281,7 +281,10 @@ def _verify_reports(ns, ctx, tol, threads):
     if name == "inversion":
         options["k_max"] = ns.k_max
     if name == "asymptotic-order" and ns.method is not None:
-        _require(ns, ["omega"])
+        truncated = ns.method == "truncated-series"
+        if ns.order is not None and not truncated:
+            raise _UsageError("verify asymptotic-order does not read --order with --method %s" % ns.method)
+        _require(ns, ["omega"] + ["order"] * truncated)
         options.update(
             w=(_split_list(ns.omega), a),
             r=int(ns.r) if ns.r is not None else None,

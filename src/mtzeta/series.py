@@ -5,7 +5,8 @@ all-ones Euler-Zagier values.
 These are the ground-truth side of every identity check.  Each evaluator
 goes through a 1-D integral representation or a plain truncated sum with
 a computed tail bound; nothing here shares code with the expansion
-machinery it is later compared against.
+machinery it is later compared against, which tests/test_routes.py
+checks for every default verify report.
 """
 
 import functools
@@ -76,14 +77,6 @@ class WeightConfig:
                 cached += self.omega[j - 1]
             self._subset_sums[key] = cached
         return cached
-
-    def subset(self, J):
-        return tuple(self.omega[int(j) - 1] for j in J)
-
-    def drop(self, i):
-        """Config without omega_i, its weight moved into a (1-based)."""
-        rest = tuple(w for j, w in enumerate(self.omega, start=1) if j != i)
-        return rest, self.a + self.omega[i - 1]
 
 
 # ---------------------------------------------------------------------------

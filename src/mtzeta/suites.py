@@ -1,16 +1,23 @@
 """Named verification suites over fixed parameter grids.
 
-Every report's two sides travel disjoint evaluation routes, declared in
-the report's method field: nested polylog series against elementary
-closed forms, quadrature against truncated expansions, builtin
-classical polylogs against depth-k series.  Grids are fixed defaults so
-repeated runs emit identical reports, and multi-worker dispatch sorts
-the collected reports by parameters so output order never depends on
-scheduling.
+Each grid point declares its two routes and nothing more: a point
+returns lhs() and rhs(), zero-argument evaluations of the two sides,
+and a reports(lhs_value, rhs_value) step that turns their values into
+(identity_id, params, method, lhs, rhs) tuples with elementary
+arithmetic alone.  The dispatcher evaluates lhs() and then rhs(), times
+the point, and builds every IdentityReport.  The routes are disjoint:
+nested polylog series against elementary closed forms, quadrature
+against truncated expansions, builtin classical polylogs against
+depth-k series; tests/test_routes.py records each route of every
+default report and checks that they share no code.  Grids are fixed
+defaults so repeated runs emit identical reports, and multi-worker
+dispatch sorts the collected reports by parameters so output order
+never depends on scheduling.
 """
 
 import time
 from itertools import permutations
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -57,13 +64,30 @@ def _weights(omega, a):
     return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
 
 
+def _single(identity_id, params, method):
+    """The reports step of a point whose two sides are one report's."""
+    return lambda lhs, rhs: [(identity_id, params, method, lhs, rhs)]
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
 def _call(job):
-    fn, args = job
-    return fn(*args)
+    """Evaluate one point in the worker: its lhs route, then its rhs
+    route, then its reports step, all at the context's working
+    precision.  Every report of the point carries the point's time."""
+    point, row, ctx, tol = job
+    t0 = time.perf_counter()
+    lhs, rhs, reports = point(*row, ctx)
+    with ctx.workprec():
+        lhs_value = lhs()
+        rhs_value = rhs()
+        sides = reports(lhs_value, rhs_value)
+    return [
+        IdentityReport.from_sides(identity_id, params, lhs, rhs, tol, method, t0)
+        for identity_id, params, method, lhs, rhs in sides
+    ]
 
 
 def _series_tol(ctx, row):
@@ -80,12 +104,12 @@ def _quad_tol(ctx, row):
 
 
 def _run(point, rows, ctx, tol, threads, default_tol):
-    """Evaluate point(*row, ctx, tol) for every row, serially or over a
-    fork pool, and return the reports sorted by parameters.  A tol of
-    None takes default_tol(ctx, row)."""
+    """Evaluate point(*row, ctx) for every row, serially or over a fork
+    pool, and return the reports sorted by parameters.  A tol of None
+    takes default_tol(ctx, row)."""
     ctx = ctx or PrecisionContext()
     jobs = [
-        (point, tuple(row) + (ctx, to_mpf(default_tol(ctx, row) if tol is None else tol)))
+        (point, tuple(row), ctx, to_mpf(default_tol(ctx, row) if tol is None else tol))
         for row in rows
     ]
     fork = None
@@ -103,12 +127,7 @@ def _run(point, rows, ctx, tol, threads, default_tol):
             results = list(pool.map(_call, jobs))
     else:
         results = [_call(job) for job in jobs]
-    reports = []
-    for res in results:
-        if isinstance(res, IdentityReport):
-            reports.append(res)
-        else:
-            reports.extend(res)
+    reports = [rep for res in results for rep in res]
     reports.sort(key=lambda rep: rep.sort_key())
     return reports
 
@@ -117,30 +136,31 @@ def _run(point, rows, ctx, tol, threads, default_tol):
 # two-weight closed evaluation
 # ---------------------------------------------------------------------------
 
-def r2m2_point(omega1, omega2, a, ctx, tol):
-    t0 = time.perf_counter()
+def r2m2_point(omega1, omega2, a, ctx):
     w = _weights((omega1, omega2), a)
     (o1, o2), av = w.omega, w.a
-    with ctx.workprec():
+
+    def lhs():
         total = av + o1 + o2
-        lhs = mpf(0)
+        value = mpf(0)
         for om in (o1, o2):
-            lhs -= mpl_one_var((2,), (av + om) / total, ctx)
-        lhs += 2 * mpl_one_var((2,), av / total, ctx)
+            value -= mpl_one_var((2,), (av + om) / total, ctx)
+        value += 2 * mpl_one_var((2,), av / total, ctx)
         for om in (o1, o2):
-            lhs += mpl(PolylogArgs((1, 1), (av / (av + om), (av + om) / total)), ctx)
-        rhs = mp.log(o1 / total) * mp.log(o2 / total) - zeta_value(2, ctx)
-    return IdentityReport.from_sides(
+            value += mpl(PolylogArgs((1, 1), (av / (av + om), (av + om) / total)), ctx)
+        return value
+
+    def rhs():
+        total = av + o1 + o2
+        return mp.log(o1 / total) * mp.log(o2 / total) - zeta_value(2, ctx)
+
+    return lhs, rhs, _single(
         "polylog-evaluation/r2m2",
         {"omega": [_s(omega1), _s(omega2)], "a": _s(a)},
-        lhs,
-        rhs,
-        tol,
         {
             "lhs": "nested polylog series, depth one and two",
             "rhs": "elementary logarithms and zeta(2)",
         },
-        t0,
     )
 
 
@@ -153,46 +173,47 @@ def suite_r2m2(grid=None, ctx=None, tol=None, threads=1):
 # three-weight closed evaluation
 # ---------------------------------------------------------------------------
 
-def r3m3_point(omega1, omega2, omega3, a, ctx, tol):
-    t0 = time.perf_counter()
+def r3m3_point(omega1, omega2, omega3, a, ctx):
     w = _weights((omega1, omega2, omega3), a)
     oms, av = w.omega, w.a
-    with ctx.workprec():
+
+    def lhs():
         total = av + sum(oms)
-        lhs = mpf(0)
+        value = mpf(0)
         for om in oms:
-            lhs += 2 * mpl_one_var((3,), (total - om) / total, ctx)
-            lhs -= 4 * mpl_one_var((3,), (av + om) / total, ctx)
+            value += 2 * mpl_one_var((3,), (total - om) / total, ctx)
+            value -= 4 * mpl_one_var((3,), (av + om) / total, ctx)
         for p1, p2, _ in permutations(oms):
             u = av + p1
             v = av + p1 + p2
             for index in ((1, 2), (2, 1)):
-                lhs -= mpl(PolylogArgs(index, (u / v, v / total)), ctx)
-            lhs += mpl(
+                value -= mpl(PolylogArgs(index, (u / v, v / total)), ctx)
+            value += mpl(
                 PolylogArgs((1, 1, 1), (av / u, u / v, v / total)), ctx
             )
-        lhs += 6 * mpl_one_var((3,), av / total, ctx)
+        value += 6 * mpl_one_var((3,), av / total, ctx)
         for om in oms:
-            lhs += 2 * mpl(
+            value += 2 * mpl(
                 PolylogArgs((1, 2), (av / (av + om), (av + om) / total)), ctx
             )
-            lhs += 2 * mpl(
+            value += 2 * mpl(
                 PolylogArgs((2, 1), (av / (total - om), (total - om) / total)), ctx
             )
-        rhs = -mp.log(oms[0] / total) * mp.log(oms[1] / total) * mp.log(oms[2] / total)
-        rhs += zeta_value(2, ctx) * mp.log(oms[0] * oms[1] * oms[2] / total ** 3)
-        rhs += 2 * zeta_value(3, ctx)
-    return IdentityReport.from_sides(
+        return value
+
+    def rhs():
+        total = av + sum(oms)
+        value = -mp.log(oms[0] / total) * mp.log(oms[1] / total) * mp.log(oms[2] / total)
+        value += zeta_value(2, ctx) * mp.log(oms[0] * oms[1] * oms[2] / total ** 3)
+        return value + 2 * zeta_value(3, ctx)
+
+    return lhs, rhs, _single(
         "polylog-evaluation/r3m3",
         {"omega": [_s(omega1), _s(omega2), _s(omega3)], "a": _s(a)},
-        lhs,
-        rhs,
-        tol,
         {
             "lhs": "nested polylog series, depth up to three",
             "rhs": "elementary logarithms, zeta(2), zeta(3)",
         },
-        t0,
     )
 
 
@@ -205,64 +226,64 @@ def suite_r3m3(grid=None, ctx=None, tol=None, threads=1):
 # depth-k inversion pair
 # ---------------------------------------------------------------------------
 
-def inversion_point(omega, a, k_max, ctx, tol):
+def inversion_point(omega, a, k_max, ctx):
     """Forward and backward reports for every depth k <= k_max at one
-    (omega, a).  Li_1(y) .. Li_{k_max+1}(y) and the depth series are each
-    evaluated once and shared by the depths."""
-    t0 = time.perf_counter()
+    (omega, a).  The series route returns every depth series and the
+    classical route Li_1(y) .. Li_{k_max+1}(y), so each is evaluated
+    once and shared by the depths."""
     o, av = to_mpf(omega), to_mpf(a)
     if not 0 < o < av:
         raise DomainError("inversion identities require 0 < omega < a")
     k_max = int(k_max)
     if k_max < 1:
         raise DomainError("depth k must be at least 1")
-    sides = []
-    with ctx.workprec():
-        y = av / (av + o)
-        L = mp.log(y)
+
+    def series():
         neg = -o / av
-        depth_series = [
+        return [
             mpl_one_var((1,) * (j - 1) + (2,), neg, ctx) + mpf(-1) ** (j + 1) * zeta_value(j + 1, ctx)
             for j in range(1, k_max + 1)
         ]
-        li = [mp.polylog(j + 1, y) for j in range(k_max + 1)]
+
+    def classical():
+        y = av / (av + o)
+        return [mp.polylog(j + 1, y) for j in range(k_max + 1)]
+
+    def reports(depth_series, li):
+        L = mp.log(av / (av + o))
+        sides = []
         for k in range(1, k_max + 1):
-            rhs_f = -L ** (k + 1) / mp.factorial(k + 1)
+            rhs_f = -L ** (k + 1) / factorial(k + 1)
             for j in range(0, k + 1):
-                rhs_f += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * li[j]
-            rhs_b = -L ** (k + 1) / mp.factorial(k + 1)
-            rhs_b += mp.log(av / o) * L ** k / mp.factorial(k)
+                rhs_f += mpf(-1) ** (j + 1) / factorial(k - j) * L ** (k - j) * li[j]
+            rhs_b = -L ** (k + 1) / factorial(k + 1)
+            rhs_b += mp.log(av / o) * L ** k / factorial(k)
             for j in range(1, k + 1):
-                rhs_b += mpf(-1) ** (j + 1) / mp.factorial(k - j) * L ** (k - j) * depth_series[j - 1]
-            sides.append((k, depth_series[k - 1], rhs_f, li[k], rhs_b))
-    reports = []
-    for k, lhs_f, rhs_f, lhs_b, rhs_b in sides:
-        params = {"omega": _s(omega), "a": _s(a), "k": str(k)}
-        reports.append(IdentityReport.from_sides(
-            "polylog-inversion/forward/k%02d" % k,
-            params,
-            lhs_f,
-            rhs_f,
-            tol,
-            {
-                "lhs": "depth-k polylog series at the negative ratio, plus zeta",
-                "rhs": "builtin classical polylogs with log prefactors",
-            },
-            t0,
-        ))
-        reports.append(IdentityReport.from_sides(
-            "polylog-inversion/backward/k%02d" % k,
-            params,
-            lhs_b,
-            rhs_b,
-            tol,
-            {
-                "lhs": "builtin classical polylog",
-                "rhs": "depth-j polylog series with log prefactors and zeta",
-            },
-            t0,
-        ))
-    return reports
+                rhs_b += mpf(-1) ** (j + 1) / factorial(k - j) * L ** (k - j) * depth_series[j - 1]
+            params = {"omega": _s(omega), "a": _s(a), "k": str(k)}
+            sides.append((
+                "polylog-inversion/forward/k%02d" % k,
+                params,
+                {
+                    "lhs": "depth-k polylog series at the negative ratio, plus zeta",
+                    "rhs": "builtin classical polylogs with log prefactors",
+                },
+                depth_series[k - 1],
+                rhs_f,
+            ))
+            sides.append((
+                "polylog-inversion/backward/k%02d" % k,
+                params,
+                {
+                    "lhs": "builtin classical polylog",
+                    "rhs": "depth-j polylog series with log prefactors and zeta",
+                },
+                li[k],
+                rhs_b,
+            ))
+        return sides
+
+    return series, classical, reports
 
 
 def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
@@ -314,8 +335,7 @@ def _lagrange_at_zero(xs, ys):
     return total
 
 
-def order_point(method, omega, a, ladder, truncation_order, ctx, tol):
-    t0 = time.perf_counter()
+def order_point(method, omega, a, ladder, truncation_order, ctx):
     xs = _ladder_values(ladder)
     w = _weights(omega, a)
     params = {
@@ -323,66 +343,52 @@ def order_point(method, omega, a, ladder, truncation_order, ctx, tol):
         "a": _s(a),
         "x_ladder": [_s(x) for x in ladder],
     }
-    if method == "integral-main-term":
-        claimed = mpf(1)
-        with ctx.workprec():
-            defects = [abs(i_integral(x, w, ctx) - main_term_I(x, w, ctx)) for x in xs]
-            lhs, rhs = _order_sides(defects, xs, claimed)
-        params["claimed_order"] = "1"
-        return IdentityReport.from_sides(
-            "remainder-order/integral-main-term/r%d" % w.r,
-            params,
-            lhs,
-            rhs,
-            tol,
-            {
-                "lhs": "empirical decay order of quadrature-vs-main-term defects, capped at the claim",
-                "rhs": "claimed remainder order",
-            },
-            t0,
-        )
-    if method == "truncated-series":
-        M = int(truncation_order)
-        claimed = mpf(M + 1 - w.r)
-        with ctx.workprec():
-            defects = [
-                abs(i_integral(x, w, ctx) - power_series_I(x, w, M, ctx)) for x in xs
-            ]
-            lhs, rhs = _order_sides(defects, xs, claimed)
-        params["truncation_order"] = str(M)
-        params["claimed_order"] = str(M + 1 - w.r)
-        return IdentityReport.from_sides(
-            "remainder-order/truncated-series/r%d-M%d" % (w.r, M),
-            params,
-            lhs,
-            rhs,
-            tol,
-            {
-                "lhs": "empirical decay order of quadrature-vs-truncation defects, capped at the claim",
-                "rhs": "claimed remainder order",
-            },
-            t0,
-        )
     if method == "harmonic-constant":
         if w.r != 1:
             raise DomainError("constant-term recovery is a rank-1 check")
-        with ctx.workprec():
-            values = [m_integral(x, w, ctx) - 1 / x for x in xs]
-            lhs = _lagrange_at_zero(xs, values)
-            rhs = euler_gamma(ctx) - mp.log(w.omega[0])
-        return IdentityReport.from_sides(
-            "harmonic-constant-term/r1",
-            params,
-            lhs,
-            rhs,
-            tol,
-            {
+        return (
+            lambda: _lagrange_at_zero(xs, [m_integral(x, w, ctx) - 1 / x for x in xs]),
+            lambda: euler_gamma(ctx) - mp.log(w.omega[0]),
+            _single("harmonic-constant-term/r1", params, {
                 "lhs": "polynomial extrapolation of quadrature values to x=0",
                 "rhs": "gamma minus log omega",
-            },
-            t0,
+            }),
         )
-    raise DomainError("unknown order method %r" % (method,))
+    if method == "integral-main-term":
+        claimed = 1
+        identity_id = "remainder-order/integral-main-term/r%d" % w.r
+        against = "main-term"
+
+        def expansion(x):
+            return main_term_I(x, w, ctx)
+    elif method == "truncated-series":
+        if truncation_order is None:
+            raise DomainError("truncated-series needs a truncation order")
+        M = int(truncation_order)
+        claimed = M + 1 - w.r
+        identity_id = "remainder-order/truncated-series/r%d-M%d" % (w.r, M)
+        against = "truncation"
+        params["truncation_order"] = str(M)
+
+        def expansion(x):
+            return power_series_I(x, w, M, ctx)
+    else:
+        raise DomainError("unknown order method %r" % (method,))
+    params["claimed_order"] = str(claimed)
+
+    def reports(quadrature, expansions):
+        defects = [abs(q - e) for q, e in zip(quadrature, expansions)]
+        lhs, rhs = _order_sides(defects, xs, mpf(claimed))
+        return [(identity_id, params, {
+            "lhs": "empirical decay order of quadrature-vs-%s defects, capped at the claim" % against,
+            "rhs": "claimed remainder order",
+        }, lhs, rhs)]
+
+    return (
+        lambda: [i_integral(x, w, ctx) for x in xs],
+        lambda: [expansion(x) for x in xs],
+        reports,
+    )
 
 
 ORDER_LADDER = ("0.02", "0.01", "0.005")
@@ -401,10 +407,7 @@ def suite_asymptotic_order(
     if method is None:
         rows = ORDER_DEFAULTS
     else:
-        if isinstance(w, WeightConfig):
-            omega, a = tuple(exact_decimal(o) for o in w.omega), exact_decimal(w.a)
-        else:
-            omega, a = tuple(w[0]), w[1]
+        omega, a = tuple(w[0]), w[1]
         if r is not None and int(r) != len(omega):
             raise DomainError("rank r must match the number of weights")
         ladder = ORDER_LADDER if ladder is None else tuple(ladder)
@@ -416,32 +419,25 @@ def suite_asymptotic_order(
 # harmonic multi-sum against all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
 
-def mzf_point(r, x, ctx, tol):
-    t0 = time.perf_counter()
+def mzf_point(r, x, ctx):
     r = int(r)
     if not 1 <= r <= 3:
         raise DomainError("rank must lie in 1..3")
     xv = to_mpf(x)
     w = WeightConfig((mpf(1),) * r, mpf(0))
-    lhs = m_integral(xv, w, ctx)
-    with ctx.workprec():
+
+    def rhs():
         if r == 1:
-            rhs = mp.zeta(1 + xv)
-            rhs_method = "builtin zeta at 1+x"
-        else:
-            rhs = mp.factorial(r) * zeta_ez_ones(r, xv, ctx)
-            rhs_method = "direct outer sum with tail expansion, times r!"
-    return IdentityReport.from_sides(
+            return mp.zeta(1 + xv)
+        return mp.factorial(r) * zeta_ez_ones(r, xv, ctx)
+
+    return (lambda: m_integral(xv, w, ctx)), rhs, _single(
         "multisum-euler-zagier/r%d" % r,
         {"r": str(r), "x": _s(x)},
-        lhs,
-        rhs,
-        tol,
         {
             "lhs": "double-exponential quadrature of the log-product integral",
-            "rhs": rhs_method,
+            "rhs": "builtin zeta at 1+x" if r == 1 else "direct outer sum with tail expansion, times r!",
         },
-        t0,
     )
 
 

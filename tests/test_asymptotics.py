@@ -186,7 +186,7 @@ def test_c_recurrence_both_routes():
                 rhs = mpf(0)
                 rhs_p = mpf(0)
                 for i in range(1, r + 1):
-                    rest, a2 = w.drop(i)
+                    rest, a2 = w.omega[:i - 1] + w.omega[i:], w.a + w.omega[i - 1]
                     w2 = WeightConfig(rest, a2)
                     rhs += c_coeff(r - 1, m, w2, CTX)
                     rhs_p += c_prime_coeff(r - 1, m, w2, CTX)

@@ -306,6 +306,13 @@ def test_verify_weight_count_and_missing_shift(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = _run(capsys, ["verify", "inversion", "--omega", "1"])
     assert code == 2 and "--a" in err
+    code, out, err = _run(
+        capsys,
+        ["verify", "asymptotic-order", "--method", "truncated-series", "--omega", "1,2",
+         "--a", "0.3"],
+    )
+    assert code == 2 and out == ""
+    assert "missing required option(s): --order" in err
 
 
 @pytest.mark.parametrize("suite", ["r2m2", "r3m3", "inversion"])
@@ -328,8 +335,11 @@ def test_verify_series_suites_at_64_bits(suite, capsys):
         (["verify", "all", "--k-max", "1"], ["--k-max"]),
         (["verify", "all", "--omega", "1,2", "--a", "1"], ["--omega", "--a"]),
         (["verify", "asymptotic-order", "--omega", "1,2"], ["--omega without --method"]),
+        (["verify", "asymptotic-order", "--method", "integral-main-term", "--omega", "1,2",
+          "--a", "0.3", "--order", "3"], ["--order"]),
     ],
-    ids=["inversion-a", "r2m2-three", "all-k-max", "all-omega", "order-no-method"],
+    ids=["inversion-a", "r2m2-three", "all-k-max", "all-omega", "order-no-method",
+         "order-main-term-order"],
 )
 def test_verify_rejects_unread_flags(argv, unread, capsys):
     code, out, err = _run(capsys, argv)

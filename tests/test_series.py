@@ -69,8 +69,8 @@ def test_weight_config_subsets():
     assert w.total == 6
     assert w.subset_total((1, 3)) == 4
     assert w.subset_total(()) == 0
-    assert w.subset((2,)) == (mpf(2),)
-    rest, a2 = w.drop(2)
+    assert tuple(w.omega[j - 1] for j in (2,)) == (mpf(2),)
+    rest, a2 = w.omega[:1] + w.omega[2:], w.a + w.omega[1]
     assert rest == (mpf(1), mpf(3))
     assert a2 == mpf("2.5")
     # repeated queries come from the per-instance cache
@@ -135,7 +135,7 @@ def test_i_recurrence_in_rank():
             with CTX.workprec():
                 rhs = w.a * i_integral(x + 1, w, CTX)
                 for i in range(1, w.r + 1):
-                    rest, a2 = w.drop(i)
+                    rest, a2 = w.omega[:i - 1] + w.omega[i:], w.a + w.omega[i - 1]
                     if rest:
                         rhs += i_integral(x, WeightConfig(rest, a2), CTX) / x
                     else:
@@ -232,7 +232,7 @@ def test_m_i_bridge_shrinks_linearly():
                         rest = tuple(j for j in range(1, r + 1) if j not in J)
                         a2 = w.a + (w.subset_total(rest) if rest else 0)
                         if J:
-                            part = i_integral(x, WeightConfig(w.subset(J), a2), CTX)
+                            part = i_integral(x, WeightConfig(tuple(w.omega[j - 1] for j in J), a2), CTX)
                         else:
                             part = a2 ** -x
                         rhs += g ** k * part

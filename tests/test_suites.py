@@ -1,6 +1,8 @@
 """Verification suites: every default grid passes with margin, report
-order is deterministic, the two sides of each report travel different
-routes, and parallel dispatch changes nothing but wall time."""
+order is deterministic, and parallel dispatch changes nothing but wall
+time.  That the two sides of each report travel different routes is
+checked by tests/test_routes.py, which records both routes of every
+default report."""
 
 import time
 from dataclasses import replace
@@ -17,9 +19,6 @@ from mtzeta.polylog import mpl_one_var
 from mtzeta.reports import IdentityReport
 from mtzeta.suites import (
     SUITE_NAMES,
-    inversion_point,
-    r2m2_point,
-    r3m3_point,
     run_suite,
     suite_asymptotic_order,
     suite_inversion,
@@ -53,8 +52,8 @@ def test_r2m2_default_grid_passes():
 
 
 def test_r2m2_swap_symmetry():
-    a = r2m2_point("2", "3", "1", CTX, to_mpf("1e-30"))
-    b = r2m2_point("3", "2", "1", CTX, to_mpf("1e-30"))
+    (a,) = suite_r2m2(grid=[("2", "3", "1")], ctx=CTX)
+    (b,) = suite_r2m2(grid=[("3", "2", "1")], ctx=CTX)
     with CTX.workprec():
         assert abs(a.lhs - b.lhs) <= mpf(10) ** -70
         assert abs(a.rhs - b.rhs) <= mpf(10) ** -70
@@ -62,9 +61,9 @@ def test_r2m2_swap_symmetry():
 
 def test_r2m2_rejects_bad_weights():
     with pytest.raises(DomainError):
-        r2m2_point("0", "1", "0", CTX, to_mpf("1e-30"))
+        suite_r2m2(grid=[("0", "1", "0")], ctx=CTX)
     with pytest.raises(DomainError):
-        r2m2_point("1", "1", "-0.5", CTX, to_mpf("1e-30"))
+        suite_r2m2(grid=[("1", "1", "-0.5")], ctx=CTX)
 
 
 def test_r3m3_default_grid_passes():
@@ -77,10 +76,10 @@ def test_r3m3_default_grid_passes():
 
 
 def test_r3m3_permutation_invariance():
-    vals = [
-        r3m3_point(o1, o2, o3, "1", CTX, to_mpf("1e-30"))
-        for o1, o2, o3 in permutations(("1", "2", "3"))
-    ]
+    vals = suite_r3m3(
+        grid=[(o1, o2, o3, "1") for o1, o2, o3 in permutations(("1", "2", "3"))], ctx=CTX
+    )
+    assert len(vals) == 6
     with CTX.workprec():
         for rep in vals[1:]:
             assert abs(rep.lhs - vals[0].lhs) <= mpf(10) ** -70
@@ -194,7 +193,7 @@ def test_inversion_formulas_are_mutual_inverses():
 
 def test_inversion_rejects_domain():
     with pytest.raises(DomainError):
-        inversion_point("3", "1", 2, CTX, to_mpf("1e-30"))
+        suite_inversion(k_max=2, grid=[("3", "1")], ctx=CTX)
     with pytest.raises(DomainError):
         suite_inversion(k_max=0, ctx=CTX)
 
@@ -233,6 +232,8 @@ def test_order_ladder_rejections():
             w=w, method="no-such-method",
             ladder=("0.02", "0.01", "0.005"), ctx=CTX,
         )
+    with pytest.raises(DomainError, match="truncation order"):
+        suite_asymptotic_order(w=(("1", "2"), "0.3"), method="truncated-series", ctx=CTX)
 
 
 def test_mzf_suite_hits_double_zeta_oracle():
