@@ -16,7 +16,18 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_euler,
+    mpf_exp,
+    mpf_log,
+    mpf_neg,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+)
 
 from .context import GUARD_BITS, PrecisionContext, to_mpf
 from .errors import DomainError
@@ -175,14 +186,16 @@ def gamma0(u, ctx: PrecisionContext) -> mpf:
     mpmath, 2-CPU VM): e1 wins below u = 10, 14, 21, 44, 57 and 74 at
     p = 96, 160, 288, 544, 800 and 1056; at u = 128 and p = 544 the
     fraction is about 6 times faster.  All branches agree at their
-    boundaries to working precision.
+    boundaries to working precision.  The series and fraction results
+    are assembled on raw mpf tuples, rounded as the mpf operators round.
     """
     with ctx.workprec():
+        prec, rnd = mp.prec, round_nearest
         uv = mpf(u)
         if not uv > 0:
             raise DomainError("gamma0 requires u > 0")
         if uv <= 1:
-            wp = mp.prec + 8
+            wp = prec + 8
             cutoff = 1 << (wp - ctx.precision_bits - GUARD_BITS)
             uf = to_fixed(uv._mpf_, wp)
             term = 1 << wp  # carries (-u)^n / n!
@@ -194,16 +207,18 @@ def gamma0(u, ctx: PrecisionContext) -> mpf:
                 total -= piece
                 if abs(piece) < cutoff:
                     break
-            return -mp.log(uv) - mp.euler + mp.ldexp(total, -wp)
-        if 4 + mp.prec / 15 <= uv < 0.69 * (mp.prec + 20):
-            wp = mp.prec + 20
+            head = mpf_sub(mpf_neg(mpf_log(uv._mpf_, prec, rnd), prec, rnd), mpf_euler(prec, rnd), prec, rnd)
+            return mp.make_mpf(mpf_add(head, from_man_exp(total, -wp), prec, rnd))
+        if 4 + prec / 15 <= uv < 0.69 * (prec + 20):
+            wp = prec + 20
             uf = to_fixed(uv._mpf_, wp)
             one, square = 1 << wp, 1 << (2 * wp)
-            n = _cf_terms(mp.prec, float(uv))
+            n = _cf_terms(prec, float(uv))
             t = uf + (2 * n - 1) * one  # T_{n-1}, the last level
             for k in range(n - 1, 0, -1):
                 t = uf + (2 * k - 1) * one - k * k * square // t  # T_{k-1}
-            return mp.exp(-uv) / mp.ldexp(t, -wp)
+            e = mpf_exp(mpf_neg(uv._mpf_, prec, rnd), prec, rnd)
+            return mp.make_mpf(mpf_div(e, from_man_exp(t, -wp), prec, rnd))
         return +mp.e1(uv)
 
 

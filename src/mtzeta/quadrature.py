@@ -43,9 +43,38 @@ exponential, which over-transforms (Mori and Sugihara, J. Comput. Appl.
 Math. 127, 2001): the step must then resolve the integrand on a scale
 that shrinks doubly exponentially, costing about one more level.  The
 mapped u of each node lives in a second table keyed by (mp.prec, v).
+
+The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), which
+skips the operators' dispatch and object creation.  The rounding rule
+that keeps every value bit-identical to the operator form: each raw call
+that rounds takes the working precision mp.prec and round-to-nearest
+'n', as the mpf operators do; a raw call at another precision or
+rounding would change the values.  mpf_shift, which does not round,
+only replaces a product or quotient by a power of two whose other
+operand already fits in mp.prec bits, where the operator's rounding
+changes nothing.  The integrand still takes and returns mpf, and its
+value is rounded to the working precision as mpf(f(u)) does.
 """
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_pi,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import QuadratureError
 
@@ -72,9 +101,11 @@ def _row_sum(f, level, cut):
     factor.  Each side is cut on its own, after _TAIL_RUN consecutive
     terms w*f(u) <= cut*(1 + |total|); the row ends when both have been.
     """
-    row = _nodes.setdefault((mp.prec, level), [])
+    prec, rnd = mp.prec, round_nearest
+    row = _nodes.setdefault((prec, level), [])
     j_step = 1 if level == 0 else 2
-    total = mpf(0)
+    cut = cut._mpf_
+    total = fzero
     small_runs = [0, 0]  # u_left side, u_right side
     i = 0
     while min(small_runs) < _TAIL_RUN:
@@ -89,22 +120,24 @@ def _row_sum(f, level, cut):
             q = mp.exp(-mp.pi * mp.sinh(t))
             base = q / (1 + q)
             row.append((base, 1 - base, mp.pi * ch * q / (1 + q) ** 2))
-        w = row[i][2]
+        node = row[i]
+        w = node[2]._mpf_
         for side in (0, 1):
             if small_runs[side] >= _TAIL_RUN:
                 continue
-            term = w * f(row[i][side])
-            if not mp.isfinite(term):
+            term = mpf_mul(w, mpf(f(node[side]))._mpf_, prec, rnd)
+            if term in (finf, fninf, fnan):
                 raise QuadratureError(
                     "integrand not finite at node t=%s" % mp.nstr(mp.ldexp(j, -level), 8)
                 )
-            total += term
-            if abs(term) <= cut * (1 + abs(total)):
+            total = mpf_add(total, term, prec, rnd)
+            bound = mpf_mul(cut, mpf_add(mpf_abs(total, prec, rnd), fone, prec, rnd), prec, rnd)
+            if mpf_le(mpf_abs(term, prec, rnd), bound):
                 small_runs[side] += 1
             else:
                 small_runs[side] = 0
         i += 1
-    return total
+    return mp.make_mpf(total)
 
 
 def de_quad_01(f, ctx, tol=None):
@@ -130,22 +163,25 @@ def de_quad_01(f, ctx, tol=None):
     is not covered by this.
     """
     with ctx.workprec():
+        prec, rnd = mp.prec, round_nearest
         if tol is None:
             tol = ctx.target_tol
         tol = mpf(tol)
+        quarter_tol = mpf_shift(tol._mpf_, -2)
         cut = mpf(2) ** (-(ctx.precision_bits + 8))
 
-        g = lambda u: mpf(f(u))
-        # level 0, h = 1: center node j=0 plus the symmetric tail
-        h = mpf(1)
-        row = mp.pi / 4 * g(mpf(1) / 2) + _row_sum(g, 0, cut)
-        prev = h * row
+        # level 0, h = 1: center node j=0 plus the symmetric tail; at
+        # level k, h = 2^-k scales the row sum exactly
+        center = mpf_mul(mpf_shift(mpf_pi(prec, rnd), -2), mpf(f(mpf(1) / 2))._mpf_, prec, rnd)
+        row = mpf_add(center, _row_sum(f, 0, cut)._mpf_, prec, rnd)
+        prev = row
         for level in range(1, ctx.quad_levels + 1):
-            h = h / 2
-            row = row + _row_sum(g, level, cut)
-            cur = h * row
-            if abs(cur - prev) <= tol / 4 * max(1, abs(cur)):
-                return +cur
+            row = mpf_add(row, _row_sum(f, level, cut)._mpf_, prec, rnd)
+            cur = mpf_shift(row, -level)
+            size = mpf_abs(cur, prec, rnd)
+            bound = mpf_mul(quarter_tol, size, prec, rnd) if mpf_gt(size, fone) else quarter_tol
+            if mpf_le(mpf_abs(mpf_sub(cur, prev, prec, rnd), prec, rnd), bound):
+                return mp.make_mpf(mpf_pos(cur, prec, rnd))
             prev = cur
         raise QuadratureError(
             "no convergence to %s within %d levels" % (mp.nstr(tol, 5), ctx.quad_levels)
@@ -169,8 +205,8 @@ def de_quad_0inf(f, ctx, tol=None):
         u = _far_u.get(key)
         if u is None:
             u = _far_u[key] = 1 - mp.ln(v)
-        return f(u) / v
+        return mp.make_mpf(mpf_div(mp.convert(f(u))._mpf_, v._mpf_, mp.prec, round_nearest))
 
     rest = de_quad_01(far, ctx, tol)
     with ctx.workprec():
-        return +(near + rest)
+        return mp.make_mpf(mpf_add(near._mpf_, rest._mpf_, mp.prec, round_nearest))

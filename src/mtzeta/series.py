@@ -14,7 +14,25 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    ftwo,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+)
 
 from .context import GUARD_BITS, positive_x, to_mpf
 from .errors import BudgetError, DomainError
@@ -101,24 +119,28 @@ def _m_factor(y):
     t = e^{-y} gets max(0, -mag y) + 26 extra bits, which 1 - t and its
     log keep while t >= 2^-16; for smaller t, t + t^2/2 + t^3/3 + ... is
     summed on Python ints.  Below y = 2^-prec (DE nodes reach 1e-700)
-    1 - t = y(1 - y/2 + ...), the guard of mpmath's expm1."""
-    prec = mp.prec
+    1 - t = y(1 - y/2 + ...), the guard of mpmath's expm1.  Raw mpf
+    tuples inside, rounded as the mpf operators round."""
+    prec, rnd = mp.prec, round_nearest
     mag = mp.mag(y)
+    y = y._mpf_
     if mag < -prec:
-        return -mp.log(y) + y / 2
-    with mp.workprec(prec + max(0, -mag) + 26):
-        t = mp.exp(-y)
-        z = 1 - t
-    if mp.mag(t) > -16:
-        return -mp.log(z)
-    scale = prec + 8 - mp.mag(t)
-    tf = total = power = to_fixed(t._mpf_, scale)
+        log_y = mpf_log(y, prec, rnd)
+        return mp.make_mpf(mpf_add(mpf_neg(log_y, prec, rnd), mpf_div(y, ftwo, prec, rnd), prec, rnd))
+    wp = prec + max(0, -mag) + 26
+    t = mpf_exp(mpf_neg(y, wp, rnd), wp, rnd)
+    mag_t = t[2] + t[3]  # exponent + bit count, as mp.mag
+    if mag_t > -16:
+        z = mpf_sub(fone, t, wp, rnd)
+        return mp.make_mpf(mpf_neg(mpf_log(z, prec, rnd), prec, rnd))
+    scale = prec + 8 - mag_t
+    tf = total = power = to_fixed(t, scale)
     k = 1
     while power:
         k += 1
         power = power * tf >> scale
         total += power // k
-    return mp.ldexp(total, -scale)
+    return mp.make_mpf(from_man_exp(total, -scale))
 
 
 def _mellin_over_gamma(kind, x, w, ctx):
@@ -128,8 +150,9 @@ def _mellin_over_gamma(kind, x, w, ctx):
     computed and stored on a miss, one f_i per distinct weight.  u^{x-1}
     is exp((x-1) log u) with an exact product, as mpmath's u ** (x-1)
     computes it, unless x - 1 is an integer or half-integer (exponent
-    field >= -1), where mpmath takes another route and u ** (x-1) is
-    kept."""
+    field >= -1), where mpmath's power takes another route and mpf_pow,
+    the function behind u ** (x-1), computes it.  The integrand runs on
+    raw mpf tuples, rounded as the mpf operators round."""
     global _node_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
@@ -140,25 +163,31 @@ def _mellin_over_gamma(kind, x, w, ctx):
     distinct = tuple(dict.fromkeys(w.omega))
     slots = [distinct.index(om) for om in w.omega]
     with ctx.workprec():
-        xm1 = x - 1
-        general = xm1._mpf_[2] < -1
-        log_prec = mp.prec + 10
+        prec, rnd = mp.prec, round_nearest
+        xm1 = (x - 1)._mpf_
+        general = xm1[2] < -1
+        log_prec = prec + 10
+        neg_a = mpf_neg(w.a._mpf_, prec, rnd)
 
         def integrand(u):
-            factors = table.get(u._mpf_)
+            raw_u = u._mpf_
+            factors = table.get(raw_u)
             if factors is None:
                 if kind == "I":
                     f = [gamma0(om * u, ctx) for om in distinct]
                 else:
                     f = [_m_factor(om * u) for om in distinct]
-                F = mp.exp(-w.a * u)
+                F = mpf_exp(mpf_mul(neg_a, raw_u, prec, rnd), prec, rnd)
                 for i in slots:
-                    F *= f[i]
-                factors = table[u._mpf_] = (F, mp.ln(u, prec=log_prec))
+                    F = mpf_mul(F, f[i]._mpf_, prec, rnd)
+                log_u = mpf_log(raw_u, log_prec, rnd)
+                factors = table[raw_u] = (mp.make_mpf(F), mp.make_mpf(log_u))
             F, log_u = factors
             if general:
-                return F * mp.exp(mp.fmul(xm1, log_u, exact=True))
-            return F * u ** xm1
+                power = mpf_exp(mpf_mul(xm1, log_u._mpf_), prec, rnd)  # exact product
+            else:
+                power = mpf_pow(raw_u, xm1, prec, rnd)
+            return mp.make_mpf(mpf_mul(F._mpf_, power, prec, rnd))
 
         raw = de_quad_0inf(integrand, ctx)
         return +(raw / mp.gamma(x))
@@ -170,10 +199,11 @@ def i_integral(x, w, ctx):
         (1/Gamma(x)) int_0^inf prod_i Gamma(0, omega_i u) e^{-au} u^{x-1} du,
 
     double-exponential quadrature split at u=1.  The u -> 0 endpoint
-    carries the integrable log^r u * u^{x-1} singularity; the far tail
-    dies like exp(-(a+|omega|/2) u) and is cut by the quadrature row
-    threshold.  The x-independent factor e^{-au} prod_i Gamma(0, omega_i u)
-    is computed once per node and reused for every later x at the same
+    carries the integrable log^r u * u^{x-1} singularity.  As
+    Gamma(0,y) ~ e^{-y}/y, the far tail dies like
+    e^{-(a+|omega|)u}/prod_i(omega_i u) times u^{x-1}, and is cut by the
+    quadrature row threshold.  The x-independent factor
+    e^{-au} prod_i Gamma(0, omega_i u) is computed once per node and reused for every later x at the same
     (omega, a) and precision, until another configuration is evaluated."""
     return _mellin_over_gamma("I", x, w, ctx)
 
@@ -585,25 +615,32 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     neg_s = -1 - x
     # direct part over m_r = n < N with running harmonic accumulators;
     # n^-s is completely multiplicative, so only primes take a power and
-    # n = p m with p its smallest prime factor costs one product
+    # n = p m with p its smallest prime factor costs one product; the
+    # loop runs on raw mpf tuples, rounded as the operators round
+    prec, rnd = mp.prec, round_nearest
     spf = _smallest_prime_factors(N)
-    inv_pow = [None, mpf(1)] + [None] * (N - 2)  # n^-s
-    total = mpf(0)
-    H = mpf(0)       # H_{n-1}
-    H2 = mpf(0)      # H^(2)_{n-1}
+    inv_pow = [None, fone] + [None] * (N - 2)  # n^-s
+    total = fzero
+    H = fzero       # H_{n-1}
+    H2 = fzero      # H^(2)_{n-1}
     for n in range(1, N):
         if r == 1:
-            g = mpf(1)
+            g = fone
         elif r == 2:
             g = H
         else:
-            g = (H * H - H2) / 2
+            g = mpf_shift(mpf_sub(mpf_mul(H, H, prec, rnd), H2, prec, rnd), -1)
         if n > 1:
             p = spf[n]
-            inv_pow[n] = mpf(n) ** neg_s if p == n else inv_pow[p] * inv_pow[n // p]
-        total += g * inv_pow[n]
-        H += mpf(1) / n
-        H2 += mpf(1) / (mpf(n) * n)
+            if p == n:
+                inv_pow[n] = (mpf(n) ** neg_s)._mpf_
+            else:
+                inv_pow[n] = mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd)
+        total = mpf_add(total, mpf_mul(g, inv_pow[n], prec, rnd), prec, rnd)
+        n_raw = from_int(n)
+        H = mpf_add(H, mpf_div(fone, n_raw, prec, rnd), prec, rnd)
+        H2 = mpf_add(H2, mpf_div(fone, mpf_mul_int(n_raw, n, prec, rnd), prec, rnd), prec, rnd)
+    total = mp.make_mpf(total)
 
     # tail from n = N on: int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)
     # for f(t) = g_{r-1}(t) t^-s; the Bernoulli terms decide whether the

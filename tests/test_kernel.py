@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from mtzeta.context import GUARD_BITS, PrecisionContext
 from mtzeta.errors import DomainError
 from mtzeta.jets import Jet
 from mtzeta.kernel import (
+    _cf_terms,
     bell_complete,
     euler_gamma,
     gamma0,
@@ -372,6 +374,51 @@ def test_gamma0_matches_e1_across_the_fraction_window(bits):
         with mp.workprec(bits + 64):
             want = mp.e1(u)
             assert abs(got - want) <= mpf(2) ** -bits * want, (bits, u)
+
+
+def _gamma0_operator_form(u, ctx):
+    """gamma0 with its series and fraction returns in mpf operators, the
+    form before they moved onto raw mpf tuples."""
+    with ctx.workprec():
+        uv = mpf(u)
+        if uv <= 1:
+            wp = mp.prec + 8
+            cutoff = 1 << (wp - ctx.precision_bits - GUARD_BITS)
+            uf = to_fixed(uv._mpf_, wp)
+            term = 1 << wp
+            total = n = 0
+            while True:
+                n += 1
+                term = -(term * uf >> wp) // n
+                piece = term // n
+                total -= piece
+                if abs(piece) < cutoff:
+                    break
+            return -mp.log(uv) - mp.euler + mp.ldexp(total, -wp)
+        if 4 + mp.prec / 15 <= uv < 0.69 * (mp.prec + 20):
+            wp = mp.prec + 20
+            uf = to_fixed(uv._mpf_, wp)
+            one, square = 1 << wp, 1 << (2 * wp)
+            n = _cf_terms(mp.prec, float(uv))
+            t = uf + (2 * n - 1) * one
+            for k in range(n - 1, 0, -1):
+                t = uf + (2 * k - 1) * one - k * k * square // t
+            return mp.exp(-uv) / mp.ldexp(t, -wp)
+        return +mp.e1(uv)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_gamma0_bit_identical_to_operator_form(bits):
+    # every branch, and both ends of the fraction window from each side
+    p = bits + GUARD_BITS
+    ctx = PrecisionContext(precision_bits=bits)
+    with mp.workprec(p):
+        lo, hi = 4 + mpf(p) / 15, mpf("0.69") * (p + 20)
+        us = [mpf(u) for u in ("1e-300", "1e-30", "1e-3", "0.5", "1", "1.5", "3")]
+        us += [lo - mpf(2) ** -20, lo, lo * mpf("1.03"), (lo + hi) / 2]
+        us += [hi - mpf(2) ** -20, hi, hi * mpf("1.03"), 4 * hi]
+    for u in us:
+        assert gamma0(u, ctx)._mpf_ == _gamma0_operator_form(u, ctx)._mpf_, (bits, u)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])

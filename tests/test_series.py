@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
@@ -427,17 +428,52 @@ def test_m_factor_relative_accuracy(bits):
             assert abs(got - want) <= mpf(2) ** -(prec - 1) * want, y
 
 
+def _m_factor_operator_form(y):
+    """_m_factor in mpf operators, the form before it moved onto raw mpf
+    tuples."""
+    prec = mp.prec
+    mag = mp.mag(y)
+    if mag < -prec:
+        return -mp.log(y) + y / 2
+    with mp.workprec(prec + max(0, -mag) + 26):
+        t = mp.exp(-y)
+        z = 1 - t
+    if mp.mag(t) > -16:
+        return -mp.log(z)
+    scale = prec + 8 - mp.mag(t)
+    tf = total = power = to_fixed(t._mpf_, scale)
+    k = 1
+    while power:
+        k += 1
+        power = power * tf >> scale
+        total += power // k
+    return mp.ldexp(total, -scale)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_m_factor_bit_identical_to_operator_form(bits):
+    # the y grid of test_m_factor_relative_accuracy
+    prec = bits + 32
+    ys = [mpf(2) ** -e for e in (prec + 100, prec + 1, prec, prec - 1, 60, 10, 1)]
+    ys += [mpf(v) for v in ("0.3", "0.69", "1", "5", "11.08", "11.1", "12", "35", "100", "700")]
+    with mp.workprec(prec):
+        for y in ys:
+            y = +y
+            assert series._m_factor(y)._mpf_ == _m_factor_operator_form(y)._mpf_, (bits, y)
+
+
 def test_m_factor_exp_precision_stays_bounded(monkeypatch):
     # DE nodes reach u ~ 1e-700: e^-y at prec + log2(1/y) bits would cost
     # thousands of bits there, where 1 - e^-y = y(1 - y/2) is exact enough
+    # the precision passed to mpf_exp, the exp binding series calls
     seen = []
-    original = mp.exp
+    original = series.mpf_exp
 
-    def recorded(*args, **kwargs):
-        seen.append(mp.prec)
-        return original(*args, **kwargs)
+    def recorded(x, wp, *args):
+        seen.append(wp)
+        return original(x, wp, *args)
 
-    monkeypatch.setattr(mp, "exp", recorded)
+    monkeypatch.setattr(series, "mpf_exp", recorded)
     for bits in (64, 256):
         prec = bits + 32
         with mp.workprec(prec):
