@@ -111,6 +111,12 @@ class WeightConfig:
 # Entries are pure functions of their keys, so a stale read cannot change
 # a value.
 _node_factors = (None, {})
+# The same for (kind, (omega,), a = 0), kept while the configurations
+# repeat that one weight at a = 0, as verify mzf's (1,), (1, 1), (1, 1, 1)
+# do at each x.  There e^{-0u} = 1, so its F is the factor f(omega u)
+# rounded to the working precision, and F of (omega, ..., omega) is built
+# from it without a factor call.  Any other configuration drops it.
+_unit_factors = (None, {})
 
 
 def _m_factor(y):
@@ -147,18 +153,25 @@ def _mellin_over_gamma(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
     with f_i(u) = Gamma(0, omega_i u) for kind "I" and
     -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
-    computed and stored on a miss, one f_i per distinct weight.  u^{x-1}
+    computed and stored on a miss, one f_i per distinct weight, which for
+    (omega, ..., omega) at a = 0 is read from the table of (omega,).  u^{x-1}
     is exp((x-1) log u) with an exact product, as mpmath's u ** (x-1)
     computes it, unless x - 1 is an integer or half-integer (exponent
     field >= -1), where mpmath's power takes another route and mpf_pow,
     the function behind u ** (x-1), computes it.  The integrand runs on
     raw mpf tuples, rounded as the mpf operators round."""
-    global _node_factors
+    global _node_factors, _unit_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
-    if _node_factors[0] != key:
+    unit_key = (kind, w.omega[:1], w.a) if not w.a and w.omega == w.omega[:1] * w.r else None
+    if _unit_factors[0] != unit_key:
+        _unit_factors = (unit_key, {})
+    if key == unit_key:
+        _node_factors = _unit_factors
+    elif _node_factors[0] != key:
         _node_factors = (key, {})
     table = _node_factors[1].setdefault(ctx.precision_bits, {})
+    unit = _unit_factors[1].setdefault(ctx.precision_bits, {}) if unit_key and key != unit_key else None
     # one factor per distinct weight, multiplied into F in weight order
     distinct = tuple(dict.fromkeys(w.omega))
     slots = [distinct.index(om) for om in w.omega]
@@ -173,15 +186,20 @@ def _mellin_over_gamma(kind, x, w, ctx):
             raw_u = u._mpf_
             factors = table.get(raw_u)
             if factors is None:
-                if kind == "I":
-                    f = [gamma0(om * u, ctx) for om in distinct]
-                else:
-                    f = [_m_factor(om * u) for om in distinct]
+                # one factor per distinct weight, then log u
+                f = unit.get(raw_u) if unit is not None else None
+                if f is None:
+                    if kind == "I":
+                        f = [gamma0(om * u, ctx) for om in distinct]
+                    else:
+                        f = [_m_factor(om * u) for om in distinct]
+                    f.append(mp.make_mpf(mpf_log(raw_u, log_prec, rnd)))
+                    if unit is not None:
+                        f = unit[raw_u] = (+f[0], f[1])
                 F = mpf_exp(mpf_mul(neg_a, raw_u, prec, rnd), prec, rnd)
                 for i in slots:
                     F = mpf_mul(F, f[i]._mpf_, prec, rnd)
-                log_u = mpf_log(raw_u, log_prec, rnd)
-                factors = table[raw_u] = (mp.make_mpf(F), mp.make_mpf(log_u))
+                factors = table[raw_u] = (mp.make_mpf(F), f[-1])
             F, log_u = factors
             if general:
                 power = mpf_exp(mpf_mul(xm1, log_u._mpf_), prec, rnd)  # exact product
@@ -575,7 +593,9 @@ def zeta_ez_ones(r, x, ctx):
     direct part to N, and an Euler-Maclaurin tail whose derivatives are
     exact polygamma combinations.  The number of Bernoulli terms follows
     the precision, so N = 1200 closes from 64 to 1024 bits; N doubles
-    only when an attempt does not close.  Depth r <= 3."""
+    only when an attempt does not close.  A call at the x and precision
+    of the previous one reuses its powers n^(-1-x) and tail values.
+    Depth r <= 3."""
     x = positive_x(x)
     r = int(r)
     if not 1 <= r <= 3:
@@ -603,6 +623,13 @@ def _smallest_prime_factors(N):
     return spf
 
 
+# n^-(1+x) for n < N and (psi, psi') at the tail's mp.quad nodes, keyed
+# by u._mpf_, for the latest (mp.prec, N, x) only: verify mzf evaluates
+# r = 2 and r = 3 at one x in a row.  Entries are pure functions of their
+# keys.
+_x_memo = (None, [], {})
+
+
 def _zeta_ez_attempt(r, x, N, ctx, thresh):
     """zeta_ez_ones with cutoff N, or None when the Euler-Maclaurin
     Bernoulli terms turn, or do not fall below thresh max(1, |direct part|)
@@ -610,16 +637,25 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     They are summed right after the direct part, so an attempt that does
     not close never pays for the tail integral; that integral runs through
     mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
+    global _x_memo
     gamma = euler_gamma(ctx)
     z2 = zeta_value(2, ctx) if r == 3 else None
-    neg_s = -1 - x
-    # direct part over m_r = n < N with running harmonic accumulators;
-    # n^-s is completely multiplicative, so only primes take a power and
-    # n = p m with p its smallest prime factor costs one product; the
-    # loop runs on raw mpf tuples, rounded as the operators round
     prec, rnd = mp.prec, round_nearest
-    spf = _smallest_prime_factors(N)
-    inv_pow = [None, fone] + [None] * (N - 2)  # n^-s
+    key = (prec, N, x._mpf_)
+    if _x_memo[0] != key:
+        _x_memo = (key, [], {})
+    _, inv_pow, psi_pairs = _x_memo
+    if not inv_pow:
+        # n^-s is completely multiplicative, so only primes take a power
+        # and n = p m with p its smallest prime factor costs one product
+        neg_s = -1 - x
+        spf = _smallest_prime_factors(N)
+        inv_pow += [None, fone]
+        for n in range(2, N):
+            p = spf[n]
+            inv_pow.append((mpf(n) ** neg_s)._mpf_ if p == n else mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd))
+    # direct part over m_r = n < N with the running harmonic accumulators
+    # that depth r reads, on raw mpf tuples rounded as the operators round
     total = fzero
     H = fzero       # H_{n-1}
     H2 = fzero      # H^(2)_{n-1}
@@ -630,16 +666,12 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
             g = H
         else:
             g = mpf_shift(mpf_sub(mpf_mul(H, H, prec, rnd), H2, prec, rnd), -1)
-        if n > 1:
-            p = spf[n]
-            if p == n:
-                inv_pow[n] = (mpf(n) ** neg_s)._mpf_
-            else:
-                inv_pow[n] = mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd)
         total = mpf_add(total, mpf_mul(g, inv_pow[n], prec, rnd), prec, rnd)
-        n_raw = from_int(n)
-        H = mpf_add(H, mpf_div(fone, n_raw, prec, rnd), prec, rnd)
-        H2 = mpf_add(H2, mpf_div(fone, mpf_mul_int(n_raw, n, prec, rnd), prec, rnd), prec, rnd)
+        if r > 1:
+            n_raw = from_int(n)
+            H = mpf_add(H, mpf_div(fone, n_raw, prec, rnd), prec, rnd)
+            if r == 3:
+                H2 = mpf_add(H2, mpf_div(fone, mpf_mul_int(n_raw, n, prec, rnd), prec, rnd), prec, rnd)
     total = mp.make_mpf(total)
 
     # tail from n = N on: int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)
@@ -699,8 +731,11 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
         # int_0^1 g_{r-1}(t) du, whose decay is the end u = 0, uniformly
         # stable in x; log t = log N + v/x with v = -log u
         def integrand(u):
-            y = -mp.log(u) / x
-            psi, psi1 = _psi_pair(Nv * mp.exp(y), log_N + y)
+            pair = psi_pairs.get(u._mpf_)
+            if pair is None:
+                y = -mp.log(u) / x
+                pair = psi_pairs[u._mpf_] = _psi_pair(Nv * mp.exp(y), log_N + y)
+            psi, psi1 = pair
             if r == 2:
                 return psi + gamma
             return ((psi + gamma) ** 2 - z2 + psi1) / 2

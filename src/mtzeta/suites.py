@@ -444,7 +444,8 @@ def mzf_point(r, x, ctx):
 def suite_mzf(r_values=None, x_grid=None, ctx=None, tol=None, threads=1):
     r_values = MZF_R_VALUES if r_values is None else [int(r) for r in r_values]
     x_grid = MZF_X_GRID if x_grid is None else x_grid
-    rows = [(r, x) for r in r_values for x in x_grid]
+    # x-major, so each x's depth-independent work is shared across r
+    rows = [(r, x) for x in x_grid for r in r_values]
     return _run(mzf_point, rows, ctx, tol, threads, _quad_tol)
 
 

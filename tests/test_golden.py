@@ -1,8 +1,8 @@
-"""The 28 default `verify all` reports at 256 bits, byte for byte, against
-tests/data/verify_all_256.jsonl with wall_time_ms zeroed.
+"""The 28 default `verify all` reports at 128, 256 and 512 bits, byte for
+byte, against tests/data/verify_all_<bits>.jsonl with wall_time_ms zeroed.
 
-A change meant to keep every value bit-identical leaves the file as it
-is.  A change that moves values on purpose regenerates it with
+A change meant to keep every value bit-identical leaves the files as they
+are.  A change that moves values on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,30 +13,49 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from mtzeta.cli import cli_main
 
-GOLDEN = Path(__file__).with_name("data") / "verify_all_256.jsonl"
+BITS = (128, 256, 512)
 
 
-def _reports(tmp_dir):
-    """The JSON lines of `mtz verify all --bits 256`, wall_time_ms zeroed."""
+def _golden(bits):
+    return Path(__file__).with_name("data") / ("verify_all_%d.jsonl" % bits)
+
+
+def _reports(tmp_dir, bits):
+    """The JSON lines of `mtz verify all --bits <bits>`, wall_time_ms zeroed."""
     path = Path(tmp_dir) / "reports.jsonl"
-    assert cli_main(["verify", "all", "--bits", "256", "--json", str(path)]) == 0
+    assert cli_main(["verify", "all", "--bits", str(bits), "--json", str(path)]) == 0
     return re.sub(r'"wall_time_ms":\d+', '"wall_time_ms":0', path.read_text(encoding="utf-8"))
 
 
-def test_verify_all_matches_golden_file(tmp_path, capsys):
-    got = _reports(tmp_path)
+def _check(bits, tmp_path, capsys):
+    got = _reports(tmp_path, bits)
     capsys.readouterr()
     assert len(got.splitlines()) == 28
-    assert got == GOLDEN.read_text(encoding="utf-8")
+    assert got == _golden(bits).read_text(encoding="utf-8")
+
+
+def test_verify_all_matches_golden_file(tmp_path, capsys):
+    _check(256, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_verify_all_matches_golden_file_off_256(bits, tmp_path, capsys):
+    # the fixed-point kernels, the node tables and the Euler-Maclaurin
+    # cutoffs all follow the precision
+    _check(bits, tmp_path, capsys)
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        text = _reports(tmp)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(text, encoding="utf-8")
-    sys.stderr.write("wrote %d reports to %s\n" % (len(text.splitlines()), GOLDEN))
+    for bits in BITS:
+        with tempfile.TemporaryDirectory() as tmp:
+            text = _reports(tmp, bits)
+        golden = _golden(bits)
+        golden.parent.mkdir(exist_ok=True)
+        golden.write_text(text, encoding="utf-8")
+        sys.stderr.write("wrote %d reports to %s\n" % (len(text.splitlines()), golden))

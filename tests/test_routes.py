@@ -50,6 +50,8 @@ CACHES = (
     (kernel, "_ZETA_CACHE", dict),
     (polylog, "_CACHE", dict),
     (series, "_node_factors", lambda: (None, {})),
+    (series, "_unit_factors", lambda: (None, {})),
+    (series, "_x_memo", lambda: (None, [], {})),
 )
 
 DEFAULT_REPORTS = 28

@@ -389,6 +389,33 @@ def test_repeated_weights_take_one_factor_per_node(kind, fn, kernel, omega, monk
         assert value._mpf_ == _plain_mellin(kind, x, _wc(om), CTX128)._mpf_, om
 
 
+def test_unit_weight_family_reads_the_single_weight_table(monkeypatch):
+    # (1,), (1, 1), (1, 1, 1) at a = 0 in turn at each x, as verify mzf
+    # runs them: the repeated weights take their factor from the table of
+    # (1,), and each value keeps the bits of the plain evaluator
+    calls = []
+    original = series._m_factor
+
+    def counted(y):
+        calls.append(y)
+        return original(y)
+
+    monkeypatch.setattr(series, "_node_factors", (None, {}))
+    monkeypatch.setattr(series, "_unit_factors", (None, {}))
+    monkeypatch.setattr(series, "_m_factor", counted)
+    for x in ("0.5", "1", "2.5"):
+        x = to_mpf(x)
+        for r in (1, 2, 3):
+            calls.clear()
+            value = m_integral(x, _wc(("1",) * r), CTX128)
+            if r > 1:
+                assert len(calls) < len(series._node_factors[1][CTX128.precision_bits]), (x, r)
+            assert value._mpf_ == _plain_mellin("M", x, _wc(("1",) * r), CTX128)._mpf_, (x, r)
+    assert series._unit_factors[0] == ("M", (mpf(1),), mpf(0))
+    m_integral(to_mpf("0.5"), _wc(("1", "1"), "0.5"), CTX128)
+    assert series._unit_factors == (None, {})
+
+
 @pytest.mark.parametrize("bits", [128, 256, 512])
 @pytest.mark.parametrize(
     "fn, omega, a, x",
@@ -884,7 +911,9 @@ def test_zeta_ez_ones_matches_pow_evaluator(bits, monkeypatch):
 
 def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
     # n^-(1+x) is a power only at the 196 primes below N = 1200; every
-    # composite is a product of two earlier powers
+    # composite is a product of two earlier powers; the x memo starts
+    # empty, so no earlier evaluation at this x supplies them
+    monkeypatch.setattr(series, "_x_memo", (None, [], {}))
     x = to_mpf("0.5")
     powers = []
     original = type(x).__pow__
@@ -900,6 +929,21 @@ def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
     primes = [n for n in range(2, 1200) if all(n % p for p in range(2, math.isqrt(n) + 1))]
     assert len(primes) == 196
     assert sorted(powers) == primes
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_zeta_ez_x_memo_keeps_the_bits(bits, monkeypatch):
+    # a depth that finds the x memo filled by another depth returns the
+    # bits of an evaluation from an empty memo
+    ctx = PrecisionContext(precision_bits=bits)
+    for x in ("1e-3", "0.5", "1", "5"):
+        x = to_mpf(x)
+        warm = [zeta_ez_ones(r, x, ctx)._mpf_ for r in (1, 2, 3)]
+        cold = []
+        for r in (1, 2, 3):
+            monkeypatch.setattr(series, "_x_memo", (None, [], {}))
+            cold.append(zeta_ez_ones(r, x, ctx)._mpf_)
+        assert warm == cold, x
 
 
 def test_zeta_ez_depth1_is_zeta():

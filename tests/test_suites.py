@@ -4,6 +4,7 @@ time.  That the two sides of each report travel different routes is
 checked by tests/test_routes.py, which records both routes of every
 default report."""
 
+import sys
 import time
 from dataclasses import replace
 from itertools import permutations
@@ -267,6 +268,34 @@ def test_mzf_suite_at_512_bits_closes_at_the_first_cutoff(monkeypatch):
     assert len(reports) == 6
     assert all(rep.passed for rep in reports)
     assert cutoffs == [1200] * 4  # one zeta_ez_ones per r >= 2 point
+
+
+def test_mzf_shares_each_x_across_depths(monkeypatch):
+    # the rows run x-major, so r = 2 and 3 build their node factors from
+    # the -log(1 - e^-u) that r = 1 stored at each DE node, and r = 3 reads
+    # the (psi, psi') that r = 2 took at each mp.quad node of its tail
+    ctx = PrecisionContext(precision_bits=128)
+    monkeypatch.setattr(series, "_node_factors", (None, {}))
+    monkeypatch.setattr(series, "_unit_factors", (None, {}))
+    monkeypatch.setattr(series, "_x_memo", (None, [], {}))
+    factor_nodes, tail_nodes = [], []
+    m_factor, psi_pair = series._m_factor, series._psi_pair
+
+    def counted_factor(y):
+        factor_nodes.append(y._mpf_)
+        return m_factor(y)
+
+    def counted_psi(t, log_t):
+        if sys._getframe(1).f_code.co_name == "integrand":
+            tail_nodes.append(t._mpf_)
+        return psi_pair(t, log_t)
+
+    monkeypatch.setattr(series, "_m_factor", counted_factor)
+    monkeypatch.setattr(series, "_psi_pair", counted_psi)
+    reports = suite_mzf(ctx=ctx)
+    assert len(reports) == 6 and all(rep.passed for rep in reports)
+    assert factor_nodes and len(factor_nodes) == len(set(factor_nodes))
+    assert tail_nodes and len(tail_nodes) == len(set(tail_nodes))
 
 
 def test_mzf_rejects_rank():
