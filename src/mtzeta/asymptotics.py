@@ -21,7 +21,7 @@ from .combinatorics import (
     lambda_k,
     weak_compositions,
 )
-from .context import positive_x, to_mpf
+from .context import MAX_RANK, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 from .jets import Jet
 from .kernel import bell_complete, euler_gamma, loggamma_jet, zeta_value
@@ -40,9 +40,7 @@ __all__ = [
     "i1_expansion",
 ]
 
-# family enumeration is 3^r or r!/(r-t)!-sized; beyond these the sums are
-# not tractable termwise and the evaluators refuse rather than stall
-MAX_RANK = 8
+# beyond this order the termwise sums are intractable: refuse, not stall
 MAX_ORDER = 40
 
 

@@ -17,6 +17,10 @@ from .errors import DomainError
 # summations; results are still only trusted to precision_bits.
 GUARD_BITS = 32
 
+# Rank cap: c-coefficient families are 3^r-sized and zeta_ez_ones loses
+# digits to Newton's identity as r grows; beyond it evaluators refuse.
+MAX_RANK = 8
+
 
 def to_mpf(value) -> mpf:
     """Convert a number (int, float, str, mpf) to mpf without precision loss.

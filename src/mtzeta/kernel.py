@@ -1,29 +1,34 @@
 """Arbitrary-precision scalar kernel.
 
 Constants, Pochhammer symbols, exact Stirling/Bell combinatorial numbers,
-the incomplete gamma value Gamma(0,u), and the two Taylor-coefficient
-factories (log-gamma jets, reciprocal-gamma series) everything downstream
-leans on.
+the digamma and polygammas at large real argument, the incomplete gamma
+value Gamma(0,u), and the two Taylor-coefficient factories (log-gamma
+jets, reciprocal-gamma series) everything downstream leans on.
 
 Exactness split: stirling_first_unsigned and bell_complete are exact
-(integers / caller-supplied rationals); everything else is mpf at
-ctx.precision_bits with guard bits inside.
+(integers / caller-supplied rationals); psi_derivs gives raw mpf tuples;
+everything else is mpf at ctx.precision_bits with guard bits inside.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fone,
     from_man_exp,
     mpf_add,
     mpf_div,
     mpf_euler,
     mpf_exp,
     mpf_log,
+    mpf_mul,
     mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
     mpf_sub,
     round_nearest,
     to_fixed,
@@ -127,6 +132,55 @@ def zeta_value(k: int, ctx: PrecisionContext) -> mpf:
 def euler_gamma(ctx: PrecisionContext) -> mpf:
     with ctx.workprec():
         return +mp.euler
+
+
+# ---------------------------------------------------------------------------
+# digamma and polygammas at large real argument
+# ---------------------------------------------------------------------------
+
+# B_2k as exact fractions; k reaches about 110 in zeta_ez_ones' tail at 1024 bits
+_bernfrac = functools.lru_cache(maxsize=None)(mp.bernfrac)
+
+
+def psi_derivs(t, log_t, c):
+    """[psi(t), psi'(t), ..., psi^(c)(t)] as raw mpf tuples for real t >= 1200
+    and c >= 1, given log t, in real fixed point (mpmath 1.3 takes every
+    polygamma of order >= 1 through its complex mpc_psi), from
+
+        psi(t)     = log t - 1/(2t) - sum_k B_2k/(2k) t^-2k
+        psi^(j)(t) = (-1)^(j+1) (j-1)! t^-j [1 + j/(2t) + sum_k B_2k C(2k+j-1, 2k) t^-2k]
+
+    in one pass over k on Python ints at scale 2^(mp.prec+16).  t^-2k is a
+    mantissa times a power of two, so the growth of B_2k multiplies only a
+    relative error; the terms fall more than 4-fold per k while
+    2k + j << 2 pi t.  Order j stops when its own term floors to zero,
+    which happens only where B_2k > 0 and then at every lower order too;
+    psi, whose terms are those of psi' over 2k, stops with psi'."""
+    prec, wp, rnd = mp.prec, mp.prec + 16, round_nearest
+    u = mpf_div(fone, t._mpf_, wp, rnd)
+    _, man, exp, bc = u
+    m = man << (wp - bc)
+    e = exp + bc  # u = m 2^(e - wp), 2^(wp-1) <= m < 2^wp
+    m2 = m * m >> wp
+    sums = [m >> (1 - e)] + [(1 << wp) + (j * m >> (1 - e)) for j in range(1, c + 1)]
+    lo, power, k = 1, 1 << wp, 0  # orders lo..c are still summing
+    while lo <= c:
+        k += 1
+        num, den = _bernfrac(2 * k)
+        power = power * m2 >> wp
+        for j in range(lo, c + 1):
+            term = (num * math.comb(2 * k + j - 1, 2 * k) * power >> (-2 * k * e)) // den
+            sums[j] += term
+            if j == 1:
+                sums[0] += term // (2 * k)
+            if not term:
+                lo = j + 1
+    # each value rounded at wp, then to mp.prec
+    out = [mpf_sub(log_t._mpf_, from_man_exp(sums[0], -wp), wp, rnd)]
+    for j in range(1, c + 1):
+        scaled = from_man_exp((-1) ** (j + 1) * math.factorial(j - 1) * sums[j], -wp)
+        out.append(mpf_mul(scaled, mpf_pow_int(u, j, wp, rnd), wp, rnd))
+    return [mpf_pos(v, prec, rnd) for v in out]
 
 
 # ---------------------------------------------------------------------------

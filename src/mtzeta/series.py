@@ -9,7 +9,6 @@ machinery it is later compared against, which tests/test_routes.py
 checks for every default verify report.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,16 +26,16 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_pos,
     mpf_pow,
-    mpf_shift,
     mpf_sub,
     round_nearest,
     to_fixed,
 )
 
-from .context import GUARD_BITS, positive_x, to_mpf
+from .context import GUARD_BITS, MAX_RANK, positive_x, to_mpf
 from .errors import BudgetError, DomainError
-from .kernel import euler_gamma, gamma0, zeta_value
+from .kernel import euler_gamma, gamma0, psi_derivs, zeta_value
 from .jets import Jet
 from .quadrature import de_quad_0inf
 
@@ -489,99 +488,57 @@ def t_coeff(r, l, omega, ctx):
 # all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
 
-# B_2k as exact (numerator, denominator) pairs; at 1024 bits k reaches about
-# 110, in the polygammas of order up to 2K of _zeta_ez_attempt's tail
-_bernfrac = functools.lru_cache(maxsize=None)(mp.bernfrac)
+def _fsum(terms):
+    """Sum of raw mpf tuples in order, each addition rounded as mpf + rounds."""
+    prec, rnd = mp.prec, round_nearest
+    terms = iter(terms)
+    acc = next(terms)
+    for term in terms:
+        acc = mpf_add(acc, term, prec, rnd)
+    return acc
 
 
-def _polygamma(j, t):
-    """psi^(j)(t) for j >= 1 and real t >= 1200, by the asymptotic series
-
-        (-1)^(j+1) (j-1)! t^-j [1 + j/(2t) + sum_k B_2k C(2k+j-1, 2k) t^-2k]
-
-    in real fixed point (mpmath 1.3 takes every polygamma of order >= 1
-    through its complex mpc_psi).  The bracket is summed on Python ints at
-    scale 2^(mp.prec+16); t^-2k is kept as a mantissa times a power of
-    two, so the growth of B_2k multiplies only a relative error.  The
-    terms fall more than 4-fold per k while 2k + j << 2 pi t."""
-    wp = mp.prec + 16
-    with mp.workprec(wp):
-        u = 1 / t
-        _, man, exp, bc = u._mpf_
-        m = man << (wp - bc)
-        e = exp + bc  # u = m 2^(e - wp), 2^(wp-1) <= m < 2^wp
-        m2 = m * m >> wp
-        total = (1 << wp) + (j * m >> (1 - e))
-        power, k, term = 1 << wp, 0, 1
-        while term:
-            k += 1
-            num, den = _bernfrac(2 * k)
-            power = power * m2 >> wp
-            term = (num * math.comb(2 * k + j - 1, 2 * k) * power >> (-2 * k * e)) // den
-            total += term
-        value = mp.ldexp(total * math.factorial(j - 1), -wp) * u ** j
-    return +value if j % 2 else -value
+def _pointwise(a, b, j):
+    return mpf_mul(a[j], b[j], mp.prec, round_nearest)
 
 
-def _psi_pair(t, log_t):
-    """(psi(t), psi'(t)) for real t >= 1200, given log t, from one pass
-    over the Bernoulli terms of
-
-        psi(t)  = log t - 1/(2t) - sum_k B_2k/(2k) t^-2k
-        psi'(t) = t^-1 [1 + 1/(2t) + sum_k B_2k t^-2k],
-
-    in fixed point as in _polygamma, whose psi'(t) this equals.  For huge
-    t the sums collapse to log t and 1/t by themselves."""
-    wp = mp.prec + 16
-    with mp.workprec(wp):
-        u = 1 / t
-        _, man, exp, bc = u._mpf_
-        m = man << (wp - bc)
-        e = exp + bc  # u = m 2^(e - wp), 2^(wp-1) <= m < 2^wp
-        m2 = m * m >> wp
-        half_u = m >> (1 - e)
-        psi_sum, psi1_sum = half_u, (1 << wp) + half_u
-        power, k, term = 1 << wp, 0, 1
-        while term:
-            k += 1
-            num, den = _bernfrac(2 * k)
-            power = power * m2 >> wp
-            term = (num * power >> (-2 * k * e)) // den
-            psi1_sum += term
-            psi_sum += term // (2 * k)
-        psi = log_t - mp.ldexp(psi_sum, -wp)
-        psi1 = mp.ldexp(psi1_sum, -wp) * u
-    return +psi, +psi1
+def _leibniz(a, b, j):
+    """(ab)^(j) from the derivative arrays of a and b by Leibniz's rule,
+    C(j,l) a_l rounded first as int * mpf rounds."""
+    prec, rnd = mp.prec, round_nearest
+    terms = (mpf_mul(a[l] if l in (0, j) else mpf_mul_int(a[l], math.comb(j, l), prec, rnd), b[j - l], prec, rnd)
+             for l in range(j + 1))
+    return _fsum(terms)
 
 
-def _psi_plus_gamma_derivs(t, count, gamma):
-    """[d^j/dt^j (psi(t)+gamma)] for j = 0..count, t >= 1200."""
-    return [_psi_pair(t, mp.log(t))[0] + gamma] + [
-        _polygamma(j, t) for j in range(1, count + 1)
-    ]
+def _newton(e, q, z, r, product):
+    """Extend e = [e_0, e_1, ...] to e_{r-1} and return it by Newton's identity
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i on arrays of raw mpf tuples,
+    of values at points (product=_pointwise, entry j of ab) or derivatives
+    at a point (_leibniz).  (-1)^(i-1) p_i is the constant z[i-1] (None for
+    none; z[0] is None) plus the array q[i-1].  z_i e_{k-i} is added before
+    e_{k-i} q_i, in the order of i, and e_0 = 1 enters exactly."""
+    prec, rnd = mp.prec, round_nearest
+    for k in range(len(e), r):
+        parts = []
+        for i in range(1, k + 1):
+            if z[i - 1] is not None:
+                parts.append([mpf_mul(z[i - 1], v, prec, rnd) for v in e[k - i]])
+            parts.append(q[i - 1] if i == k else [product(e[k - i], q[i - 1], j) for j in range(len(e[0]))])
+        k_raw = from_int(k)
+        e.append([mpf_div(_fsum(col), k_raw, prec, rnd) for col in zip(*parts)] if k > 1 else parts[0])
+    return e[r - 1]
 
 
-def _g_derivs(r, t, count, ctx):
-    """Derivative array of the inner-chain weight g_{r-1}(t), where
-    g_0 = 1, g_1 = psi+gamma (harmonic number H_{t-1} at integers), and
-    g_2 = ((psi+gamma)^2 - zeta(2) + psi')/2."""
-    gamma = euler_gamma(ctx)
-    if r == 1:
-        return [mpf(1)] + [mpf(0)] * count
-    A = _psi_plus_gamma_derivs(t, count + 1, gamma)
-    if r == 2:
-        return A[: count + 1]
-    sq = []
-    for j in range(count + 1):
-        acc = mpf(0)
-        for i in range(j + 1):
-            acc += math.comb(j, i) * A[i] * A[j - i]
-        sq.append(acc)
-    z2 = zeta_value(2, ctx)
-    out = [(sq[0] - z2 + A[1]) / 2]
-    for j in range(1, count + 1):
-        out.append((sq[j] + A[j + 1]) / 2)
-    return out
+def _chain_derivs(r, P, count, gamma, z):
+    """Derivatives 0..count of the inner-chain weight g_{r-1} = e_{r-1} at t
+    from P = psi_derivs at t, over the power sums p_1 = psi + gamma and
+    p_i = zeta(i) - (-1)^i psi^(i-1)/(i-1)!, the H^(i)_{t-1} of integer t."""
+    prec, rnd = mp.prec, round_nearest
+    q = [[mpf_add(P[0], gamma, prec, rnd)] + P[1 : count + 1]] if r > 1 else []
+    for i in range(2, r):
+        q.append([mpf_div(v, from_int(math.factorial(i - 1)), prec, rnd) for v in P[i - 1 : i + count]])
+    return _newton([[fone] + [fzero] * count], q, z, r, _leibniz if count else _pointwise)  # agree at count 0
 
 
 def zeta_ez_ones(r, x, ctx):
@@ -589,17 +546,17 @@ def zeta_ez_ones(r, x, ctx):
 
         sum_{m_1<...<m_r} 1/(m_1 ... m_{r-1} m_r^{1+x}),
 
-    folded to a single sum over m_r with closed-form inner chains, a
-    direct part to N, and an Euler-Maclaurin tail whose derivatives are
-    exact polygamma combinations.  The number of Bernoulli terms follows
-    the precision, so N = 1200 closes from 64 to 1024 bits; N doubles
-    only when an attempt does not close.  A call at the x and precision
-    of the previous one reuses its powers n^(-1-x) and tail values.
-    Depth r <= 3."""
+    folded to a single sum over m_r whose inner chains sum to g_{r-1}, the
+    elementary symmetric function of 1/m over m < m_r: a direct part to N,
+    and an Euler-Maclaurin tail whose derivatives are exact polygamma
+    combinations.  The number of Bernoulli terms follows the precision, so
+    N = 1200 closes from 64 to 1024 bits at depths 1..MAX_RANK; N doubles
+    only when an attempt does not close.  A call at the x and precision of
+    the previous one reuses its powers n^(-1-x) and tail polygammas."""
     x = positive_x(x)
     r = int(r)
-    if not 1 <= r <= 3:
-        raise DomainError("depth must be 1, 2, or 3")
+    if not 1 <= r <= MAX_RANK:
+        raise (DomainError if r < 1 else BudgetError)("depth must lie in 1..%d" % MAX_RANK)
     with ctx.workprec():
         thresh = mpf(2) ** (-(ctx.precision_bits + 8))
         N = 1200
@@ -623,10 +580,11 @@ def _smallest_prime_factors(N):
     return spf
 
 
-# n^-(1+x) for n < N and (psi, psi') at the tail's mp.quad nodes, keyed
-# by u._mpf_, for the latest (mp.prec, N, x) only: verify mzf evaluates
-# r = 2 and r = 3 at one x in a row.  Entries are pure functions of their
-# keys.
+# n^-(1+x) for n < N and the polygamma lists [psi, psi', ...] at the
+# tail's mp.quad nodes, keyed by u._mpf_, for the latest (mp.prec, N, x)
+# only: verify mzf evaluates r = 1, 2, 3 at one x in a row.  Entries are
+# pure functions of their keys; a depth that needs more orders than a
+# node holds recomputes that node's list.
 _x_memo = (None, [], {})
 
 
@@ -638,13 +596,13 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     not close never pays for the tail integral; that integral runs through
     mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
     global _x_memo
-    gamma = euler_gamma(ctx)
-    z2 = zeta_value(2, ctx) if r == 3 else None
+    gamma = euler_gamma(ctx)._mpf_
+    z = [None] + [(mpf_pos if i % 2 else mpf_neg)(zeta_value(i, ctx)._mpf_) for i in range(2, r)]
     prec, rnd = mp.prec, round_nearest
     key = (prec, N, x._mpf_)
     if _x_memo[0] != key:
         _x_memo = (key, [], {})
-    _, inv_pow, psi_pairs = _x_memo
+    _, inv_pow, psis = _x_memo
     if not inv_pow:
         # n^-s is completely multiplicative, so only primes take a power
         # and n = p m with p its smallest prime factor costs one product
@@ -654,24 +612,20 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
         for n in range(2, N):
             p = spf[n]
             inv_pow.append((mpf(n) ** neg_s)._mpf_ if p == n else mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd))
-    # direct part over m_r = n < N with the running harmonic accumulators
-    # that depth r reads, on raw mpf tuples rounded as the operators round
-    total = fzero
-    H = fzero       # H_{n-1}
-    H2 = fzero      # H^(2)_{n-1}
-    for n in range(1, N):
-        if r == 1:
-            g = fone
-        elif r == 2:
-            g = H
-        else:
-            g = mpf_shift(mpf_sub(mpf_mul(H, H, prec, rnd), H2, prec, rnd), -1)
-        total = mpf_add(total, mpf_mul(g, inv_pow[n], prec, rnd), prec, rnd)
-        if r > 1:
-            n_raw = from_int(n)
-            H = mpf_add(H, mpf_div(fone, n_raw, prec, rnd), prec, rnd)
-            if r == 3:
-                H2 = mpf_add(H2, mpf_div(fone, mpf_mul_int(n_raw, n, prec, rnd), prec, rnd), prec, rnd)
+    # direct part over m_r = n < N, g_{r-1}(n) from the signed power sums
+    # (-1)^(i-1) H^(i)_(n-1), in blocks of n that keep the arrays small
+    total, h, none = fzero, [fzero] * r, [None] * r
+    for lo in range(1, N, 64):
+        block = range(lo, min(lo + 64, N))
+        q = []
+        for i in range(1, r):
+            add, column = mpf_add if i % 2 else mpf_sub, []
+            for n in block:
+                column.append(h[i])
+                h[i] = add(h[i], mpf_div(fone, from_int(n ** i), prec, rnd), prec, rnd)
+            q.append(column)
+        g = _newton([[fone] * len(block)], q, none, r, _pointwise)
+        total = _fsum([total] + [mpf_mul(v, inv_pow[n], prec, rnd) for v, n in zip(g, block)])
     total = mp.make_mpf(total)
 
     # tail from n = N on: int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)
@@ -680,13 +634,13 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     Nv = mpf(N)
     log_N = mp.log(Nv)
     s = 1 + x
-    # the cap K on the Bernoulli terms.  For t >= N >= 1200,
-    # 0 < psi(t) + gamma < log t + 1, |psi^(j)(t)| < 1.1 (j-1)! t^-j for
-    # j <= 2K, and C(m,j) (j-1)! (s)_(m-j) <= (s)_m, so by Leibniz's rule
-    # |f^(m)(N)| <= (m+1)^(r-1) L |pw[m]| with L = (log N + 2)^(r-1) (with
-    # room to spare at r = 3), on the power-law derivative ladder
-    # pw[l] = d^l t^{-s} at N = (-1)^l (s)_l N^{-s-l}.  As
-    # |B_2k|/(2k)! < 4 (2 pi)^-2k, term k is below
+    # the cap K on the Bernoulli terms, a priori only: the loop below checks
+    # that they close.  For t >= N >= 1200, 0 < psi(t) + gamma < log t + 1,
+    # |psi^(j)(t)| < 1.1 (j-1)! t^-j and C(m,j) (j-1)! (s)_(m-j) <= (s)_m, so
+    # Leibniz's rule over the r - 1 power-sum factors of each monomial of
+    # g_{r-1} gives |f^(m)(N)| <= (m+1)^(r-1) L |pw[m]|, L = (log N + 2)^(r-1),
+    # on the power-law derivative ladder pw[l] = d^l t^{-s} at N = (-1)^l (s)_l N^{-s-l}.
+    # As |B_2k|/(2k)! < 4 (2 pi)^-2k, term k is below
     # b_k = 4 (2 pi)^-2k (2k)^(r-1) L |pw[2k-1]|; K is the first k with
     # b_k <= thresh, or the first where b_k stops falling
     pw = [Nv ** -s]
@@ -701,45 +655,34 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
         if b <= thresh or b >= prev:
             break
         prev = b
-    g_der = _g_derivs(r, Nv, 2 * K - 1, ctx)
-
-    def f_deriv(m):
-        acc = mpf(0)
-        for j in range(m + 1):
-            acc += math.comb(m, j) * g_der[j] * pw[m - j]
-        return acc
-
-    bernoulli = mpf(0)
-    prev_mag = None
+    P = psi_derivs(Nv, log_N, 2 * K + r - 3) if r > 1 else None
+    # f^(m)(N) = _leibniz(g, pw, m)
+    g, pw = _chain_derivs(r, P, 2 * K - 1, gamma, z), [v._mpf_ for v in pw]
+    bernoulli, prev_mag = mpf(0), mp.inf
     for k in range(1, K + 1):
-        term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * f_deriv(2 * k - 1)
+        term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.make_mpf(_leibniz(g, pw, 2 * k - 1))
         bernoulli += term
         mag = abs(term)
         if mag <= thresh * max(1, abs(total)):
             break
-        if prev_mag is not None and mag > prev_mag:
+        if mag > prev_mag:
             return None  # asymptotic series turned; need larger N
         prev_mag = mag
     else:
         return None
 
-    if r == 1:
-        integral = Nv ** -x / x
-    else:
+    integral = Nv ** -x / x
+    if r > 1:
         # the raw integrand decays like t^{-1-x}, which defeats any
         # quadrature as x -> 0; t = N u^(-1/x) is exact and leaves
         # int_0^1 g_{r-1}(t) du, whose decay is the end u = 0, uniformly
-        # stable in x; log t = log N + v/x with v = -log u
+        # stable in x; log t = log N + v/x with v = -log u.  A node needs
+        # psi^(j) up to j = r - 2 and keeps psi' at least
         def integrand(u):
-            pair = psi_pairs.get(u._mpf_)
-            if pair is None:
+            if len(psis.get(u._mpf_, ())) < max(2, r - 1):
                 y = -mp.log(u) / x
-                pair = psi_pairs[u._mpf_] = _psi_pair(Nv * mp.exp(y), log_N + y)
-            psi, psi1 = pair
-            if r == 2:
-                return psi + gamma
-            return ((psi + gamma) ** 2 - z2 + psi1) / 2
+                psis[u._mpf_] = psi_derivs(Nv * mp.exp(y), log_N + y, max(1, r - 2))
+            return mp.make_mpf(_chain_derivs(r, psis[u._mpf_], 0, gamma, z)[0])
 
-        integral = Nv ** -x / x * mp.quad(integrand, [0, 1])
-    return total + (integral + f_deriv(0) / 2 - bernoulli)
-
+        integral *= mp.quad(integrand, [0, 1])
+    return total + (integral + mp.make_mpf(_leibniz(g, pw, 0)) / 2 - bernoulli)

@@ -22,8 +22,8 @@ from math import factorial
 from mpmath import mp, mpf
 
 from .asymptotics import main_term_I, power_series_I
-from .context import PrecisionContext, to_mpf
-from .errors import DomainError
+from .context import MAX_RANK, PrecisionContext, to_mpf
+from .errors import BudgetError, DomainError
 from .kernel import euler_gamma, zeta_value
 from .polylog import PolylogArgs, mpl, mpl_one_var
 from .reports import IdentityReport, exact_decimal
@@ -421,8 +421,8 @@ def suite_asymptotic_order(
 
 def mzf_point(r, x, ctx):
     r = int(r)
-    if not 1 <= r <= 3:
-        raise DomainError("rank must lie in 1..3")
+    if not 1 <= r <= MAX_RANK:  # refused before either route runs
+        raise (DomainError if r < 1 else BudgetError)("rank must lie in 1..%d" % MAX_RANK)
     xv = to_mpf(x)
     w = WeightConfig((mpf(1),) * r, mpf(0))
 

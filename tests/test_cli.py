@@ -301,6 +301,15 @@ def test_verify_mzf_single_rank(capsys):
     assert report["params"] == {"r": "2", "x": "0.5"}
 
 
+def test_verify_mzf_beyond_the_default_depths(capsys):
+    code, out, err = _run(capsys, ["verify", "mzf", "--r", "4", "--x-grid", "1"])
+    assert code == 0, err
+    (report,) = _reports(out)
+    assert report["params"] == {"r": "4", "x": "1"} and report["passed"]
+    code, out, err = _run(capsys, ["verify", "mzf", "--r", "9", "--x-grid", "1"])
+    assert code == 3 and "rank must lie in 1..8" in err
+
+
 def test_verify_weight_count_and_missing_shift(capsys):
     code, _, err = _run(capsys, ["verify", "r3m3", "--omega", "1,2"])
     assert code == 2 and "usage error" in err

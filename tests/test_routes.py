@@ -55,6 +55,10 @@ CACHES = (
 )
 
 DEFAULT_REPORTS = 28
+# points outside verify all whose routes are checked as well, one report
+# each: depth 4 is no default mzf point, since the golden files and the
+# benchmark pin the 28 default reports
+EXTRA_POINTS = ((suites.mzf_point, (4, "0.5")),)
 
 
 def _allowed(name):
@@ -105,7 +109,7 @@ def _recorded(patch, fn, *args):
 @pytest.fixture(scope="module")
 def points():
     """(identity ids, lhs record, rhs record, reports record) for every
-    default point of verify all."""
+    default point of verify all and every extra point."""
     captured = []
     recorded = []
 
@@ -116,6 +120,7 @@ def points():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(suites, "_run", capture)
         assert suites.verify_all(ctx=CTX) == []
+        captured += [(point, [row], CTX) for point, row in EXTRA_POINTS]
         for name in SPECIAL:
             patch.setattr(mp, name, _wrap(name, getattr(mp, name)))
         for point, rows, ctx in captured:
@@ -132,7 +137,8 @@ def points():
 
 def test_routes_cover_every_default_report(points):
     ids = [identity_id for point_ids, *_ in points for identity_id in point_ids]
-    assert len(ids) == DEFAULT_REPORTS
+    assert len(ids) == DEFAULT_REPORTS + len(EXTRA_POINTS)
+    assert "multisum-euler-zagier/r4" in ids
     # the recorder sees the evaluators on each side, not an empty trace
     lhs_reached = set().union(*(lhs.functions for _, lhs, _, _ in points))
     rhs_reached = set().union(*(rhs.functions for _, _, rhs, _ in points))

@@ -19,7 +19,7 @@ from mpmath.libmp import to_fixed
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
 from mtzeta.jets import Jet
-from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, zeta_value
+from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, psi_derivs, zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.quadrature import de_quad_0inf
 import mtzeta.series as series
@@ -516,14 +516,14 @@ def test_m_factor_exp_precision_stays_bounded(monkeypatch):
 @pytest.mark.parametrize("bits", [128, 256, 512])
 def test_polygamma_matches_mpmath(bits):
     prec = bits + 32
-    for j in (1, 2, 5, 49):
-        for t in ("1200", "2400", "1e6", "1e40"):
-            with mp.workprec(prec):
-                t = to_mpf(t)
-                got = series._polygamma(j, t)
-            with mp.workprec(2 * prec):
+    for t in ("1200", "2400", "1e6", "1e40", 2 ** 400):
+        with mp.workprec(prec):
+            t = to_mpf(t)
+            got = [mp.make_mpf(v) for v in psi_derivs(t, mp.log(t), 49)]
+        with mp.workprec(2 * prec):
+            for j in (0, 1, 2, 5, 49):
                 want = mp.psi(j, t)
-                assert abs(got - want) <= mpf(2) ** -(prec - 1) * abs(want), (j, t)
+                assert abs(got[j] - want) <= mpf(2) ** -(prec - 1) * abs(want), (j, t)
 
 
 def test_zeta_ez_ones_takes_no_complex_polygamma(monkeypatch):
@@ -542,11 +542,13 @@ def test_zeta_ez_ones_takes_no_complex_polygamma(monkeypatch):
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
 def test_psi_pair_matches_mpmath(bits):
+    # psi and psi' alone, the pair the tail nodes of depths 2 and 3 take
     prec = bits + 32
     for t in ("1200", "2400", "1e6", "1e40", 2 ** 400):
         with mp.workprec(prec):
             t = to_mpf(t)
-            got = series._psi_pair(t, mp.log(t))
+            got = [mp.make_mpf(v) for v in psi_derivs(t, mp.log(t), 1)]
+        assert len(got) == 2
         with mp.workprec(2 * prec):
             for j in (0, 1):
                 want = mp.psi(j, t)
@@ -836,9 +838,10 @@ def test_t21_against_2d_quadrature():
 # ---------------------------------------------------------------------------
 
 def _pow_attempt(r, x, N, ctx, thresh):
-    """_zeta_ez_attempt with a power per n in the direct part and the tail
-    integrand evaluated on all of (0, inf): the evaluator before the
-    multiplicative powers and the tail cut."""
+    """_zeta_ez_attempt with a power per n in the direct part, the tail
+    integrand evaluated on all of (0, inf), and the inner-chain weights of
+    depths 2 and 3 written out: the evaluator before the multiplicative
+    powers, the tail cut and Newton's identity."""
     gamma = euler_gamma(ctx)
     z2 = zeta_value(2, ctx) if r == 3 else None
     s = 1 + x
@@ -851,12 +854,25 @@ def _pow_attempt(r, x, N, ctx, thresh):
     Nv = mpf(N)
     log_N = mp.log(Nv)
 
+    def psis(t, log_t, c):
+        return [mp.make_mpf(v) for v in series.psi_derivs(t, log_t, c)]
+
     def g_tail(v):
-        psi, psi1 = series._psi_pair(Nv * mp.exp(v / x), log_N + v / x)
+        psi, psi1 = psis(Nv * mp.exp(v / x), log_N + v / x, 1)
         return psi + gamma if r == 2 else ((psi + gamma) ** 2 - z2 + psi1) / 2
 
     integral = Nv ** -x / x * mp.quad(lambda v: g_tail(v) * mp.exp(-v), [0, mp.inf])
-    g_der = series._g_derivs(r, Nv, 48, ctx)
+    # derivatives of g_0 = 1, g_1 = psi + gamma and
+    # g_2 = ((psi + gamma)^2 - zeta(2) + psi')/2 at N
+    A = psis(Nv, log_N, 49)
+    A[0] += gamma
+    if r == 1:
+        g_der = [mpf(1)] + [mpf(0)] * 48
+    elif r == 2:
+        g_der = A[:49]
+    else:
+        sq = [sum(math.comb(j, i) * A[i] * A[j - i] for i in range(j + 1)) for j in range(49)]
+        g_der = [(sq[0] - z2 + A[1]) / 2] + [(sq[j] + A[j + 1]) / 2 for j in range(1, 49)]
     pw = [Nv ** -s]
     for l in range(1, 49):
         pw.append(pw[-1] * -(s + l - 1) / Nv)
@@ -880,19 +896,20 @@ def _pow_attempt(r, x, N, ctx, thresh):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_zeta_ez_ones_matches_pow_evaluator(bits, monkeypatch):
-    # the multiplicative direct part and the tail mapped onto (0, 1) stay
-    # within 2^-bits of the plain evaluator; the map takes at most a third
-    # of the plain evaluator's tail nodes, and no more than it at x = 10^-3,
-    # where a layer of width x at the start of the tail sets the degree
+    # Newton's identity, the multiplicative direct part and the tail
+    # mapped onto (0, 1) stay within 2^-bits of the plain evaluator with
+    # its written-out weights; the map takes at most a third of the plain
+    # evaluator's tail nodes, and no more than it at x = 10^-3, where a
+    # layer of width x at the start of the tail sets the degree
     ctx = PrecisionContext(precision_bits=bits)
     nodes = []
-    psi_pair = series._psi_pair
+    original = series.psi_derivs
 
-    def recorded_psi(t, log_t):
+    def recorded(t, log_t, c):
         nodes.append(log_t)
-        return psi_pair(t, log_t)
+        return original(t, log_t, c)
 
-    monkeypatch.setattr(series, "_psi_pair", recorded_psi)
+    monkeypatch.setattr(series, "psi_derivs", recorded)
     for x in ("1e-3", "0.5", "1", "5"):
         x = to_mpf(x)
         for r in (2, 3):
@@ -933,14 +950,15 @@ def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_zeta_ez_x_memo_keeps_the_bits(bits, monkeypatch):
-    # a depth that finds the x memo filled by another depth returns the
-    # bits of an evaluation from an empty memo
+    # a depth that finds the x memo filled by other depths returns the
+    # bits of an evaluation from an empty memo; depth 4 needs one
+    # polygamma order more than depths 2 and 3 stored
     ctx = PrecisionContext(precision_bits=bits)
     for x in ("1e-3", "0.5", "1", "5"):
         x = to_mpf(x)
-        warm = [zeta_ez_ones(r, x, ctx)._mpf_ for r in (1, 2, 3)]
+        warm = [zeta_ez_ones(r, x, ctx)._mpf_ for r in (1, 2, 3, 4)]
         cold = []
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             monkeypatch.setattr(series, "_x_memo", (None, [], {}))
             cold.append(zeta_ez_ones(r, x, ctx)._mpf_)
         assert warm == cold, x
@@ -960,6 +978,13 @@ def test_zeta_ez_classical_values():
         # collapses to pi^4/90
         assert abs(v2 - mp.zeta(3)) <= mpf(2) ** -(BITS - 24)
         assert abs(v3 - mp.pi ** 4 / 90) <= mpf(2) ** -(BITS - 24)
+    # the duality zeta({1}^(r-1), 2) = zeta(r+1) at every depth to the cap
+    for bits in (128, 256):
+        ctx = PrecisionContext(precision_bits=bits)
+        for r in range(4, 9):
+            v = zeta_ez_ones(r, 1, ctx)
+            with ctx.workprec():
+                assert abs(v - mp.zeta(r + 1)) <= mpf(2) ** -(bits - 24), (bits, r)
 
 
 def test_zeta_ez_classical_values_at_1024_bits(monkeypatch):
@@ -1006,6 +1031,17 @@ def test_m_collapses_to_euler_zagier():
         assert abs(m3 - 6 * z3) <= mpf(10) ** -25
 
 
+def test_m_collapses_to_euler_zagier_beyond_depth_3():
+    x = to_mpf("0.5")
+    for bits in (128, 256, 512):
+        ctx = PrecisionContext(precision_bits=bits)
+        for r in (4, 5):
+            m = m_integral(x, _wc((1,) * r), ctx)
+            z = zeta_ez_ones(r, x, ctx)
+            with ctx.workprec():
+                assert abs(m / math.factorial(r) - z) <= mpf(10) ** -30, (bits, r)
+
+
 # ---------------------------------------------------------------------------
 # domain rejections
 # ---------------------------------------------------------------------------
@@ -1036,7 +1072,9 @@ def test_rank_and_cutoff_limits():
         m_direct(mpf(1), _wc((1, 1, 1, 1)), 10, CTX)
     with pytest.raises(DomainError):
         m_direct(mpf(1), _wc((1,)), 0, CTX)
-    with pytest.raises(DomainError):
-        zeta_ez_ones(4, mpf(1), CTX)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"1\.\.8"):
+        zeta_ez_ones(9, mpf(1), CTX)
+    assert time.perf_counter() - t0 < 0.05  # refused before any work
     with pytest.raises(DomainError):
         zeta_ez_ones(0, mpf(1), CTX)

@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.context import PrecisionContext, to_mpf
-from mtzeta.errors import DomainError
+from mtzeta.errors import BudgetError, DomainError
 from mtzeta import series, suites
 from mtzeta.kernel import zeta_value
 from mtzeta.polylog import mpl_one_var
@@ -273,25 +273,25 @@ def test_mzf_suite_at_512_bits_closes_at_the_first_cutoff(monkeypatch):
 def test_mzf_shares_each_x_across_depths(monkeypatch):
     # the rows run x-major, so r = 2 and 3 build their node factors from
     # the -log(1 - e^-u) that r = 1 stored at each DE node, and r = 3 reads
-    # the (psi, psi') that r = 2 took at each mp.quad node of its tail
+    # the polygammas that r = 2 took at each mp.quad node of its tail
     ctx = PrecisionContext(precision_bits=128)
     monkeypatch.setattr(series, "_node_factors", (None, {}))
     monkeypatch.setattr(series, "_unit_factors", (None, {}))
     monkeypatch.setattr(series, "_x_memo", (None, [], {}))
     factor_nodes, tail_nodes = [], []
-    m_factor, psi_pair = series._m_factor, series._psi_pair
+    m_factor, psi_derivs = series._m_factor, series.psi_derivs
 
     def counted_factor(y):
         factor_nodes.append(y._mpf_)
         return m_factor(y)
 
-    def counted_psi(t, log_t):
+    def counted_psi_derivs(t, log_t, c):
         if sys._getframe(1).f_code.co_name == "integrand":
             tail_nodes.append(t._mpf_)
-        return psi_pair(t, log_t)
+        return psi_derivs(t, log_t, c)
 
     monkeypatch.setattr(series, "_m_factor", counted_factor)
-    monkeypatch.setattr(series, "_psi_pair", counted_psi)
+    monkeypatch.setattr(series, "psi_derivs", counted_psi_derivs)
     reports = suite_mzf(ctx=ctx)
     assert len(reports) == 6 and all(rep.passed for rep in reports)
     assert factor_nodes and len(factor_nodes) == len(set(factor_nodes))
@@ -299,8 +299,10 @@ def test_mzf_shares_each_x_across_depths(monkeypatch):
 
 
 def test_mzf_rejects_rank():
+    with pytest.raises(BudgetError):
+        suite_mzf(r_values=(9,), x_grid=("0.5",), ctx=CTX)
     with pytest.raises(DomainError):
-        suite_mzf(r_values=(4,), x_grid=("0.5",), ctx=CTX)
+        suite_mzf(r_values=(0,), x_grid=("0.5",), ctx=CTX)
 
 
 def test_run_suite_name_check():
