@@ -1,12 +1,16 @@
 """
-Closed-form polylogarithm identities at depths two and three
-============================================================
+Polylogarithm relations at depths two and three
+===============================================
 
-Each identity equates a combination of nested polylogarithms at
-telescoping shift ratios with elementary logarithms and zeta values.
-The two sides share no code path: the left side sums nested series,
-the right side is logs and zeta constants, so agreement to dozens of
-digits is a genuine cross-check.
+The paper compares two asymptotic formulas for the integral analogue.
+At order m = r they give the same coefficient c_{r,r} twice: once as a
+sum of nested polylogarithms at telescoping shift ratios over ordered
+subset families (c_coeff), and once as a Bell-polynomial closed form in
+log(omega_i/(a+|omega|)) and zeta values (c_prime_coeff).  Their
+equality is a relation among multiple polylogarithms.  The two sides
+share no code path: the left side sums nested series, the right side
+is logs and zeta constants, so agreement to dozens of digits is a
+genuine cross-check.
 """
 
 from mpmath import mp

@@ -115,7 +115,7 @@ def c_coeff(r, m, w, ctx):
         total = mpf(0)
         for t in range(1, min(m, r) + 1):
             sign = mpf(-1) ** (m - t)
-            rt_fact = mp.factorial(r - t)
+            rt_fact = math.factorial(r - t)
             for s in range(1, t + 1):
                 for comp in compositions(t, s):
                     kfact = 1

@@ -236,9 +236,6 @@ def _cmd_eval(ns):
 # verify
 # ---------------------------------------------------------------------------
 
-# suites whose --omega/--a give one grid row, by weight count
-_GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
-
 _VERIFY_FLAGS = ("omega", "a", "r", "k_max", "method", "x_ladder", "x_grid", "order")
 
 # the suite flags each verify name reads, each mapped to the flag it
@@ -268,7 +265,7 @@ def _verify_reports(ns, ctx, tol, threads):
         return suites.verify_all(ctx=ctx, tol=tol, threads=threads)
     options = {}
     a = ns.a if ns.a is not None else "0"
-    count = _GRID_WEIGHTS.get(name)
+    count = suites.GRID_WEIGHTS.get(name)
     if count is not None and ns.omega is not None:
         omega = _split_list(ns.omega)
         if len(omega) != count:

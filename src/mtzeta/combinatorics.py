@@ -45,12 +45,6 @@ class Composition:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "total", sum(parts))
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
 
 @dataclass(frozen=True)
 class WeakComposition:
@@ -65,12 +59,6 @@ class WeakComposition:
             raise DomainError("weak composition parts must be nonnegative integers")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "total", sum(parts))
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,26 @@ and a reports(lhs_value, rhs_value) step that turns their values into
 (identity_id, params, method, lhs, rhs) tuples with elementary
 arithmetic alone.  The dispatcher evaluates lhs() and then rhs(), times
 the point, and builds every IdentityReport.  The routes are disjoint:
-nested polylog series against elementary closed forms, quadrature
-against truncated expansions, builtin classical polylogs against
-depth-k series; tests/test_routes.py records each route of every
-default report and checks that they share no code.  Grids are fixed
-defaults so repeated runs emit identical reports, and multi-worker
-dispatch sorts the collected reports by parameters so output order
-never depends on scheduling.
+the coefficient c_{r,r} as nested polylog series against its
+Bell-polynomial closed form c'_{r,r}, quadrature against truncated
+expansions, builtin classical polylogs against depth-k series;
+tests/test_routes.py records each route of every default report and
+checks that they share no code.  Grids are fixed defaults so repeated
+runs emit identical reports, and multi-worker dispatch sorts the
+collected reports by parameters so output order never depends on
+scheduling.
 """
 
 import time
-from itertools import permutations
 from math import factorial
 
 from mpmath import mp, mpf
 
-from .asymptotics import main_term_I, power_series_I
+from .asymptotics import c_coeff, c_prime_coeff, main_term_I, power_series_I
 from .context import MAX_RANK, PrecisionContext, to_mpf
 from .errors import BudgetError, DomainError
 from .kernel import euler_gamma, zeta_value
-from .polylog import PolylogArgs, mpl, mpl_one_var
+from .polylog import mpl_one_var
 from .reports import IdentityReport, exact_decimal
 from .series import WeightConfig, i_integral, m_integral, zeta_ez_ones
 
@@ -34,6 +34,9 @@ QUAD_TOL = "1e-9"
 ORDER_TOL = "0.2"
 CONSTANT_TOL = "1e-6"
 
+# the weights in one grid row of each suite whose rows are
+# (omega_1, .., omega_n, a); the command line reads this too
+GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
 R2M2_GRID = (
     ("1", "1", "0"),
     ("2", "3", "1"),
@@ -62,6 +65,23 @@ def _s(v):
 
 def _weights(omega, a):
     return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
+
+
+def _grid(name, grid, default):
+    """The rows of a suite named in GRID_WEIGHTS: default when grid is
+    None, else grid's, each refused unless it holds the suite's number
+    of weights and a shift."""
+    if grid is None:
+        return default
+    count = GRID_WEIGHTS[name]
+    rows = [tuple(row) for row in grid]
+    for row in rows:
+        if len(row) != count + 1:
+            raise DomainError(
+                "%s takes %d weight(s) and a shift per row, got %d values"
+                % (name, count, len(row))
+            )
+    return rows
 
 
 def _single(identity_id, params, method):
@@ -133,93 +153,36 @@ def _run(point, rows, ctx, tol, threads, default_tol):
 
 
 # ---------------------------------------------------------------------------
-# two-weight closed evaluation
+# c_{r,r} by its two expansions
 # ---------------------------------------------------------------------------
 
-def r2m2_point(omega1, omega2, a, ctx):
-    w = _weights((omega1, omega2), a)
-    (o1, o2), av = w.omega, w.a
-
-    def lhs():
-        total = av + o1 + o2
-        value = mpf(0)
-        for om in (o1, o2):
-            value -= mpl_one_var((2,), (av + om) / total, ctx)
-        value += 2 * mpl_one_var((2,), av / total, ctx)
-        for om in (o1, o2):
-            value += mpl(PolylogArgs((1, 1), (av / (av + om), (av + om) / total)), ctx)
-        return value
-
-    def rhs():
-        total = av + o1 + o2
-        return mp.log(o1 / total) * mp.log(o2 / total) - zeta_value(2, ctx)
-
-    return lhs, rhs, _single(
-        "polylog-evaluation/r2m2",
-        {"omega": [_s(omega1), _s(omega2)], "a": _s(a)},
-        {
-            "lhs": "nested polylog series, depth one and two",
-            "rhs": "elementary logarithms and zeta(2)",
-        },
+def relation_point(*row):
+    """c_{r,r} as the paper's sum of polylogarithms over subset families
+    against c'_{r,r}, its Bell-polynomial closed form, where the row is
+    (omega_1, .., omega_r, a) and r is the number of weights."""
+    *omega, a, ctx = row
+    w = _weights(omega, a)
+    r = w.r
+    return (
+        lambda: c_coeff(r, r, w, ctx),
+        lambda: c_prime_coeff(r, r, w, ctx),
+        _single(
+            "polylog-evaluation/r%dm%d" % (r, r),
+            {"omega": [_s(o) for o in omega], "a": _s(a)},
+            {
+                "lhs": "c_{r,r}: nested polylog series over ordered subset families",
+                "rhs": "c'_{r,r}: Bell-polynomial closed form in logarithms and zeta values",
+            },
+        ),
     )
 
 
 def suite_r2m2(grid=None, ctx=None, tol=None, threads=1):
-    rows = R2M2_GRID if grid is None else grid
-    return _run(r2m2_point, rows, ctx, tol, threads, _series_tol)
-
-
-# ---------------------------------------------------------------------------
-# three-weight closed evaluation
-# ---------------------------------------------------------------------------
-
-def r3m3_point(omega1, omega2, omega3, a, ctx):
-    w = _weights((omega1, omega2, omega3), a)
-    oms, av = w.omega, w.a
-
-    def lhs():
-        total = av + sum(oms)
-        value = mpf(0)
-        for om in oms:
-            value += 2 * mpl_one_var((3,), (total - om) / total, ctx)
-            value -= 4 * mpl_one_var((3,), (av + om) / total, ctx)
-        for p1, p2, _ in permutations(oms):
-            u = av + p1
-            v = av + p1 + p2
-            for index in ((1, 2), (2, 1)):
-                value -= mpl(PolylogArgs(index, (u / v, v / total)), ctx)
-            value += mpl(
-                PolylogArgs((1, 1, 1), (av / u, u / v, v / total)), ctx
-            )
-        value += 6 * mpl_one_var((3,), av / total, ctx)
-        for om in oms:
-            value += 2 * mpl(
-                PolylogArgs((1, 2), (av / (av + om), (av + om) / total)), ctx
-            )
-            value += 2 * mpl(
-                PolylogArgs((2, 1), (av / (total - om), (total - om) / total)), ctx
-            )
-        return value
-
-    def rhs():
-        total = av + sum(oms)
-        value = -mp.log(oms[0] / total) * mp.log(oms[1] / total) * mp.log(oms[2] / total)
-        value += zeta_value(2, ctx) * mp.log(oms[0] * oms[1] * oms[2] / total ** 3)
-        return value + 2 * zeta_value(3, ctx)
-
-    return lhs, rhs, _single(
-        "polylog-evaluation/r3m3",
-        {"omega": [_s(omega1), _s(omega2), _s(omega3)], "a": _s(a)},
-        {
-            "lhs": "nested polylog series, depth up to three",
-            "rhs": "elementary logarithms, zeta(2), zeta(3)",
-        },
-    )
+    return _run(relation_point, _grid("r2m2", grid, R2M2_GRID), ctx, tol, threads, _series_tol)
 
 
 def suite_r3m3(grid=None, ctx=None, tol=None, threads=1):
-    rows = R3M3_GRID if grid is None else grid
-    return _run(r3m3_point, rows, ctx, tol, threads, _series_tol)
+    return _run(relation_point, _grid("r3m3", grid, R3M3_GRID), ctx, tol, threads, _series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +253,7 @@ def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
     k_max = INVERSION_K_MAX if k_max is None else int(k_max)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    grid = INVERSION_GRID if grid is None else grid
-    rows = [(o, a, k_max) for o, a in grid]
+    rows = [row + (k_max,) for row in _grid("inversion", grid, INVERSION_GRID)]
     return _run(inversion_point, rows, ctx, tol, threads, _series_tol)
 
 

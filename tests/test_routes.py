@@ -56,9 +56,13 @@ CACHES = (
 
 DEFAULT_REPORTS = 28
 # points outside verify all whose routes are checked as well, one report
-# each: depth 4 is no default mzf point, since the golden files and the
-# benchmark pin the 28 default reports
-EXTRA_POINTS = ((suites.mzf_point, (4, "0.5")),)
+# each: depth 4 is no default mzf point and rank 4 no default
+# polylog-evaluation point, since the golden files and the benchmark pin
+# the 28 default reports
+EXTRA_POINTS = (
+    (suites.mzf_point, (4, "0.5")),
+    (suites.relation_point, ("1", "2", "3", "4", "0.5")),
+)
 
 
 def _allowed(name):
@@ -138,14 +142,15 @@ def points():
 def test_routes_cover_every_default_report(points):
     ids = [identity_id for point_ids, *_ in points for identity_id in point_ids]
     assert len(ids) == DEFAULT_REPORTS + len(EXTRA_POINTS)
-    assert "multisum-euler-zagier/r4" in ids
+    assert {"multisum-euler-zagier/r4", "polylog-evaluation/r4m4"} <= set(ids)
     # the recorder sees the evaluators on each side, not an empty trace
     lhs_reached = set().union(*(lhs.functions for _, lhs, _, _ in points))
     rhs_reached = set().union(*(rhs.functions for _, _, rhs, _ in points))
     rhs_special = set().union(*(rhs.special for _, _, rhs, _ in points))
-    assert {"mtzeta.polylog.mpl", "mtzeta.series.i_integral", "mtzeta.series.m_integral"} <= lhs_reached
-    assert {"mtzeta.series.zeta_ez_ones", "mtzeta.asymptotics.main_term_I",
-            "mtzeta.asymptotics.power_series_I"} <= rhs_reached
+    assert {"mtzeta.polylog.mpl", "mtzeta.asymptotics.c_coeff", "mtzeta.series.i_integral",
+            "mtzeta.series.m_integral"} <= lhs_reached
+    assert {"mtzeta.series.zeta_ez_ones", "mtzeta.asymptotics.c_prime_coeff",
+            "mtzeta.asymptotics.main_term_I", "mtzeta.asymptotics.power_series_I"} <= rhs_reached
     assert {"polylog", "quad"} <= rhs_special
 
 

@@ -67,6 +67,41 @@ def test_r2m2_rejects_bad_weights():
         suite_r2m2(grid=[("1", "1", "-0.5")], ctx=CTX)
 
 
+@pytest.mark.parametrize(
+    "suite, row",
+    [
+        (suite_r2m2, ("1", "2", "3", "1")),
+        (suite_r2m2, ("1", "1")),
+        (suite_r3m3, ("1", "2", "1")),
+        (suite_r3m3, ("1", "2", "3", "4", "1")),
+        (suite_inversion, ("1", "2", "3")),
+    ],
+    ids=["r2m2-three", "r2m2-one", "r3m3-two", "r3m3-four", "inversion-two"],
+)
+def test_grid_rows_of_another_weight_count_are_refused(suite, row, monkeypatch):
+    # refused before any point is dispatched, so a row of the other
+    # suite's length never emits that suite's report under this name
+    def dispatched(*args):
+        raise AssertionError("a refused row reached dispatch")
+
+    monkeypatch.setattr(suites, "_run", dispatched)
+    with pytest.raises(DomainError, match="weight"):
+        suite(grid=[row], ctx=CTX)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_relation_point_at_rank_four_passes_the_series_gate(bits):
+    # c_{4,4} = c'_{4,4}: no suite declares rank 4, the point serves it
+    ctx = PrecisionContext(precision_bits=bits)
+    (rep,) = suites._run(
+        suites.relation_point, [("1", "2", "3", "4", "0.5")], ctx, None, 1, suites._series_tol
+    )
+    assert rep.identity_id == "polylog-evaluation/r4m4"
+    assert rep.params == {"omega": ["1", "2", "3", "4"], "a": "0.5"}
+    assert rep.tolerance == to_mpf(suites.SERIES_TOL)
+    assert rep.passed
+
+
 def test_r3m3_default_grid_passes():
     reports = suite_r3m3(ctx=CTX)
     assert len(reports) == 3
