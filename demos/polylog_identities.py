@@ -22,18 +22,14 @@ ctx = PrecisionContext()
 tol = "1e-12"
 
 print("depth two, weights (omega1, omega2) with shift a:")
-grid = [("1", "1", "0"), ("2", "3", "1"), ("0.5", "1.5", "0.25")]
-for rep in suite_r2m2(grid=grid, ctx=ctx, tol=tol):
-    print(
-        "  (%s; a=%s)  lhs %s  residual %s"
-        % (", ".join(rep.params["omega"]), rep.params["a"], mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
-    )
+grid = [(("1", "1"), "0"), (("2", "3"), "1"), (("0.5", "1.5"), "0.25")]
+for omega, a in grid:
+    (rep,) = suite_r2m2(omega=omega, a=a, ctx=ctx, tol=tol)
+    print("  (%s; a=%s)  lhs %s  residual %s" % (", ".join(omega), a, mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3)))
 
 print()
 print("depth three, weights (omega1, omega2, omega3) with shift a:")
-grid = [("1", "1", "1", "0"), ("1", "2", "3", "1")]
-for rep in suite_r3m3(grid=grid, ctx=ctx, tol=tol):
-    print(
-        "  (%s; a=%s)  lhs %s  residual %s"
-        % (", ".join(rep.params["omega"]), rep.params["a"], mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3))
-    )
+grid = [(("1", "1", "1"), "0"), (("1", "2", "3"), "1")]
+for omega, a in grid:
+    (rep,) = suite_r3m3(omega=omega, a=a, ctx=ctx, tol=tol)
+    print("  (%s; a=%s)  lhs %s  residual %s" % (", ".join(omega), a, mp.nstr(rep.lhs, 12), mp.nstr(rep.residual, 3)))

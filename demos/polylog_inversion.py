@@ -18,7 +18,7 @@ ctx = PrecisionContext()
 
 print("omega = 1, a = 3")
 print("k   direction   lhs                      residual")
-reports = suite_inversion(k_max=5, grid=[("1", "3")], ctx=ctx, tol="1e-12")
+reports = suite_inversion(omega=("1",), a="3", k_max=5, ctx=ctx, tol="1e-12")
 for rep in sorted(reports, key=lambda rep: int(rep.params["k"])):
     direction = rep.identity_id.rsplit("/", 2)[1]
     print(

@@ -36,7 +36,6 @@ from .kernel import (
     bell_complete,
     euler_gamma,
     gamma0,
-    pochhammer,
     stirling_first_unsigned,
     zeta_value,
 )
@@ -45,16 +44,13 @@ from .polylog import (
     PolylogArgs,
     hurwitz_li0,
     hurwitz_li1,
-    li1_series_in_x,
     mpl,
     mpl_one_var,
 )
 from .reports import IdentityReport, exact_decimal
 from .series import (
     WeightConfig,
-    i_brute,
     i_integral,
-    m_direct,
     m_integral,
     s_series,
     t_coeff,
@@ -95,18 +91,14 @@ __all__ = [
     "hurwitz_li0",
     "hurwitz_li1",
     "i1_expansion",
-    "i_brute",
     "i_expansion",
     "i_integral",
     "lambda_k",
-    "li1_series_in_x",
-    "m_direct",
     "m_integral",
     "main_term_I",
     "main_term_M",
     "mpl",
     "mpl_one_var",
-    "pochhammer",
     "power_series_I",
     "run_suite",
     "s_series",

@@ -2,12 +2,17 @@
 
 Every rejected precondition raises DomainError with a message naming the
 violated condition; callers (CLI included) can rely on that to distinguish
-domain problems (exit 3) from genuine tolerance failures (exit 1).
+domain problems (exit 3) from genuine tolerance failures (exit 1).  Its
+subclass UsageError marks options that do not fit together (exit 2).
 """
 
 
 class DomainError(ValueError):
     """An input violates a documented precondition (e.g. x <= 0, |z| >= 1)."""
+
+
+class UsageError(DomainError):
+    """Options that do not fit together: a wrong count, a repeat, an unknown choice."""
 
 
 class BudgetError(RuntimeError):

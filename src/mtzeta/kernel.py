@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -89,26 +88,6 @@ def bell_complete(n: int, xs) -> object:
             acc = acc + math.comb(m, s) * xs[s] * b[m - s]
         b.append(acc)
     return b[n]
-
-
-def pochhammer(x, m: int, ctx: PrecisionContext):
-    """Rising factorial (x)_m = x(x+1)...(x+m-1); empty product 1 for m=0.
-
-    Exact when x is an int or Fraction; mpf at working precision otherwise.
-    """
-    if m < 0:
-        raise DomainError("pochhammer requires m >= 0")
-    if isinstance(x, (int, Fraction)):
-        acc = Fraction(1) if isinstance(x, Fraction) else 1
-        for i in range(m):
-            acc *= x + i
-        return acc
-    with ctx.workprec():
-        acc = mpf(1)
-        xv = mpf(x)
-        for i in range(m):
-            acc *= xv + i
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,11 @@ far below the 2^(8-bits) truncation threshold.  Values above 1 carry
 the same absolute error, hence a smaller relative one.
 """
 
-import math
-
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from dataclasses import dataclass, field
 
-from .combinatorics import weak_compositions
 from .context import GUARD_BITS, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 
@@ -55,7 +52,6 @@ __all__ = [
     "mpl_one_var",
     "hurwitz_li0",
     "hurwitz_li1",
-    "li1_series_in_x",
 ]
 
 
@@ -214,29 +210,3 @@ def hurwitz_li1(x, p, ctx):
     (n_i + x)^{k_i}."""
     x = positive_x(x)
     return _sum_with_cache("h1", p.index.parts, p.args, x, 1, ctx)
-
-
-def li1_series_in_x(p, x, L, ctx):
-    """Partial sum through total order L of the expansion of the shifted
-    sum in powers of x:
-
-        sum_{l>=0} (-x)^l sum_{l_1+...+l_s=l}
-            prod_i C(k_i + l_i - 1, l_i) * Li_{k+l}(z).
-    """
-    x = to_mpf(x)
-    if not 0 < x < 1:
-        raise DomainError("expansion variable must lie in (0,1)")
-    ks = p.index.parts
-    s = p.index.depth
-    with ctx.workprec():
-        total = mpf(0)
-        for l in range(int(L) + 1):
-            inner = mpf(0)
-            for wc in weak_compositions(l, s):
-                coeff = 1
-                for k, li in zip(ks, wc.parts):
-                    coeff *= math.comb(k + li - 1, li)
-                shifted = tuple(k + li for k, li in zip(ks, wc.parts))
-                inner += coeff * _sum_with_cache("m", shifted, p.args, mpf(0), 1, ctx)
-            total += (-x) ** l * inner
-        return +total

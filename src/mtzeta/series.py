@@ -42,9 +42,7 @@ from .quadrature import de_quad_0inf
 __all__ = [
     "WeightConfig",
     "i_integral",
-    "i_brute",
     "m_integral",
-    "m_direct",
     "s_series",
     "t_coeff",
     "zeta_ez_ones",
@@ -225,54 +223,6 @@ def i_integral(x, w, ctx):
     return _mellin_over_gamma("I", x, w, ctx)
 
 
-def i_brute(x, w, ctx):
-    """Tensor-product quadrature of the defining r-dimensional integral,
-    r <= 2 (oracle use).  Domain truncated at T chosen from the AM-GM
-    comparison: the discarded tail is below the context tolerance.
-
-    The r=2 case nests two adaptive quadratures, so it runs at a capped
-    working precision; this is a cross-check oracle for ~1e-10 level
-    agreement, not a production evaluator."""
-    x = positive_x(x)
-    r = w.r
-    if r > 2:
-        raise DomainError("brute integration is an oracle for r <= 2 only")
-    with ctx.workprec():
-        tol = ctx.target_tol
-        # tail over any coordinate beyond T, from
-        # (omega.t + a)^x >= r^x prod (omega_i t_i)^{x/r}:
-        #   tail <= r * r^{-x} (prod omega)^{-x/r} (r/x)^r T^{-x/r}
-        prod_om = mpf(1)
-        for om in w.omega:
-            prod_om *= om
-        lead = r * r ** -x * prod_om ** (-x / r) * (mpf(r) / x) ** r
-        T = (lead / tol) ** (r / x)
-        if T < 100:
-            T = mpf(100)
-        # integrate in s = log t; the 1/prod(t_i) Jacobian cancels and the
-        # integrand decays exponentially in each s_i, so plain adaptive
-        # quadrature on the box [0, log T]^r is well conditioned
-        S = mp.log(T)
-        pts = [0, 5, S / 2, S]
-        if r == 1:
-            om = w.omega[0]
-            val = mp.quad(lambda s: (om * mp.exp(s) + w.a) ** -x, pts)
-        else:
-            o1, o2 = w.omega
-            a = w.a
-            with mp.workprec(min(mp.prec, 112)):
-                def inner(s1):
-                    e1 = o1 * mp.exp(s1) + a
-                    return mp.quad(
-                        lambda s2: (e1 + o2 * mp.exp(s2)) ** -x,
-                        pts,
-                        maxdegree=6,
-                    )
-
-                val = mp.quad(inner, pts, maxdegree=6)
-        return +val
-
-
 # ---------------------------------------------------------------------------
 # harmonic multi-sum M_r
 # ---------------------------------------------------------------------------
@@ -289,49 +239,6 @@ def m_integral(x, w, ctx):
     the x-independent product is computed once per node and reused
     across x at fixed (omega, a) and precision."""
     return _mellin_over_gamma("M", x, w, ctx)
-
-
-def m_direct(x, w, N, ctx):
-    """Truncated defining multi-sum plus a rigorous tail bound.
-
-    Returns (value, bound): value is the sum over all n_i <= N, bound
-    dominates the discarded part via the AM-GM comparison
-    (omega.n + a)^x >= r^x prod(omega_i n_i)^{x/r}.  r <= 3."""
-    x = positive_x(x)
-    r = w.r
-    if r > 3:
-        raise DomainError("direct summation is an oracle for r <= 3 only")
-    N = int(N)
-    if N < 1:
-        raise DomainError("cutoff must be positive")
-    with ctx.workprec():
-        a = w.a
-        om = w.omega
-        total = mpf(0)
-        if r == 1:
-            for n1 in range(1, N + 1):
-                total += 1 / (n1 * (om[0] * n1 + a) ** x)
-        elif r == 2:
-            for n1 in range(1, N + 1):
-                base = om[0] * n1
-                for n2 in range(1, N + 1):
-                    total += 1 / (n1 * n2 * (base + om[1] * n2 + a) ** x)
-        else:
-            for n1 in range(1, N + 1):
-                b1 = om[0] * n1
-                for n2 in range(1, N + 1):
-                    b2 = b1 + om[1] * n2
-                    n12 = n1 * n2
-                    for n3 in range(1, N + 1):
-                        total += 1 / (n12 * n3 * (b2 + om[2] * n3 + a) ** x)
-        s = x / r
-        prod_om = mpf(1)
-        for o in om:
-            prod_om *= o
-        zeta_full = mp.zeta(1 + s)
-        tail_one = N ** -s / s  # int_N^inf t^{-1-s} dt
-        bound = r * r ** -x * prod_om ** -s * tail_one * zeta_full ** (r - 1)
-        return +total, +bound
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ tests/test_routes.py records each route of every default report and
 checks that they share no code.  Grids are fixed defaults so repeated
 runs emit identical reports, and multi-worker dispatch sorts the
 collected reports by parameters so output order never depends on
-scheduling.
+scheduling.  SUITES declares each suite once, for run_suite,
+verify_all and `mtz verify` alike.
 """
 
 import time
@@ -23,7 +24,7 @@ from mpmath import mp, mpf
 
 from .asymptotics import c_coeff, c_prime_coeff, main_term_I, power_series_I
 from .context import MAX_RANK, PrecisionContext, to_mpf
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, UsageError
 from .kernel import euler_gamma, zeta_value
 from .polylog import mpl_one_var
 from .reports import IdentityReport, exact_decimal
@@ -34,9 +35,19 @@ QUAD_TOL = "1e-9"
 ORDER_TOL = "0.2"
 CONSTANT_TOL = "1e-6"
 
-# the weights in one grid row of each suite whose rows are
-# (omega_1, .., omega_n, a); the command line reads this too
-GRID_WEIGHTS = {"r2m2": 2, "r3m3": 3, "inversion": 1}
+# Each suite: the weights its omega takes (None: any number), and the
+# options it reads, named after their flags, each mapped to the option it
+# needs beside it; an (option, value) pair is needed with that value only.
+SUITES = {
+    "r2m2": (2, {"omega": None, "a": "omega"}),
+    "r3m3": (3, {"omega": None, "a": "omega"}),
+    "inversion": (1, {"omega": "a", "a": "omega", "k_max": None}),
+    "asymptotic-order": (None, dict.fromkeys(("omega", "a", "r", "x_ladder"), "method")
+                         | {"method": "omega", "order": ("method", "truncated-series")}),
+    "mzf": (None, {"r": None, "x_grid": None}),
+}
+SUITE_NAMES = tuple(SUITES)
+
 R2M2_GRID = (
     ("1", "1", "0"),
     ("2", "3", "1"),
@@ -67,21 +78,17 @@ def _weights(omega, a):
     return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
 
 
-def _grid(name, grid, default):
-    """The rows of a suite named in GRID_WEIGHTS: default when grid is
-    None, else grid's, each refused unless it holds the suite's number
-    of weights and a shift."""
-    if grid is None:
+def _rows(name, omega, a, default):
+    """default when omega is None, else the one row (*omega, a or 0),
+    refused unless omega holds the weights that SUITES declares."""
+    if omega is None:
+        if a is not None:
+            raise UsageError("%s reads a only beside omega" % name)
         return default
-    count = GRID_WEIGHTS[name]
-    rows = [tuple(row) for row in grid]
-    for row in rows:
-        if len(row) != count + 1:
-            raise DomainError(
-                "%s takes %d weight(s) and a shift per row, got %d values"
-                % (name, count, len(row))
-            )
-    return rows
+    count = SUITES[name][0]
+    if len(omega) != count:
+        raise UsageError("%s takes %d weight(s), got %d" % (name, count, len(omega)))
+    return [tuple(omega) + ("0" if a is None else a,)]
 
 
 def _single(identity_id, params, method):
@@ -177,12 +184,12 @@ def relation_point(*row):
     )
 
 
-def suite_r2m2(grid=None, ctx=None, tol=None, threads=1):
-    return _run(relation_point, _grid("r2m2", grid, R2M2_GRID), ctx, tol, threads, _series_tol)
+def suite_r2m2(omega=None, a=None, ctx=None, tol=None, threads=1):
+    return _run(relation_point, _rows("r2m2", omega, a, R2M2_GRID), ctx, tol, threads, _series_tol)
 
 
-def suite_r3m3(grid=None, ctx=None, tol=None, threads=1):
-    return _run(relation_point, _grid("r3m3", grid, R3M3_GRID), ctx, tol, threads, _series_tol)
+def suite_r3m3(omega=None, a=None, ctx=None, tol=None, threads=1):
+    return _run(relation_point, _rows("r3m3", omega, a, R3M3_GRID), ctx, tol, threads, _series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +256,9 @@ def inversion_point(omega, a, k_max, ctx):
     return series, classical, reports
 
 
-def suite_inversion(k_max=None, grid=None, ctx=None, tol=None, threads=1):
-    k_max = INVERSION_K_MAX if k_max is None else int(k_max)
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    rows = [row + (k_max,) for row in _grid("inversion", grid, INVERSION_GRID)]
+def suite_inversion(omega=None, a=None, k_max=None, ctx=None, tol=None, threads=1):
+    k_max = INVERSION_K_MAX if k_max is None else k_max
+    rows = [row + (k_max,) for row in _rows("inversion", omega, a, INVERSION_GRID)]
     return _run(inversion_point, rows, ctx, tol, threads, _series_tol)
 
 
@@ -297,13 +302,13 @@ def _lagrange_at_zero(xs, ys):
     return total
 
 
-def order_point(method, omega, a, ladder, truncation_order, ctx):
-    xs = _ladder_values(ladder)
+def order_point(method, omega, a, x_ladder, order, ctx):
+    xs = _ladder_values(x_ladder)
     w = _weights(omega, a)
     params = {
         "omega": [_s(o) for o in omega],
         "a": _s(a),
-        "x_ladder": [_s(x) for x in ladder],
+        "x_ladder": [_s(x) for x in x_ladder],
     }
     if method == "harmonic-constant":
         if w.r != 1:
@@ -324,9 +329,9 @@ def order_point(method, omega, a, ladder, truncation_order, ctx):
         def expansion(x):
             return main_term_I(x, w, ctx)
     elif method == "truncated-series":
-        if truncation_order is None:
+        if order is None:
             raise DomainError("truncated-series needs a truncation order")
-        M = int(truncation_order)
+        M = int(order)
         claimed = M + 1 - w.r
         identity_id = "remainder-order/truncated-series/r%d-M%d" % (w.r, M)
         against = "truncation"
@@ -335,7 +340,8 @@ def order_point(method, omega, a, ladder, truncation_order, ctx):
         def expansion(x):
             return power_series_I(x, w, M, ctx)
     else:
-        raise DomainError("unknown order method %r" % (method,))
+        raise UsageError("unknown order method %r; choose from integral-main-term, "
+                         "truncated-series, harmonic-constant" % (method,))
     params["claimed_order"] = str(claimed)
 
     def reports(quadrature, expansions):
@@ -363,17 +369,16 @@ ORDER_DEFAULTS = (
 
 
 def suite_asymptotic_order(
-    w=None, r=None, method=None, ladder=None, truncation_order=None,
+    method=None, omega=None, a=None, r=None, x_ladder=None, order=None,
     ctx=None, tol=None, threads=1,
 ):
     if method is None:
         rows = ORDER_DEFAULTS
     else:
-        omega, a = tuple(w[0]), w[1]
         if r is not None and int(r) != len(omega):
             raise DomainError("rank r must match the number of weights")
-        ladder = ORDER_LADDER if ladder is None else tuple(ladder)
-        rows = [(method, omega, a, ladder, truncation_order)]
+        x_ladder = ORDER_LADDER if x_ladder is None else tuple(x_ladder)
+        rows = [(method, tuple(omega), "0" if a is None else a, x_ladder, order)]
     return _run(order_point, rows, ctx, tol, threads, _order_tol)
 
 
@@ -381,54 +386,54 @@ def suite_asymptotic_order(
 # harmonic multi-sum against all-ones Euler-Zagier values
 # ---------------------------------------------------------------------------
 
-def mzf_point(r, x, ctx):
-    r = int(r)
-    if not 1 <= r <= MAX_RANK:  # refused before either route runs
-        raise (DomainError if r < 1 else BudgetError)("rank must lie in 1..%d" % MAX_RANK)
+def mzf_point(x, depths, ctx):
+    """Reports for every depth in depths at one x: each route evaluates
+    every depth in turn, sharing its x's node factors or tail values."""
     xv = to_mpf(x)
-    w = WeightConfig((mpf(1),) * r, mpf(0))
+    weights = [WeightConfig((mpf(1),) * r, mpf(0)) for r in depths]
 
     def rhs():
-        if r == 1:
-            return mp.zeta(1 + xv)
-        return mp.factorial(r) * zeta_ez_ones(r, xv, ctx)
+        return [
+            mp.zeta(1 + xv) if r == 1 else mp.factorial(r) * zeta_ez_ones(r, xv, ctx)
+            for r in depths
+        ]
 
-    return (lambda: m_integral(xv, w, ctx)), rhs, _single(
-        "multisum-euler-zagier/r%d" % r,
-        {"r": str(r), "x": _s(x)},
-        {
-            "lhs": "double-exponential quadrature of the log-product integral",
-            "rhs": "builtin zeta at 1+x" if r == 1 else "direct outer sum with tail expansion, times r!",
-        },
-    )
+    def reports(quadratures, sums):
+        return [
+            ("multisum-euler-zagier/r%d" % r, {"r": str(r), "x": _s(x)}, {
+                "lhs": "double-exponential quadrature of the log-product integral",
+                "rhs": "builtin zeta at 1+x" if r == 1 else "direct outer sum with tail expansion, times r!",
+            }, quadrature, value)
+            for r, quadrature, value in zip(depths, quadratures, sums)
+        ]
+
+    return (lambda: [m_integral(xv, w, ctx) for w in weights]), rhs, reports
 
 
-def suite_mzf(r_values=None, x_grid=None, ctx=None, tol=None, threads=1):
-    r_values = MZF_R_VALUES if r_values is None else [int(r) for r in r_values]
-    x_grid = MZF_X_GRID if x_grid is None else x_grid
-    # x-major, so each x's depth-independent work is shared across r
-    rows = [(r, x) for x in x_grid for r in r_values]
-    return _run(mzf_point, rows, ctx, tol, threads, _quad_tol)
+def suite_mzf(r=None, x_grid=None, ctx=None, tol=None, threads=1):
+    depths = MZF_R_VALUES if r is None else (int(r),)
+    if not 1 <= depths[0] <= MAX_RANK:
+        raise (DomainError if depths[0] < 1 else BudgetError)("rank must lie in 1..%d" % MAX_RANK)
+    x_grid = MZF_X_GRID if x_grid is None else tuple(x_grid)
+    for i, x in enumerate(x_grid):
+        if to_mpf(x) in [to_mpf(y) for y in x_grid[:i]]:
+            raise UsageError("mzf x-grid repeats x = %s" % x)
+    # one job per x, so each x's depth-independent work is shared across r
+    return _run(mzf_point, [(x, depths) for x in x_grid], ctx, tol, threads, _quad_tol)
 
 
 # ---------------------------------------------------------------------------
 # everything
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("r2m2", "r3m3", "inversion", "asymptotic-order", "mzf")
-
-
 def run_suite(name, ctx=None, tol=None, threads=1, **options):
-    """Run suite_<name>, looked up when called, with the suite's own
-    keyword options."""
-    if name not in SUITE_NAMES:
+    """Run suite_<name>, looked up when called, with the options that
+    SUITES declares for it."""
+    if name not in SUITES:
         raise DomainError("unknown suite %r" % (name,))
     suite = globals()["suite_" + name.replace("-", "_")]
     return suite(ctx=ctx, tol=tol, threads=threads, **options)
 
 
 def verify_all(ctx=None, tol=None, threads=1):
-    reports = []
-    for name in SUITE_NAMES:
-        reports.extend(run_suite(name, ctx=ctx, tol=tol, threads=threads))
-    return reports
+    return [rep for name in SUITES for rep in run_suite(name, ctx=ctx, tol=tol, threads=threads)]

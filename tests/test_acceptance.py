@@ -28,7 +28,6 @@ from mtzeta.combinatorics import (
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.kernel import (
     bell_complete,
-    pochhammer,
     stirling_first_unsigned,
     zeta_value,
 )
@@ -39,6 +38,8 @@ from mtzeta.suites import (
     suite_r2m2,
     suite_r3m3,
 )
+
+from oracles import pochhammer
 
 CTX = PrecisionContext()
 

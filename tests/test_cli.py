@@ -11,6 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 import mtzeta
+from mtzeta import suites
 from mtzeta import (
     PolylogArgs,
     WeightConfig,
@@ -164,6 +165,18 @@ def test_expand_mismatched_rank(capsys):
         capsys, ["expand", "--r", "3", "--omega", "1,1", "--a", "3", "--order", "2"]
     )
     assert code == 2
+
+
+def test_verify_checks_rank_as_eval_does(capsys):
+    # one --r check for every subcommand: the same mismatch exits 2 with
+    # the same message from eval and from verify
+    tail = ["--omega", "1,2", "--a", "0.3", "--r", "3"]
+    code, _, eval_err = _run(capsys, ["eval", "I", "--x", "0.5"] + tail)
+    assert code == 2 and "--r expects 3 weights, got 2" in eval_err
+    code, out, err = _run(
+        capsys, ["verify", "asymptotic-order", "--method", "integral-main-term"] + tail
+    )
+    assert code == 2 and out == "" and err == eval_err
 
 
 def test_expand_csv_exact_cells(tmp_path, capsys):
@@ -322,6 +335,37 @@ def test_verify_weight_count_and_missing_shift(capsys):
     )
     assert code == 2 and out == ""
     assert "missing required option(s): --order" in err
+
+
+def test_verify_unknown_order_method_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["verify", "asymptotic-order", "--method", "foo", "--omega", "1"])
+    assert code == 2 and out == ""
+    assert "usage error" in err and "'foo'" in err
+    for method in ("integral-main-term", "truncated-series", "harmonic-constant"):
+        assert method in err
+
+
+def test_verify_mzf_refuses_a_repeated_x(capsys):
+    code, out, err = _run(capsys, ["verify", "mzf", "--r", "2", "--x-grid", "0.5,1,0.5"])
+    assert code == 2 and out == ""
+    assert "usage error" in err and "repeats x = 0.5" in err
+
+
+# every verify flag that a suite, or all, does not declare: the cases
+# come from suites.SUITES, so a new suite is checked against the CLI
+SUITE_READS = {name: reads for name, (_, reads) in suites.SUITES.items()} | {"all": {}}
+VERIFY_FLAGS = sorted({flag for reads in SUITE_READS.values() for flag in reads})
+UNDECLARED = [
+    (name, flag) for name, reads in SUITE_READS.items() for flag in VERIFY_FLAGS if flag not in reads
+]
+
+
+@pytest.mark.parametrize("name, flag", UNDECLARED, ids=["%s-%s" % case for case in UNDECLARED])
+def test_verify_refuses_each_flag_its_suite_does_not_declare(name, flag, capsys):
+    option = "--" + flag.replace("_", "-")
+    code, out, err = _run(capsys, ["verify", name, option, "1"])
+    assert code == 2 and out == ""
+    assert err == "usage error: verify %s does not read %s\n" % (name, option)
 
 
 @pytest.mark.parametrize("suite", ["r2m2", "r3m3", "inversion"])

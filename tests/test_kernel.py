@@ -24,10 +24,11 @@ from mtzeta.kernel import (
     gamma0,
     inv_gamma_taylor,
     loggamma_jet,
-    pochhammer,
     stirling_first_unsigned,
     zeta_value,
 )
+
+from oracles import pochhammer
 
 CTX = PrecisionContext()
 BITS = CTX.precision_bits

@@ -13,10 +13,11 @@ from mtzeta.polylog import (
     PolylogArgs,
     hurwitz_li0,
     hurwitz_li1,
-    li1_series_in_x,
     mpl,
     mpl_one_var,
 )
+
+from oracles import li1_series_in_x
 
 CTX = PrecisionContext()
 BITS = CTX.precision_bits

@@ -60,7 +60,7 @@ DEFAULT_REPORTS = 28
 # polylog-evaluation point, since the golden files and the benchmark pin
 # the 28 default reports
 EXTRA_POINTS = (
-    (suites.mzf_point, (4, "0.5")),
+    (suites.mzf_point, ("0.5", (4,))),
     (suites.relation_point, ("1", "2", "3", "4", "0.5")),
 )
 

@@ -25,14 +25,14 @@ from mtzeta.quadrature import de_quad_0inf
 import mtzeta.series as series
 from mtzeta.series import (
     WeightConfig,
-    i_brute,
     i_integral,
-    m_direct,
     m_integral,
     s_series,
     t_coeff,
     zeta_ez_ones,
 )
+
+from oracles import i_brute, m_direct
 
 CTX = PrecisionContext()
 BITS = CTX.precision_bits

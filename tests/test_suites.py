@@ -4,6 +4,7 @@ time.  That the two sides of each report travel different routes is
 checked by tests/test_routes.py, which records both routes of every
 default report."""
 
+import inspect
 import sys
 import time
 from dataclasses import replace
@@ -53,8 +54,8 @@ def test_r2m2_default_grid_passes():
 
 
 def test_r2m2_swap_symmetry():
-    (a,) = suite_r2m2(grid=[("2", "3", "1")], ctx=CTX)
-    (b,) = suite_r2m2(grid=[("3", "2", "1")], ctx=CTX)
+    (a,) = suite_r2m2(omega=("2", "3"), a="1", ctx=CTX)
+    (b,) = suite_r2m2(omega=("3", "2"), a="1", ctx=CTX)
     with CTX.workprec():
         assert abs(a.lhs - b.lhs) <= mpf(10) ** -70
         assert abs(a.rhs - b.rhs) <= mpf(10) ** -70
@@ -62,9 +63,9 @@ def test_r2m2_swap_symmetry():
 
 def test_r2m2_rejects_bad_weights():
     with pytest.raises(DomainError):
-        suite_r2m2(grid=[("0", "1", "0")], ctx=CTX)
+        suite_r2m2(omega=("0", "1"), a="0", ctx=CTX)
     with pytest.raises(DomainError):
-        suite_r2m2(grid=[("1", "1", "-0.5")], ctx=CTX)
+        suite_r2m2(omega=("1", "1"), a="-0.5", ctx=CTX)
 
 
 @pytest.mark.parametrize(
@@ -79,14 +80,14 @@ def test_r2m2_rejects_bad_weights():
     ids=["r2m2-three", "r2m2-one", "r3m3-two", "r3m3-four", "inversion-two"],
 )
 def test_grid_rows_of_another_weight_count_are_refused(suite, row, monkeypatch):
-    # refused before any point is dispatched, so a row of the other
-    # suite's length never emits that suite's report under this name
+    # refused before any point is dispatched, so weights of the other
+    # suite's count never emit that suite's report under this name
     def dispatched(*args):
         raise AssertionError("a refused row reached dispatch")
 
     monkeypatch.setattr(suites, "_run", dispatched)
     with pytest.raises(DomainError, match="weight"):
-        suite(grid=[row], ctx=CTX)
+        suite(omega=row[:-1], a=row[-1], ctx=CTX)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -112,9 +113,9 @@ def test_r3m3_default_grid_passes():
 
 
 def test_r3m3_permutation_invariance():
-    vals = suite_r3m3(
-        grid=[(o1, o2, o3, "1") for o1, o2, o3 in permutations(("1", "2", "3"))], ctx=CTX
-    )
+    vals = [
+        rep for omega in permutations(("1", "2", "3")) for rep in suite_r3m3(omega=omega, a="1", ctx=CTX)
+    ]
     assert len(vals) == 6
     with CTX.workprec():
         for rep in vals[1:]:
@@ -229,7 +230,7 @@ def test_inversion_formulas_are_mutual_inverses():
 
 def test_inversion_rejects_domain():
     with pytest.raises(DomainError):
-        suite_inversion(k_max=2, grid=[("3", "1")], ctx=CTX)
+        suite_inversion(k_max=2, omega=("3",), a="1", ctx=CTX)
     with pytest.raises(DomainError):
         suite_inversion(k_max=0, ctx=CTX)
 
@@ -248,28 +249,28 @@ def test_order_suite_defaults_pass():
 
 
 def test_order_ladder_rejections():
-    w = (("1.5",), "0.7")
+    w = dict(omega=("1.5",), a="0.7")
     with pytest.raises(DomainError):
         suite_asymptotic_order(
-            w=w, method="integral-main-term", ladder=("0.02", "0.01"), ctx=CTX
+            **w, method="integral-main-term", x_ladder=("0.02", "0.01"), ctx=CTX
         )
     with pytest.raises(DomainError):
         suite_asymptotic_order(
-            w=w, method="integral-main-term",
-            ladder=("0.01", "0.01", "0.005"), ctx=CTX,
+            **w, method="integral-main-term",
+            x_ladder=("0.01", "0.01", "0.005"), ctx=CTX,
         )
     with pytest.raises(DomainError):
         suite_asymptotic_order(
-            w=w, r=2, method="integral-main-term",
-            ladder=("0.02", "0.01", "0.005"), ctx=CTX,
+            **w, r=2, method="integral-main-term",
+            x_ladder=("0.02", "0.01", "0.005"), ctx=CTX,
         )
     with pytest.raises(DomainError):
         suite_asymptotic_order(
-            w=w, method="no-such-method",
-            ladder=("0.02", "0.01", "0.005"), ctx=CTX,
+            **w, method="no-such-method",
+            x_ladder=("0.02", "0.01", "0.005"), ctx=CTX,
         )
     with pytest.raises(DomainError, match="truncation order"):
-        suite_asymptotic_order(w=(("1", "2"), "0.3"), method="truncated-series", ctx=CTX)
+        suite_asymptotic_order(omega=("1", "2"), a="0.3", method="truncated-series", ctx=CTX)
 
 
 def test_mzf_suite_hits_double_zeta_oracle():
@@ -306,7 +307,7 @@ def test_mzf_suite_at_512_bits_closes_at_the_first_cutoff(monkeypatch):
 
 
 def test_mzf_shares_each_x_across_depths(monkeypatch):
-    # the rows run x-major, so r = 2 and 3 build their node factors from
+    # one point per x runs every depth, so r = 2 and 3 build their node factors from
     # the -log(1 - e^-u) that r = 1 stored at each DE node, and r = 3 reads
     # the polygammas that r = 2 took at each mp.quad node of its tail
     ctx = PrecisionContext(precision_bits=128)
@@ -335,9 +336,9 @@ def test_mzf_shares_each_x_across_depths(monkeypatch):
 
 def test_mzf_rejects_rank():
     with pytest.raises(BudgetError):
-        suite_mzf(r_values=(9,), x_grid=("0.5",), ctx=CTX)
+        suite_mzf(r=9, x_grid=("0.5",), ctx=CTX)
     with pytest.raises(DomainError):
-        suite_mzf(r_values=(0,), x_grid=("0.5",), ctx=CTX)
+        suite_mzf(r=0, x_grid=("0.5",), ctx=CTX)
 
 
 def test_run_suite_name_check():
@@ -346,8 +347,8 @@ def test_run_suite_name_check():
 
 
 def test_suite_determinism_modulo_wall_time():
-    first = suite_r2m2(grid=[("2", "3", "1")], ctx=CTX)
-    second = suite_r2m2(grid=[("2", "3", "1")], ctx=CTX)
+    first = suite_r2m2(omega=("2", "3"), a="1", ctx=CTX)
+    second = suite_r2m2(omega=("2", "3"), a="1", ctx=CTX)
     assert [_strip_time(r) for r in first] == [_strip_time(r) for r in second]
 
 
@@ -356,7 +357,11 @@ def test_parallel_dispatch_matches_serial():
         lambda threads: suite_inversion(k_max=2, ctx=CTX, threads=threads),
         # a quadrature x-grid: the serial run reuses its first x's node
         # factors, the forked workers start from the serial run's table
-        lambda threads: suite_mzf(r_values=(2,), x_grid=("0.5", "1"), ctx=CTX, threads=threads),
+        lambda threads: suite_mzf(r=2, x_grid=("0.5", "1"), ctx=CTX, threads=threads),
+        # two depths per x: each worker runs both depths of its x
+        lambda threads: suites._run(
+            suites.mzf_point, [("0.5", (2, 3)), ("1", (2, 3))], CTX, None, threads, suites._quad_tol
+        ),
     )
     for run in runs:
         serial = run(1)
@@ -380,5 +385,38 @@ def test_run_suite_and_verify_all_call_each_suite(monkeypatch):
     assert verify_all(ctx=CTX) == []
     assert [name for name, _ in calls] == list(SUITE_NAMES)
     calls.clear()
-    run_suite("mzf", ctx=CTX, r_values=(2,))
-    assert calls == [("mzf", {"r_values": (2,)})]
+    run_suite("mzf", ctx=CTX, r=2)
+    assert calls == [("mzf", {"r": 2})]
+
+
+def test_suite_options_are_the_declared_ones():
+    # each suite_* takes exactly the options SUITES declares for it, so
+    # run_suite and the command line pass nothing a suite does not read
+    for name, (_, reads) in suites.SUITES.items():
+        suite = getattr(suites, "suite_" + name.replace("-", "_"))
+        options = set(inspect.signature(suite).parameters) - {"ctx", "tol", "threads"}
+        assert options == set(reads), name
+
+
+def test_mzf_hands_run_one_row_per_x(monkeypatch):
+    # one job per x carries every depth, so a worker shares its x's
+    # node factors and tail values across the depths
+    rows = []
+
+    def dispatched(point, point_rows, *rest):
+        rows.append((point, list(point_rows)))
+        return []
+
+    monkeypatch.setattr(suites, "_run", dispatched)
+    suite_mzf(ctx=CTX)
+    suite_mzf(r=4, x_grid=("0.25", "2", "1"), ctx=CTX)
+    assert rows == [
+        (suites.mzf_point, [("0.5", (1, 2, 3)), ("1", (1, 2, 3))]),
+        (suites.mzf_point, [("0.25", (4,)), ("2", (4,)), ("1", (4,))]),
+    ]
+
+
+def test_mzf_refuses_a_repeated_x(monkeypatch):
+    monkeypatch.setattr(suites, "_run", None)
+    with pytest.raises(DomainError, match="repeats x = 0.50"):
+        suite_mzf(r=2, x_grid=("0.5", "1", "0.50"), ctx=CTX)
