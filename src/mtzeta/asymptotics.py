@@ -25,7 +25,7 @@ from .context import MAX_RANK, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 from .jets import Jet
 from .kernel import bell_complete, euler_gamma, loggamma_jet, zeta_value
-from .polylog import PolylogArgs, mpl, mpl_one_var
+from .polylog import PolylogArgs, mpl, mpl_one_var, prefetched
 from .series import s_series
 
 __all__ = [
@@ -112,7 +112,7 @@ def c_coeff(r, m, w, ctx):
         raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
     with ctx.workprec():
         a = w.a
-        total = mpf(0)
+        terms = []
         for t in range(1, min(m, r) + 1):
             sign = mpf(-1) ** (m - t)
             rt_fact = math.factorial(r - t)
@@ -121,7 +121,16 @@ def c_coeff(r, m, w, ctx):
                     kfact = 1
                     for ki in comp.parts:
                         kfact *= math.factorial(ki)
-                    fams = list(disjoint_subset_families(r, comp))
+                    # the telescoping ratios of each family, shared by every l
+                    fam_zs = []
+                    for fam in disjoint_subset_families(r, comp):
+                        b = a + w.subset_total(fam.remainder)
+                        zs = []
+                        for block in fam.blocks:
+                            b2 = b + w.subset_total(block)
+                            zs.append(b / b2)
+                            b = b2
+                        fam_zs.append(zs)
                     for wc in weak_compositions(m - t, s):
                         binom = 1
                         for ki, li in zip(comp.parts, wc.parts):
@@ -129,16 +138,12 @@ def c_coeff(r, m, w, ctx):
                         index = tuple(
                             ki + li for ki, li in zip(comp.parts, wc.parts)
                         )
-                        fam_sum = mpf(0)
-                        for fam in fams:
-                            b = a + w.subset_total(fam.remainder)
-                            zs = []
-                            for block in fam.blocks:
-                                b2 = b + w.subset_total(block)
-                                zs.append(b / b2)
-                                b = b2
-                            fam_sum += mpl(PolylogArgs(index, zs), ctx)
-                        total += sign * rt_fact * kfact * binom * fam_sum
+                        terms.append((sign * rt_fact * kfact * binom,
+                                      [PolylogArgs(index, zs) for zs in fam_zs]))
+        # one fixed-point pass per argument tuple; mpl then hits the cache
+        total = mpf(0)
+        for coef, ps in prefetched(terms, ctx):
+            total += coef * sum((mpl(p, ctx) for p in ps), mpf(0))
         return +total
 
 

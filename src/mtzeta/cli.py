@@ -89,26 +89,13 @@ _LIST_FLAGS = {
 
 
 def _reject_unread(ns, label, reads, flags):
-    """Refuse each of `flags` given on the command line that `reads` does
-    not name, or that `reads` maps to a companion flag left out.  A
-    (flag, value) companion must have that value, and with it the flag
-    is required."""
-    unread = []
-    for flag in flags:
-        needs = reads.get(flag)
-        if isinstance(needs, tuple) and getattr(ns, needs[0]) == needs[1]:
-            _require(ns, [flag])
-        if getattr(ns, flag) is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        if flag not in reads:
-            unread.append(option)
-        elif isinstance(needs, tuple) and getattr(ns, needs[0]) != needs[1]:
-            unread.append("%s without --%s %s" % ((option,) + needs))
-        elif isinstance(needs, str) and getattr(ns, needs) is None:
-            unread.append("%s without --%s" % (option, needs))
-    if unread:
-        raise UsageError("%s does not read %s" % (label, ", ".join(unread)))
+    """suites.refuse_unread on the command line's `flags`, after requiring
+    each flag whose (flag, value) companion has that value."""
+    _require(ns, [f for f in flags if isinstance(reads.get(f), tuple)
+                  and getattr(ns, reads[f][0]) == reads[f][1]])
+    suites.refuse_unread(
+        label, reads, {f: getattr(ns, f) for f in flags}, lambda f: "--" + f.replace("_", "-")
+    )
 
 
 def _check_rank(ns, omega):

@@ -78,12 +78,27 @@ def _weights(omega, a):
     return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
 
 
+def refuse_unread(label, reads, given, spell=str):
+    """Refuse each option given (not None) that reads, a SUITES entry's
+    options, does not name, or whose companion there is not given."""
+    unread = []
+    for name in [n for n, v in given.items() if v is not None]:
+        needs = reads.get(name)
+        if name not in reads:
+            unread.append(spell(name))
+        elif isinstance(needs, tuple) and given.get(needs[0]) != needs[1]:
+            unread.append("%s without %s %s" % (spell(name), spell(needs[0]), needs[1]))
+        elif isinstance(needs, str) and given.get(needs) is None:
+            unread.append("%s without %s" % (spell(name), spell(needs)))
+    if unread:
+        raise UsageError("%s does not read %s" % (label, ", ".join(unread)))
+
+
 def _rows(name, omega, a, default):
     """default when omega is None, else the one row (*omega, a or 0),
     refused unless omega holds the weights that SUITES declares."""
+    refuse_unread(name, SUITES[name][1], {"omega": omega, "a": a})
     if omega is None:
-        if a is not None:
-            raise UsageError("%s reads a only beside omega" % name)
         return default
     count = SUITES[name][0]
     if len(omega) != count:
@@ -372,6 +387,8 @@ def suite_asymptotic_order(
     method=None, omega=None, a=None, r=None, x_ladder=None, order=None,
     ctx=None, tol=None, threads=1,
 ):
+    refuse_unread("asymptotic-order", SUITES["asymptotic-order"][1], dict(
+        method=method, omega=omega, a=a, r=r, x_ladder=x_ladder, order=order))
     if method is None:
         rows = ORDER_DEFAULTS
     else:

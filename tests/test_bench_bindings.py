@@ -4,13 +4,15 @@ gate, so a rename in the package must fail here, not in a traced run."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import mpmath
 
-from mtzeta import quadrature, suites
+from mtzeta import asymptotics, combinatorics, quadrature, suites
 from mtzeta.context import PrecisionContext
 from mtzeta.jets import Jet
+from mtzeta.series import WeightConfig
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +63,46 @@ def test_mzf_reaches_mp_quad_through_the_attribute(monkeypatch):
     monkeypatch.setattr(mpmath.mp, "quad", wrapped)
     suites.suite_mzf(ctx=PrecisionContext())
     assert len(calls) == 4
+
+
+def test_c_coeff_calls_mpl_and_the_generators_through_the_module(monkeypatch):
+    # the polylog.mpl and combinatorics.* spans wrap these attributes of
+    # asymptotics, and a traced coeff-table run counts a span that does
+    # not fire as a failed operation: c_coeff prefetches its sums, but
+    # still reads each (family, weak composition) term through mpl
+    calls, items = Counter(), Counter()
+
+    def counted_mpl(*args):
+        calls["mpl"] += 1
+        return mpl(*args)
+
+    def iterated(name, gen):
+        def wrapped(*args):
+            calls[name] += 1
+            for item in gen(*args):
+                items[name] += 1
+                yield item
+
+        return wrapped
+
+    mpl = asymptotics.mpl
+    monkeypatch.setattr(asymptotics, "mpl", counted_mpl)
+    for name in ("compositions", "weak_compositions", "disjoint_subset_families"):
+        monkeypatch.setattr(asymptotics, name, iterated(name, getattr(asymptotics, name)))
+    r, m = 3, 4
+    w = WeightConfig((mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(3)), mpmath.mpf("0.5"))
+    asymptotics.c_coeff(r, m, w, PrecisionContext(precision_bits=128))
+    comps = [
+        (t, s, comp)
+        for t in range(1, min(m, r) + 1)
+        for s in range(1, t + 1)
+        for comp in combinatorics.compositions(t, s)
+    ]
+    assert calls["mpl"] == sum(
+        len(list(combinatorics.disjoint_subset_families(r, comp)))
+        * len(list(combinatorics.weak_compositions(m - t, s)))
+        for t, s, comp in comps
+    )
+    assert items["compositions"] == len(comps)
+    assert calls["weak_compositions"] == calls["disjoint_subset_families"] == len(comps)
+    assert items["weak_compositions"] > 0 and items["disjoint_subset_families"] > 0

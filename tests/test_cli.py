@@ -31,7 +31,7 @@ from mtzeta import (
 )
 from mtzeta.cli import EVAL_OBJECTS, cli_main
 from mtzeta.context import PrecisionContext, to_mpf
-from mtzeta.errors import QuadratureError
+from mtzeta.errors import QuadratureError, UsageError
 from mtzeta.reports import value_str
 
 CTX = PrecisionContext()
@@ -400,6 +400,28 @@ def test_verify_rejects_unread_flags(argv, unread, capsys):
     assert "verify %s does not read" % argv[1] in err
     for flag in unread:
         assert flag in err
+
+
+@pytest.mark.parametrize(
+    "flags, options, unread",
+    [
+        (["--omega", "1,2"], dict(omega=("1", "2")), "{o}omega without {o}method"),
+        (["--r", "2", "--order", "3"], dict(r="2", order="3"),
+         "{o}r without {o}method, {o}order without {o}method truncated-series"),
+        (["--method", "integral-main-term", "--omega", "1,2", "--order", "3"],
+         dict(method="integral-main-term", omega=("1", "2"), order="3"),
+         "{o}order without {o}method truncated-series"),
+    ],
+    ids=["omega", "r-order", "main-term-order"],
+)
+def test_verify_and_python_refuse_the_same_unread_options(flags, options, unread, capsys):
+    # one check, suites.refuse_unread, reads the SUITES companions for both
+    code, out, err = _run(capsys, ["verify", "asymptotic-order"] + flags)
+    assert code == 2 and out == ""
+    assert err == "usage error: verify asymptotic-order does not read %s\n" % unread.format(o="--")
+    with pytest.raises(UsageError) as exc:
+        suites.suite_asymptotic_order(ctx=CTX, **options)
+    assert str(exc.value) == "asymptotic-order does not read " + unread.format(o="")
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Polylogarithm sums against closed forms and brute nested-loop oracles
-computed at triple precision, and the fixed-point accumulation against
-the same loop in mpf arithmetic at 64, 256 and 1024 bits.
+computed at triple precision, the fixed-point accumulation against the
+same loop in mpf arithmetic at 64, 256 and 1024 bits, and grouped passes
+against each index summed alone.
 """
 
 import pytest
 from mpmath import mp, mpf
 
+from mtzeta import polylog
+from mtzeta.asymptotics import c_coeff
 from mtzeta.context import GUARD_BITS, PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
 from mtzeta.polylog import (
@@ -16,6 +19,8 @@ from mtzeta.polylog import (
     mpl,
     mpl_one_var,
 )
+
+from mtzeta.series import WeightConfig
 
 from oracles import li1_series_in_x
 
@@ -356,3 +361,100 @@ def test_budget_exhaustion_raises():
     ctx = PrecisionContext(max_terms=2000)
     with pytest.raises(BudgetError, match="did not close"):
         mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), ctx)
+
+
+# ---------------------------------------------------------------------------
+# grouped passes: one pass per argument tuple, every value as if alone
+# ---------------------------------------------------------------------------
+
+def _alone(ks, zs, x, n_start, ctx):
+    """The index summed by itself, through its public entry point."""
+    pa = PolylogArgs(ks, zs)
+    if not x:
+        return mpl(pa, ctx)
+    return (hurwitz_li0 if n_start == 0 else hurwitz_li1)(x, pa, ctx)
+
+
+# (label, index set, inner arguments, shift, n_start); the last argument
+# is rho.  Index sets share prefixes; a shifted set with two values of
+# max(ks) takes one pass per value, since max(ks) sets its scale
+_SHARED = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+_GROUPS = [
+    ("d1", [(1,), (2,), (3,), (5,)], (), 0, 1),
+    ("d2", _SHARED, ("0.6",), 0, 1),
+    ("d2-negative", _SHARED, ("-0.7",), 0, 1),
+    ("d3", [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (3, 1, 1)],
+     ("0.5", "0.8"), 0, 1),
+    ("h0", [(3, 1), (1, 3), (3, 3), (2, 1), (1, 2)], ("0.5",), "1e-3", 0),
+    ("h1", _SHARED, ("0.7",), "0.3", 1),
+]
+_GROUPED_RUNS = [
+    (bits, rho) + case
+    for bits in (64, 256, 1024)
+    for rho in ("0.5", "0.9", "0.99")
+    for case in _GROUPS
+    if bits <= 256 or rho != "0.99"
+]
+
+
+@pytest.mark.parametrize(
+    "bits, rho, label, kss, inner, x, n_start",
+    _GROUPED_RUNS,
+    ids=["%s-rho%s-%d" % (run[2], run[1], run[0]) for run in _GROUPED_RUNS],
+)
+def test_grouped_pass_matches_each_index_alone(bits, rho, label, kss, inner, x, n_start, monkeypatch):
+    ctx = PrecisionContext(precision_bits=bits)
+    zs = tuple(to_mpf(z) for z in inner + (rho,))
+    x = to_mpf(x)
+    keys = [(ks, zs, x, n_start, bits) for ks in kss]
+    passes = []
+    nested_sums = polylog._nested_sums
+
+    def counted(group, *args):
+        passes.append(sorted(group))
+        return nested_sums(group, *args)
+
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    monkeypatch.setattr(polylog, "_nested_sums", counted)
+    polylog._prefetch(keys, ctx)
+    assert len(passes) == (len({max(ks) for ks in kss}) if x else 1)
+    grouped = dict(polylog._CACHE)
+    for ks in kss:
+        polylog._CACHE.clear()
+        alone = _alone(ks, zs, x, n_start, ctx)
+        assert grouped[(ks, zs, x, n_start, bits)]._mpf_ == alone._mpf_, ks
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_grouped_pass_keeps_zero_arguments_exact(bits, monkeypatch):
+    ctx = PrecisionContext(precision_bits=bits)
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    for zs in ((0, "0.5"), ("0.4", 0)):
+        zs = tuple(to_mpf(z) for z in zs)
+        polylog._prefetch([(ks, zs, mpf(0), 1, bits) for ks in _SHARED], ctx)
+        assert [polylog._CACHE[(ks, zs, mpf(0), 1, bits)] for ks in _SHARED] == [0] * 6
+    zs = (mpf(0), to_mpf("0.5"))
+    polylog._prefetch([(ks, zs, to_mpf("0.3"), 1, bits) for ks in ((2, 1), (1, 2))], ctx)
+    assert polylog._CACHE[((2, 1), zs, to_mpf("0.3"), 1, bits)] == 0
+
+
+def test_grouped_pass_that_cannot_close_raises(monkeypatch):
+    # rho = 0.9999 needs far more than 2000 terms at 256 bits
+    ctx = PrecisionContext(max_terms=2000)
+    zs = (to_mpf("0.5"), to_mpf("0.9999"))
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    with pytest.raises(BudgetError, match="did not close"):
+        polylog._prefetch([(ks, zs, mpf(0), 1, 256) for ks in _SHARED], ctx)
+    assert polylog._CACHE == {}
+
+
+def test_c_coeff_with_a_cache_of_four_values(monkeypatch):
+    # prefetched() hands c_coeff's terms over in chunks that fit the cache
+    w = WeightConfig((mpf(1), mpf(2), mpf(3)), to_mpf("0.5"))
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    full = c_coeff(3, 3, w, CTX)
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    monkeypatch.setattr(polylog, "_CACHE_CAP", 4)
+    small = c_coeff(3, 3, w, CTX)
+    assert small._mpf_ == full._mpf_
+    assert len(polylog._CACHE) <= 4

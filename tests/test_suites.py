@@ -14,12 +14,13 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.context import PrecisionContext, to_mpf
-from mtzeta.errors import BudgetError, DomainError
+from mtzeta.errors import BudgetError, DomainError, UsageError
 from mtzeta import series, suites
 from mtzeta.kernel import zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.reports import IdentityReport
 from mtzeta.suites import (
+    ORDER_LADDER,
     SUITE_NAMES,
     run_suite,
     suite_asymptotic_order,
@@ -271,6 +272,30 @@ def test_order_ladder_rejections():
         )
     with pytest.raises(DomainError, match="truncation order"):
         suite_asymptotic_order(omega=("1", "2"), a="0.3", method="truncated-series", ctx=CTX)
+
+
+# options a suite would ignore, refused as `mtz verify` refuses their flags
+IGNORED_OPTIONS = [
+    (suite_asymptotic_order, dict(omega=("1",)), "asymptotic-order does not read omega without method"),
+    (suite_asymptotic_order, dict(a="0.3", r=2, x_ladder=ORDER_LADDER),
+     "asymptotic-order does not read a without method, r without method, x_ladder without method"),
+    (suite_asymptotic_order, dict(order=3), "asymptotic-order does not read order without method truncated-series"),
+    (suite_asymptotic_order, dict(method="integral-main-term", omega=("1", "2"), a="0.3", order=3),
+     "asymptotic-order does not read order without method truncated-series"),
+    (suite_r2m2, dict(a="1"), "r2m2 does not read a without omega"),
+    (suite_inversion, dict(omega=("1",)), "inversion does not read omega without a"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, options, message", IGNORED_OPTIONS,
+    ids=["%s-%s" % (case[0].__name__, "-".join(case[1])) for case in IGNORED_OPTIONS],
+)
+def test_suites_refuse_options_they_would_ignore(suite, options, message, monkeypatch):
+    monkeypatch.setattr(suites, "_run", None)  # refused before any point runs
+    with pytest.raises(UsageError) as exc:
+        suite(ctx=CTX, **options)
+    assert str(exc.value) == message
 
 
 def test_mzf_suite_hits_double_zeta_oracle():
