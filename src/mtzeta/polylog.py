@@ -13,41 +13,45 @@ without materializing prefix arrays.
 One pass over n sums every index that shares an argument tuple: stage i
 depends on k_1..k_i only, so the stages form a trie of prefixes, each
 z_i^n is advanced once and siblings share their parent's product.  Each
-index stops where it would alone, so no value depends on its group;
+index is read at its own term count, so no value depends on its group;
 c_coeff groups its sums through prefetched().
 
-Truncation is adaptive.  The outermost increments decay geometrically
-with ratio rho = max over suffixes of prod_{j>=i} |z_j| (inner stages
-contribute slowly varying polynomial-log factors only), so the tail
-after n is bounded by a small multiple of t_n rho/(1-rho).  We stop
-when that bound drops below the working threshold twice in a row and
-raise BudgetError if ctx.max_terms runs out first, which only happens
-for rho very close to 1; the telescoping ratios stay well clear.
+Truncation is decided before the first term.  Let rho = max over i of
+|z_i ... z_s| < 1.  As prod z_i^{n_i} = prod_i (z_i ... z_s)^{n_i - n_{i-1}}
+(n_0 = 0), the term at outer index n is at most rho^n / n^{k_s} times
+the sum of prod 1/n_i over n_1 < ... < n_{s-1} < n, at most L^{s-1}/(s-1)!
+with L = 1 + ln n; n_1 = 0 adds x^{-k_1} L^{s-2}/(s-2)!.  So the term is
+at most b(n) = rho^n L^{s-1} (1 + c) / ((s-1)! n^{k_s}), c = (s-1) x^{-k_1}
+from n_1 = 0, else 0.  Where (s-1)/n <= ln((1 + rho)/(2 rho)), b(n+1) <=
+b(n) (1 + rho)/2, so the tail after N is T <= 2 b(N+1)/(1 - rho).  Each
+index runs to the least N with T <= 2^-precision_bits; when some N
+exceeds ctx.max_terms, BudgetError comes before any term is summed.
 
-The loop runs in fixed point: the arguments z_i, the powers z_i^n, the
-stage sums P_i, the tail factor and the threshold are Python ints scaled
-by 2^wp, wp = precision_bits + GUARD_BITS (the bits ctx.workprec() gives
-mpf code).  Ints are truncated (floored) to a unit of 2^-wp in three
-places only: when an argument is converted, when a power is advanced
-(z^n * z >> wp), and when a term is formed (power * P_{i-1} >> wp, then
-floor division by the denominator).  P_0 = 2^wp, so stage 1's term
-needs no product.  Unshifted sums divide by the exact integer n^k, and
-a sibling divides the previous one's quotient by n^(k - k_prev), which
-is exact: floor(floor(y/a)/b) = floor(y/(ab)).  Shifted sums divide by
-(n + x)^k held at scale 2^(wp + g), with g = k_max * max(0, 1 - mag(x))
-extra bits; x and the power are floored at that finer scale, so the
+The loop runs in fixed point: the arguments z_i, the powers z_i^n and
+the stage sums P_i are Python ints scaled by 2^wp, wp = precision_bits
++ GUARD_BITS (the bits ctx.workprec() gives mpf code).  Ints are
+truncated (floored) to a unit of 2^-wp in three places only: when an
+argument is converted, when a power is advanced (z^n * z >> wp), and
+when a term is formed (power * P_{i-1} >> wp, then floor division by
+the denominator).  P_0 = 2^wp, so stage 1's term needs no product.
+Unshifted sums divide by the exact integer n^k, and a sibling divides
+the previous one's quotient by n^(k - k_prev), which is exact:
+floor(floor(y/a)/b) = floor(y/(ab)).  Shifted sums divide by (n + x)^k
+held at scale 2^(wp + g), with g = k_max * max(0, 1 - mag(x)) extra
+bits; x and the power are floored at that finer scale, so the
 denominator keeps a relative error near 2^-wp even where x^k is tiny.
 Only P_depth is converted back to mpf, rounded to wp bits.  Every term
-adds at most a few units of 2^-wp and a power's error decays with the
-power, so the absolute error grows about as N * 2^-wp over N terms; with
-N below max_terms (500,000 < 2^19 by default) that stays under
-2^(-13-bits), far below the 2^(8-bits) truncation threshold.  Values
-above 1 carry the same absolute error, hence a smaller relative one.
+adds at most a few units of 2^-wp times max(1, |P_{i-1}|) and a power's
+error decays with the power, so the error grows about as
+N * 2^-wp * max(1, |value|) over N terms; with N below max_terms
+(500,000 < 2^19 by default) that stays under 2^(-13-bits) max(1, |value|),
+beside the 2^-bits of the tail.
 """
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
+import math
 from dataclasses import dataclass, field
 
 from .context import GUARD_BITS, positive_x, to_mpf
@@ -95,7 +99,7 @@ class PolylogArgs:
         args = tuple(to_mpf(z) for z in self.args)
         if len(args) != index.depth:
             raise DomainError("index and argument lengths differ")
-        if any(not abs(z) < 1 for z in args):
+        if any(not -1 < z < 1 for z in args):  # exact, unlike abs(z)
             raise DomainError("arguments must satisfy |z| < 1")
         object.__setattr__(self, "args", args)
 
@@ -143,6 +147,43 @@ def prefetched(terms, ctx):
         yield from chunk
 
 
+def _term_counts(kss, zs, shift, n_start, ctx):
+    """{ks: (N, log T)}: N >= n_start is the least outer index whose tail
+    bound T (module docstring) is at most 2^-precision_bits, found by
+    Newton steps on log b; BudgetError, naming N, if N > ctx.max_terms."""
+    s, log_eps = len(zs), -ctx.precision_bits * math.log(2)
+    with ctx.workprec():
+        rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
+        if not rho:  # every term past n_start is 0
+            return {ks: (n_start, -math.inf) for ks in kss}
+        d, lr = float(1 - rho), float(mp.log(rho))
+        # part(m) = log b(m) - log((1 + c)/(s-1)!): T <= 2^-bits iff part(N+1) <= goal
+        goals = {ks: log_eps + math.log(d / 2) - math.lgamma(s)
+                 - (float(mp.log1p((s - 1) * shift ** -ks[0])) if n_start == 0 else 0)
+                 for ks in kss}
+    if d < 2.0 ** -50:  # over 2^55 terms, and beyond float logs
+        raise BudgetError("nested sum did not close: 1 - rho = %.3g < 2^-50" % d)
+    m_ratio = (s - 1) / (math.log1p(-d / 2) - lr)  # b(n+1) <= b(n) (1 + rho)/2 from here
+    out = {}
+    for ks, goal in goals.items():
+        k = ks[-1]
+        part = lambda m: m * lr + (s - 1) * math.log(1 + math.log(m)) - k * math.log(m)
+        m = (s - log_eps) / -lr
+        for _ in range(64):  # Newton steps on part(m) = goal; doubling left of its peak
+            slope = lr + ((s - 1) / (1 + math.log(m)) - k) / m
+            prev, m = m, max(m - (part(m) - goal) / slope, m / 2, 1) if slope < 0 else 2 * m
+            if abs(m - prev) <= 1e-9 * m:
+                break
+        N = max(n_start, math.ceil(max(m, m_ratio)) - 1)
+        while N <= ctx.max_terms and part(N + 1) > goal:
+            N += 1
+        if N > ctx.max_terms:
+            raise BudgetError("nested sum did not close: it needs N = %d terms, over "
+                              "max_terms = %d (rho=%s)" % (N, ctx.max_terms, mp.nstr(rho, 6)))
+        out[ks] = (N, part(N + 1) - goal + log_eps)
+    return out
+
+
 def _nested_sums(kss, zs, shift, n_start, ctx):
     """{ks: sum} for every index tuple ks in kss, in one pass over n.
     n_start is the first value of the innermost counter; starting at 0
@@ -150,14 +191,10 @@ def _nested_sums(kss, zs, shift, n_start, ctx):
     sums.  Shifted sums scale with max(ks), which one call's must share."""
     s = len(zs)
     wp = ctx.precision_bits + GUARD_BITS
-    one = 1 << wp
+    ends = {}  # N: the indices read after outer index N
+    for ks, (N, _) in _term_counts(kss, zs, shift, n_start, ctx).items():
+        ends.setdefault(N, []).append(ks)
     with ctx.workprec():
-        shift = to_mpf(shift)
-        rho, acc = mpf(0), mpf(1)  # max over suffixes of prod |z_j|
-        for z in reversed(zs):
-            acc *= abs(z)
-            rho = max(rho, acc)
-        geom = to_fixed((4 * rho / (1 - rho))._mpf_, wp)
         zf = list(enumerate(to_fixed(z._mpf_, wp) for z in zs))
         powers = [to_fixed((z ** n_start)._mpf_, wp) for z in zs]  # 0^0 = 1
         if shift:
@@ -167,12 +204,12 @@ def _nested_sums(kss, zs, shift, n_start, ctx):
             xf = to_fixed(shift._mpf_, sh)
         else:
             sh = 0
-    # node[prefix] indexes P (stage sums) and D (latest terms); stages has
-    # (power index, parent, j, node), stage s first.  A later sibling has
-    # parent -1: it divides the previous quotient by n^(k - k_prev), or,
-    # shifted, the shared product by (n + shift)^k
+    # node[prefix] indexes P, the stage sums; stages has (power index,
+    # parent, j, node), stage s first.  A later sibling has parent -1: it
+    # divides the previous quotient by n^(k - k_prev), or, shifted, the
+    # shared product by (n + shift)^k
     node = {p: c for c, p in enumerate(sorted({ks[:i] for ks in kss for i in range(s + 1)}))}
-    P, D = [one] + [0] * (len(node) - 1), [0] * len(node)
+    P = [1 << wp] + [0] * (len(node) - 1)
     stages = []
     for i in range(s, 0, -1):
         prefixes = sorted({ks[:i] for ks in kss})
@@ -180,16 +217,8 @@ def _nested_sums(kss, zs, shift, n_start, ctx):
             sibling = a is not None and a[:-1] == b[:-1]
             j = b[-1] - a[-1] if sibling and not sh else b[-1]
             stages.append((i - 1, -1 if sibling else node[b[:-1]], j, node[b]))
-    leaves = [[ks, node[ks], 0] for ks in sorted(kss)]  # [ks, node, small run]
     done = {}
-    # geom*|dP| <= 2^(8 - precision_bits) * max(1, |P|) at scale 2^wp:
-    # geom*|dP| lies in [2^(lhs-2), 2^lhs), the bound in [2^(rhs-1), 2^rhs)
-    tb = GUARD_BITS + 8
-    gl = geom.bit_length()
-    rhs_one = wp + 1 + tb
-    n_last = n_start + ctx.max_terms
-    n = n_start
-    while True:
+    for n in range(n_start, max(ends) + 1):
         if sh:
             base = (n << sh) + xf
         # a stage adds exact zeros before n >= n_start + i - 1 (its
@@ -203,28 +232,12 @@ def _nested_sums(kss, zs, shift, n_start, ctx):
             else:
                 q = y = y // n ** j
             P[c] += q
-            D[c] = q
-        if n >= n_start + s + 1:
-            for leaf in leaves:
-                ks, c, run = leaf
-                d, b = D[c], P[c].bit_length()
-                lhs, rhs = gl + d.bit_length(), b + tb if b > wp else rhs_one
-                small = not (d and geom) or lhs < rhs or (
-                    lhs <= rhs + 1 and geom * abs(d) <= max(one, abs(P[c])) << tb)
-                leaf[2] = run = run + 1 if small else 0
-                if run >= 2 and ks not in done:
-                    with ctx.workprec():
-                        done[ks] = mp.ldexp(P[c], -wp)
-            if len(done) == len(leaves):
-                return done
-        n += 1
-        if n > n_last:
-            raise BudgetError(
-                "nested sum over %d terms did not close (rho=%s)"
-                % (ctx.max_terms, mp.nstr(rho, 6))
-            )
+        for ks in ends.get(n, ()):
+            done[ks] = P[node[ks]]
         for i, z in zf:
             powers[i] = powers[i] * z >> wp
+    with ctx.workprec():
+        return {ks: mp.ldexp(v, -wp) for ks, v in done.items()}
 
 
 def mpl(p, ctx):
@@ -243,7 +256,7 @@ def mpl_one_var(index, z, ctx):
     if not isinstance(index, MultiIndex):
         index = MultiIndex(tuple(index))
     z = to_mpf(z)
-    if not abs(z) < 1:
+    if not -1 < z < 1:
         raise DomainError("mpl_one_var needs |z| < 1")
     zs = (mpf(1),) * (index.depth - 1) + (z,)
     return _sum_with_cache(index.parts, zs, mpf(0), 1, ctx)

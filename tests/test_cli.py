@@ -116,6 +116,12 @@ def test_eval_budget_exit_3(capsys):
     assert code == 3 and "max_terms" in err
 
 
+def test_eval_li_near_unit_circle_exit_3(capsys):
+    # rho = 0.9999 needs more nested-sum terms than max_terms
+    code, out, err = _run(capsys, ["eval", "Li", "--index", "2", "--z", "-0.9999"])
+    assert code == 3 and out == "" and "max_terms" in err
+
+
 def test_eval_t_rank_mismatch_exit_3(capsys):
     # T_{r,l} needs exactly r weights
     code, out, err = _run(capsys, ["eval", "T", "--r", "3", "--l", "1", "--omega", "0.1,0.2"])

@@ -6,9 +6,12 @@ are.  A change that moves values on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which reports moved and why.
+which prints, for each precision, the reports whose lines changed (with
+the fields that moved and the residual before and after) before it
+writes; CHANGES.md then says which reports moved and why.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -49,6 +52,24 @@ def test_verify_all_matches_golden_file_off_256(bits, tmp_path, capsys):
     _check(bits, tmp_path, capsys)
 
 
+def _moved(old_text, new_text):
+    """One line per report of new_text whose line is not in old_text: its
+    identity id, parameters, the fields that differ and the residual
+    before and after (matched on identity id and parameters)."""
+    def key(rep):
+        return rep["identity_id"], json.dumps(rep["params"], sort_keys=True)
+
+    old = {key(rep): rep for rep in map(json.loads, old_text.splitlines())}
+    lines = set(old_text.splitlines())
+    for line in new_text.splitlines():
+        if line not in lines:
+            rep = json.loads(line)
+            was = old.get(key(rep), {})
+            fields = [f for f in rep if rep[f] != was.get(f)]
+            yield "%s %s: %s; residual %s -> %s" % (
+                key(rep) + (",".join(fields), was.get("residual"), rep["residual"]))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -56,6 +77,9 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             text = _reports(tmp, bits)
         golden = _golden(bits)
+        old = golden.read_text(encoding="utf-8") if golden.exists() else ""
+        for line in _moved(old, text):
+            sys.stderr.write("%d bits: %s\n" % (bits, line))
         golden.parent.mkdir(exist_ok=True)
         golden.write_text(text, encoding="utf-8")
         sys.stderr.write("wrote %d reports to %s\n" % (len(text.splitlines()), golden))

@@ -1,8 +1,12 @@
 """Polylogarithm sums against closed forms and brute nested-loop oracles
 computed at triple precision, the fixed-point accumulation against the
-same loop in mpf arithmetic at 64, 256 and 1024 bits, and grouped passes
-against each index summed alone.
+same loop in mpf arithmetic at 64, 256 and 1024 bits, the a-priori term
+count's tail bound against the error at 2 bits + 64, rho -> 1 failing
+before the first term, and grouped passes against each index summed
+alone.
 """
+
+import re
 
 import pytest
 from mpmath import mp, mpf
@@ -21,6 +25,7 @@ from mtzeta.polylog import (
 )
 
 from mtzeta.series import WeightConfig
+from mtzeta.suites import R2M2_GRID, R3M3_GRID, suite_r2m2
 
 from oracles import li1_series_in_x
 
@@ -265,30 +270,20 @@ def test_multi_index_validation():
 # ---------------------------------------------------------------------------
 
 def _mpf_nested_sum(ks, zs, x, n_start, bits):
-    """The library's accumulation and stopping rule in mpf arithmetic at
-    bits + GUARD_BITS, the reference for the fixed-point loop."""
+    """The library's accumulation in mpf arithmetic at bits + GUARD_BITS,
+    over the outer indices n_start..N with the N the library chose for
+    ks: the reference for the fixed-point loop."""
     with mp.workprec(bits + GUARD_BITS):
-        zs = [to_mpf(z) for z in zs]
-        x = to_mpf(x)
+        ks, zs, x = tuple(ks), tuple(to_mpf(z) for z in zs), to_mpf(x)
+        ctx = PrecisionContext(precision_bits=bits)
+        N, _ = polylog._term_counts([ks], zs, x, n_start, ctx)[ks]
         s = len(ks)
-        rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
-        geom = 4 * rho / (1 - rho)
-        thresh = mpf(2) ** (8 - bits)
         P = [mpf(1)] + [mpf(0)] * s
         powers = [z ** n_start for z in zs]
-        small_run = 0
-        n = n_start
-        while small_run < 2:
-            prev = P[s]
+        for n in range(n_start, N + 1):
             for i in range(s, 0, -1):
                 if n >= n_start + i - 1:
                     P[i] += powers[i - 1] / (n + x) ** ks[i - 1] * P[i - 1]
-            if n >= n_start + s + 1:
-                if geom * abs(P[s] - prev) <= thresh * max(1, abs(P[s])):
-                    small_run += 1
-                else:
-                    small_run = 0
-            n += 1
             powers = [p * z for p, z in zip(powers, zs)]
         return P[s]
 
@@ -361,6 +356,93 @@ def test_budget_exhaustion_raises():
     ctx = PrecisionContext(max_terms=2000)
     with pytest.raises(BudgetError, match="did not close"):
         mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), ctx)
+
+
+# ---------------------------------------------------------------------------
+# the a-priori term count: its tail bound dominates, and rho -> 1 fails fast
+# ---------------------------------------------------------------------------
+
+def _assert_bound_dominates(kss, zs, x, n_start, bits):
+    """Every index of kss at bits against the same pass at 2*bits + 64:
+    within the tail bound at the N used plus the round-off of N terms of
+    2^-wp, relative above 1 (the fixed-point loop's budget), and within
+    2^-bits * max(1, |v|)."""
+    ctx, hi = PrecisionContext(precision_bits=bits), PrecisionContext(precision_bits=2 * bits + 64)
+    counts = polylog._term_counts(kss, zs, x, n_start, ctx)
+    lo, ref = (polylog._nested_sums(kss, zs, x, n_start, c) for c in (ctx, hi))
+    with mp.workprec(2 * bits + 64):
+        for ks in kss:
+            (N, log_tail), v = counts[ks], lo[ks]
+            err = abs(v - ref[ks])
+            round_off = N * mpf(2) ** -(bits + GUARD_BITS) * max(1, abs(v))
+            assert err <= mp.exp(log_tail) + round_off, (ks, N)
+            assert err <= mpf(2) ** -bits * max(1, abs(v)), (ks, N)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "oracle_args", [case[2] for case in _FIXED_POINT_CASES],
+    ids=[case[0] for case in _FIXED_POINT_CASES],
+)
+def test_tail_bound_dominates_error(oracle_args, bits):
+    ks, zs, x, n_start = oracle_args
+    _assert_bound_dominates([ks], tuple(to_mpf(z) for z in zs), to_mpf(x), n_start, bits)
+
+
+def _c_coeff_passes(omega, a, bits):
+    """(kss, zs, shift, n_start) of every pass that c_coeff(r, r) makes."""
+    passes = []
+    nested_sums = polylog._nested_sums
+
+    def recorded(kss, zs, shift, n_start, ctx):
+        passes.append((sorted(kss), zs, shift, n_start))
+        return nested_sums(kss, zs, shift, n_start, ctx)
+
+    w = WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polylog, "_CACHE", {})
+        patch.setattr(polylog, "_nested_sums", recorded)
+        c_coeff(w.r, w.r, w, PrecisionContext(precision_bits=bits))
+    return passes
+
+
+@pytest.mark.parametrize("row", R2M2_GRID + R3M3_GRID, ids="-".join)
+def test_tail_bound_dominates_error_on_c_coeff_arguments(row):
+    *omega, a = row
+    passes = _c_coeff_passes(omega, a, 256)
+    assert passes
+    for kss, zs, shift, n_start in passes:
+        _assert_bound_dominates(kss, zs, shift, n_start, 256)
+
+
+def _assert_fails_before_summing(excinfo, max_terms):
+    # raised by the term count, so before the pass's first term
+    assert excinfo.traceback[-1].name == "_term_counts"
+    needed = int(re.search(r"needs N = (\d+) terms", str(excinfo.value)).group(1))
+    assert needed > max_terms
+
+
+def test_rho_near_one_fails_before_summing():
+    with pytest.raises(BudgetError, match="did not close") as excinfo:
+        mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), CTX)
+    _assert_fails_before_summing(excinfo, CTX.max_terms)
+    w = WeightConfig((mpf(1), mpf(10) ** 4), mpf(0))
+    with pytest.raises(BudgetError, match="did not close") as excinfo:
+        c_coeff(2, 3, w, CTX)
+    _assert_fails_before_summing(excinfo, CTX.max_terms)
+    with pytest.raises(BudgetError, match="did not close") as excinfo:
+        suite_r2m2(omega=("0.001", "1000"), a="0")
+    _assert_fails_before_summing(excinfo, CTX.max_terms)
+
+
+def test_rho_within_2_pow_minus_50_of_one_raises():
+    with mp.workprec(128):
+        z = 1 - mpf(2) ** -80
+        zs = ((z,), ("0.5", -z))
+    # built at the ambient 53 bits: the |z| < 1 check must not round z
+    for p in (PolylogArgs((2,), zs[0]), PolylogArgs((1, 2), zs[1])):
+        with pytest.raises(BudgetError, match="did not close"):
+            mpl(p, CTX)
 
 
 # ---------------------------------------------------------------------------
