@@ -24,8 +24,9 @@ with L = 1 + ln n; n_1 = 0 adds x^{-k_1} L^{s-2}/(s-2)!.  So the term is
 at most b(n) = rho^n L^{s-1} (1 + c) / ((s-1)! n^{k_s}), c = (s-1) x^{-k_1}
 from n_1 = 0, else 0.  Where (s-1)/n <= ln((1 + rho)/(2 rho)), b(n+1) <=
 b(n) (1 + rho)/2, so the tail after N is T <= 2 b(N+1)/(1 - rho).  Each
-index runs to the least N with T <= 2^-precision_bits; when some N
-exceeds ctx.max_terms, BudgetError comes before any term is summed.
+index runs to the least N >= n_start with N + 1 in that range and
+T <= 2^-precision_bits, found by doubling and bisection.  When some N
+exceeds ctx.max_terms, or 1 - rho < 2^-50, BudgetError comes first.
 
 The loop runs in fixed point: the arguments z_i, the powers z_i^n and
 the stage sums P_i are Python ints scaled by 2^wp, wp = precision_bits
@@ -52,6 +53,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .context import GUARD_BITS, positive_x, to_mpf
@@ -92,12 +94,10 @@ class PolylogArgs:
     args: tuple
 
     def __post_init__(self):
-        index = self.index
-        if not isinstance(index, MultiIndex):
-            index = MultiIndex(tuple(index))
-            object.__setattr__(self, "index", index)
+        if not isinstance(self.index, MultiIndex):
+            object.__setattr__(self, "index", MultiIndex(tuple(self.index)))
         args = tuple(to_mpf(z) for z in self.args)
-        if len(args) != index.depth:
+        if len(args) != self.index.depth:
             raise DomainError("index and argument lengths differ")
         if any(not -1 < z < 1 for z in args):  # exact, unlike abs(z)
             raise DomainError("arguments must satisfy |z| < 1")
@@ -112,11 +112,9 @@ _CACHE_CAP = 8192
 
 def _sum_with_cache(ks, zs, shift, n_start, ctx):
     key = (ks, zs, shift, n_start, ctx.precision_bits)
-    hit = _CACHE.get(key)
-    if hit is None:
+    if key not in _CACHE:
         _prefetch([key], ctx)
-        hit = _CACHE[key]
-    return hit
+    return _CACHE[key]
 
 
 def _prefetch(keys, ctx):
@@ -148,39 +146,33 @@ def prefetched(terms, ctx):
 
 
 def _term_counts(kss, zs, shift, n_start, ctx):
-    """{ks: (N, log T)}: N >= n_start is the least outer index whose tail
-    bound T (module docstring) is at most 2^-precision_bits, found by
-    Newton steps on log b; BudgetError, naming N, if N > ctx.max_terms."""
-    s, log_eps = len(zs), -ctx.precision_bits * math.log(2)
+    """{ks: N}: the least N >= n_start, with b decreasing from N + 1 on,
+    whose tail bound T (module docstring) is at most 2^-precision_bits;
+    BudgetError, naming N, if N > ctx.max_terms."""
+    s = len(zs)
     with ctx.workprec():
         rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
-        if not rho:  # every term past n_start is 0
-            return {ks: (n_start, -math.inf) for ks in kss}
-        d, lr = float(1 - rho), float(mp.log(rho))
-        # part(m) = log b(m) - log((1 + c)/(s-1)!): T <= 2^-bits iff part(N+1) <= goal
-        goals = {ks: log_eps + math.log(d / 2) - math.lgamma(s)
+        d = float(1 - rho)
+        if d < 2.0 ** -50:  # over 2^55 terms, and beyond float logs
+            raise BudgetError("nested sum did not close: 1 - rho = %.3g < 2^-50" % d)
+        lr = float(mp.log(rho))  # -inf at rho = 0, where every N passes
+        # T <= 2^-bits iff log b(N+1) - log((1 + c)/(s-1)!) <= goal
+        goals = {ks: math.log(d / 2) - ctx.precision_bits * math.log(2) + math.lgamma(s)
                  - (float(mp.log1p((s - 1) * shift ** -ks[0])) if n_start == 0 else 0)
                  for ks in kss}
-    if d < 2.0 ** -50:  # over 2^55 terms, and beyond float logs
-        raise BudgetError("nested sum did not close: 1 - rho = %.3g < 2^-50" % d)
-    m_ratio = (s - 1) / (math.log1p(-d / 2) - lr)  # b(n+1) <= b(n) (1 + rho)/2 from here
+    # b(n+1) <= b(n) (1 + rho)/2 from n = (s - 1)/log((1 + rho)/(2 rho)) on
+    first = max(n_start, math.ceil((s - 1) / (math.log1p(-d / 2) - lr)) - 1)
     out = {}
     for ks, goal in goals.items():
-        k = ks[-1]
-        part = lambda m: m * lr + (s - 1) * math.log(1 + math.log(m)) - k * math.log(m)
-        m = (s - log_eps) / -lr
-        for _ in range(64):  # Newton steps on part(m) = goal; doubling left of its peak
-            slope = lr + ((s - 1) / (1 + math.log(m)) - k) / m
-            prev, m = m, max(m - (part(m) - goal) / slope, m / 2, 1) if slope < 0 else 2 * m
-            if abs(m - prev) <= 1e-9 * m:
-                break
-        N = max(n_start, math.ceil(max(m, m_ratio)) - 1)
-        while N <= ctx.max_terms and part(N + 1) > goal:
-            N += 1
+        ok = lambda N: ((N + 1) * lr + (s - 1) * math.log1p(math.log(N + 1))
+                        - ks[-1] * math.log(N + 1) <= goal)
+        hi = first
+        while not ok(hi):  # gallop to an N that passes, then bisect
+            hi = 2 * hi + 1
+        out[ks] = N = first + bisect_left(range(first, hi), True, key=ok)
         if N > ctx.max_terms:
             raise BudgetError("nested sum did not close: it needs N = %d terms, over "
                               "max_terms = %d (rho=%s)" % (N, ctx.max_terms, mp.nstr(rho, 6)))
-        out[ks] = (N, part(N + 1) - goal + log_eps)
     return out
 
 
@@ -192,18 +184,15 @@ def _nested_sums(kss, zs, shift, n_start, ctx):
     s = len(zs)
     wp = ctx.precision_bits + GUARD_BITS
     ends = {}  # N: the indices read after outer index N
-    for ks, (N, _) in _term_counts(kss, zs, shift, n_start, ctx).items():
+    for ks, N in _term_counts(kss, zs, shift, n_start, ctx).items():
         ends.setdefault(N, []).append(ks)
     with ctx.workprec():
         zf = list(enumerate(to_fixed(z._mpf_, wp) for z in zs))
         powers = [to_fixed((z ** n_start)._mpf_, wp) for z in zs]  # 0^0 = 1
-        if shift:
-            # (n + shift)^k >= min(1, shift)^k: sh extra bits keep the
-            # denominator's relative error near 2^-wp at small shift
-            sh = wp + max(map(max, kss)) * max(0, 1 - mp.mag(shift))
-            xf = to_fixed(shift._mpf_, sh)
-        else:
-            sh = 0
+        # (n + shift)^k >= min(1, shift)^k: sh extra bits keep the
+        # denominator's relative error near 2^-wp at small shift
+        sh = wp + max(map(max, kss)) * max(0, 1 - mp.mag(shift)) if shift else 0
+        xf = to_fixed(shift._mpf_, sh) if shift else 0
     # node[prefix] indexes P, the stage sums; stages has (power index,
     # parent, j, node), stage s first.  A later sibling has parent -1: it
     # divides the previous quotient by n^(k - k_prev), or, shifted, the
@@ -253,8 +242,7 @@ def mpl_one_var(index, z, ctx):
     """One-variable multiple polylogarithm: all arguments 1 except the
     last, which is z with |z| < 1.  Inner arguments equal to 1 are safe
     here because the final variable alone controls the tail."""
-    if not isinstance(index, MultiIndex):
-        index = MultiIndex(tuple(index))
+    index = index if isinstance(index, MultiIndex) else MultiIndex(tuple(index))
     z = to_mpf(z)
     if not -1 < z < 1:
         raise DomainError("mpl_one_var needs |z| < 1")
@@ -265,12 +253,10 @@ def mpl_one_var(index, z, ctx):
 def hurwitz_li0(x, p, ctx):
     """Hurwitz-type sum over 0 <= n_1 < ... < n_s with denominators
     (n_i + x)^{k_i}; z_1^{n_1} is 1 at n_1 = 0 even for z_1 = 0."""
-    x = positive_x(x)
-    return _sum_with_cache(p.index.parts, p.args, x, 0, ctx)
+    return _sum_with_cache(p.index.parts, p.args, positive_x(x), 0, ctx)
 
 
 def hurwitz_li1(x, p, ctx):
     """Hurwitz-type sum over 1 <= n_1 < ... < n_s with denominators
     (n_i + x)^{k_i}."""
-    x = positive_x(x)
-    return _sum_with_cache(p.index.parts, p.args, x, 1, ctx)
+    return _sum_with_cache(p.index.parts, p.args, positive_x(x), 1, ctx)

@@ -122,6 +122,12 @@ def test_eval_li_near_unit_circle_exit_3(capsys):
     assert code == 3 and out == "" and "max_terms" in err
 
 
+def test_eval_li_tiny_argument(capsys):
+    # a tiny rho must not break the term count; the error is absolute, 2^-256
+    code, out, _ = _run(capsys, ["eval", "Li", "--index", "2", "--z", "1e-250"])
+    assert code == 0 and abs(mpf(json.loads(out)["value"]) - mpf("1e-250")) <= mpf(2) ** -256
+
+
 def test_eval_t_rank_mismatch_exit_3(capsys):
     # T_{r,l} needs exactly r weights
     code, out, err = _run(capsys, ["eval", "T", "--r", "3", "--l", "1", "--omega", "0.1,0.2"])

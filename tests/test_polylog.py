@@ -276,7 +276,7 @@ def _mpf_nested_sum(ks, zs, x, n_start, bits):
     with mp.workprec(bits + GUARD_BITS):
         ks, zs, x = tuple(ks), tuple(to_mpf(z) for z in zs), to_mpf(x)
         ctx = PrecisionContext(precision_bits=bits)
-        N, _ = polylog._term_counts([ks], zs, x, n_start, ctx)[ks]
+        N = polylog._term_counts([ks], zs, x, n_start, ctx)[ks]
         s = len(ks)
         P = [mpf(1)] + [mpf(0)] * s
         powers = [z ** n_start for z in zs]
@@ -305,6 +305,10 @@ _FIXED_POINT_CASES = [
     ("inner-ones", lambda c: mpl_one_var((1, 1, 2), "0.9", c),
      ((1, 1, 2), (1, 1, "0.9"), 0, 1)),
     ("tiny", lambda c: mpl(PolylogArgs((2,), ("2e-9",)), c), ((2,), ("2e-9",), 0, 1)),
+    # rho so small that log rho pulls every log-bound term count below 1/e
+    ("rho1e-300", lambda c: mpl(PolylogArgs((2,), ("1e-300",)), c), ((2,), ("1e-300",), 0, 1)),
+    ("h1-rho1e-300", lambda c: hurwitz_li1("0.5", PolylogArgs((1, 2), ("1e-150", "1e-150")), c),
+     ((1, 2), ("1e-150", "1e-150"), "0.5", 1)),
     ("h0-small-x", lambda c: hurwitz_li0("1e-3", PolylogArgs((3, 1), ("0.5", "0.6")), c),
      ((3, 1), ("0.5", "0.6"), "1e-3", 0)),
     # x^3 = 1e-15 is 2^-50, beyond the guard bits of a plain 2^-wp scale
@@ -362,21 +366,38 @@ def test_budget_exhaustion_raises():
 # the a-priori term count: its tail bound dominates, and rho -> 1 fails fast
 # ---------------------------------------------------------------------------
 
+def _tail_bound(ks, zs, x, n_start, N):
+    """(T, first) as the module docstring writes them: the tail bound
+    T = 2 b(N+1)/(1 - rho) after outer index N, and the least N it may be
+    read at, max(n_start, ceil(m) - 1), b(n+1) <= b(n) (1 + rho)/2 from
+    n = m on."""
+    s = len(ks)
+    rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
+    c = (s - 1) * x ** -ks[0] if n_start == 0 else 0
+    n = mpf(N + 1)
+    b = rho ** n * (1 + mp.log(n)) ** (s - 1) * (1 + c) / (mp.factorial(s - 1) * n ** ks[-1])
+    m = (s - 1) / mp.log((1 + rho) / (2 * rho)) if rho else 0
+    return 2 * b / (1 - rho), max(n_start, int(mp.ceil(m)) - 1)
+
+
 def _assert_bound_dominates(kss, zs, x, n_start, bits):
     """Every index of kss at bits against the same pass at 2*bits + 64:
-    within the tail bound at the N used plus the round-off of N terms of
-    2^-wp, relative above 1 (the fixed-point loop's budget), and within
-    2^-bits * max(1, |v|)."""
+    its N is the least with T(N) <= 2^-bits, and the error is within
+    T(N) plus the round-off of N terms of 2^-wp, relative above 1 (the
+    fixed-point loop's budget), and within 2^-bits * max(1, |v|)."""
     ctx, hi = PrecisionContext(precision_bits=bits), PrecisionContext(precision_bits=2 * bits + 64)
     counts = polylog._term_counts(kss, zs, x, n_start, ctx)
     lo, ref = (polylog._nested_sums(kss, zs, x, n_start, c) for c in (ctx, hi))
     with mp.workprec(2 * bits + 64):
+        eps = mpf(2) ** -bits
         for ks in kss:
-            (N, log_tail), v = counts[ks], lo[ks]
+            N, v = counts[ks], lo[ks]
+            tail, first = _tail_bound(ks, zs, x, n_start, N)
+            assert tail <= eps and (N == first or _tail_bound(ks, zs, x, n_start, N - 1)[0] > eps)
             err = abs(v - ref[ks])
             round_off = N * mpf(2) ** -(bits + GUARD_BITS) * max(1, abs(v))
-            assert err <= mp.exp(log_tail) + round_off, (ks, N)
-            assert err <= mpf(2) ** -bits * max(1, abs(v)), (ks, N)
+            assert err <= tail + round_off, (ks, N)
+            assert err <= eps * max(1, abs(v)), (ks, N)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -435,9 +456,11 @@ def test_rho_near_one_fails_before_summing():
     _assert_fails_before_summing(excinfo, CTX.max_terms)
 
 
-def test_rho_within_2_pow_minus_50_of_one_raises():
-    with mp.workprec(128):
-        z = 1 - mpf(2) ** -80
+@pytest.mark.parametrize("e", [80, 1100])
+def test_rho_within_2_pow_minus_50_of_one_raises(e):
+    # 1 - 2^-1100 rounds to 1 as a float and at the working precision
+    with mp.workprec(e + 64):
+        z = 1 - mpf(2) ** -e
         zs = ((z,), ("0.5", -z))
     # built at the ambient 53 bits: the |z| < 1 check must not round z
     for p in (PolylogArgs((2,), zs[0]), PolylogArgs((1, 2), zs[1])):
