@@ -52,10 +52,10 @@ class PrecisionContext:
     """Working precision, tolerances and truncation caps.
 
     precision_bits: mantissa bits for every mpf operation (>= 64).
-    target_tol:     acceptance tolerance for comparisons; quadrature refines
-                    until successive levels agree to target_tol/4.  Defaults
-                    to max(1e-30, 2^-(precision_bits-16)): 1e-30 from 116
-                    bits up, the guard-digit floor below that.
+    target_tol:     acceptance tolerance; quadrature refines until successive
+                    levels agree to target_tol/4 and, by digit doubling, the last
+                    is off by under max(2^-(bits-16), (target_tol/4)^2)/4.  Default:
+                    max(1e-30, 2^-(bits-16)), the guard-digit floor below 116 bits.
     max_terms:      hard cap on series terms / enumerated combinatorial items.
     quad_levels:    cap on DE quadrature level doubling.
     """

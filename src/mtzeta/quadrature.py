@@ -22,8 +22,11 @@ alone decides; near 0 an integrand like u^{x-1} log^r u keeps the terms
 alive), so no evaluations are spent on the dead side.
 
 Levels halve the step h, reusing all previous evaluations (new nodes sit
-at odd multiples of the new h).  Refinement stops when two successive
-level sums agree to a quarter of the requested tolerance, and is capped
+at odd multiples of the new h).  Refinement stops at the level k where
+d_k = |S_k - S_{k-1}| <= (tol/4) max(1, |S_k|), and where digit
+doubling puts S_k's own error, about d_k^2/d_{k-1}, below
+max(2^-(bits-16), (tol/4)^2)/4 of max(1, |S_k|): the accuracy that one
+level past the agreeing one delivers, asked for directly.  It is capped
 by ctx.quad_levels; hitting the cap raises instead of returning a bad
 value.
 
@@ -31,18 +34,18 @@ The nodes depend only on the working precision and the level, so they
 live in one module-level table keyed by (mp.prec, level), holding every
 precision used in the process.  Each row lists its (u_left, u_right,
 du/dt) in visiting order and grows lazily to the farthest node any call
-has reached; every later call at that precision, both halves of
-de_quad_0inf included, reads the stored nodes.  The tail cut, the
-finiteness check, the divergence limit and the level cap stay per call.
+has reached; every later call at that precision reads the stored nodes.
+The tail cut, the finiteness check, the divergence limit and the level
+cap stay per call.
 
-de_quad_0inf maps its far piece (1,inf) onto (0,1) by u = 1 - log v.
-Under the tanh-sinh nodes v ~ exp(-pi sinh t), so u grows like
-pi sinh(t): an integrand decaying like e^{-cu} becomes doubly
-exponential in t, as on (0,1).  The map u = 1/v would make it triply
-exponential, which over-transforms (Mori and Sugihara, J. Comput. Appl.
-Math. 127, 2001): the step must then resolve the integrand on a scale
-that shrinks doubly exponentially, costing about one more level.  The
-mapped u of each node lives in a second table keyed by (mp.prec, v).
+de_quad_0inf runs one DE line u = log(1 + q) over (0,inf), folded onto
+the exact side s = q/(1 + q) of the (0,1) rows, so no nodes are spent
+at an interior split where the integrand is smooth.  Towards u -> inf,
+u grows like pi sinh(t), so an e^{-cu} decay becomes doubly exponential
+in t, as on (0,1).  The map u = 1/v would make it triply exponential,
+which over-transforms (Mori and Sugihara, J. Comput. Appl. Math. 127,
+2001): the step must then resolve the integrand on a scale that shrinks
+doubly exponentially, costing about one more level.
 
 The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), which
 skips the operators' dispatch and object creation.  The rounding rule
@@ -58,6 +61,7 @@ value is rounded to the working precision as mpf(f(u)) does.
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fhalf,
     finf,
     fnan,
     fninf,
@@ -89,7 +93,7 @@ _TAIL_RUN = 3
 # _row_sum visits them; entries are pure functions of their key
 _nodes = {}
 
-# (mp.prec, v._mpf_) -> 1 - log v, the far-piece map of de_quad_0inf
+# (mp.prec, s._mpf_) -> (-log(1 - s), -log s), the two u of de_quad_0inf
 _far_u = {}
 
 
@@ -145,22 +149,22 @@ def de_quad_01(f, ctx, tol=None):
 
     f receives nodes strictly inside (0,1); a left-endpoint singularity
     integrable there is handled by the transform.  Raises
-    QuadratureError if level doubling exhausts ctx.quad_levels without
-    two successive sums agreeing to tol/4.
+    QuadratureError if ctx.quad_levels levels pass without meeting the
+    two-part stop of the module docstring; level 1, which has no error
+    estimate, meets it only with a zero difference.
 
     Each side of a row is cut after _TAIL_RUN consecutive negligible
     terms of its own, so a side whose terms fall below the cut three
     times and only then rise to a hump misses the hump, even while the
     other side is still significant.  The Mellin integrands of series
     cannot do this: towards an endpoint where the integrand is smooth
-    the terms fall with the weight alone, and towards u -> 0
-    (u^{x-1} log^r u) they rise only polynomially to a single maximum,
-    never below the cut before it.  On the far piece of de_quad_0inf,
-    towards v -> 0, the term at t is about pi cosh(t) F(u) u^{x-1} at
-    u = 1 + pi sinh(t) (F(u) ~ e^{-(a+|omega|)u} times powers of u):
-    it rises with u^x until u ~ x/(a+|omega|) and then falls doubly
-    exponentially, one maximum again.  Mass at widely separated scales
-    is not covered by this.
+    the terms fall with the weight alone.  On de_quad_0inf's folded line
+    each term of the side s < 1/2 adds two parts that start significant
+    at t = 0 and have one maximum each: towards u -> 0, u^{x-1} log^r u
+    rises only polynomially; towards u -> inf, about pi cosh(t) F(u)
+    u^{x-1} at u = pi sinh(t) (F(u) ~ e^{-(a+|omega|)u} times powers of
+    u) rises with u^x until u ~ x/(a+|omega|), then falls doubly
+    exponentially.  Mass at widely separated scales is not covered.
     """
     with ctx.workprec():
         prec, rnd = mp.prec, round_nearest
@@ -168,45 +172,56 @@ def de_quad_01(f, ctx, tol=None):
             tol = ctx.target_tol
         tol = mpf(tol)
         quarter_tol = mpf_shift(tol._mpf_, -2)
+        deep = (max(mpf(2) ** (16 - ctx.precision_bits), (tol / 4) ** 2) / 4)._mpf_
         cut = mpf(2) ** (-(ctx.precision_bits + 8))
 
         # level 0, h = 1: center node j=0 plus the symmetric tail; at
         # level k, h = 2^-k scales the row sum exactly
         center = mpf_mul(mpf_shift(mpf_pi(prec, rnd), -2), mpf(f(mpf(1) / 2))._mpf_, prec, rnd)
         row = mpf_add(center, _row_sum(f, 0, cut)._mpf_, prec, rnd)
-        prev = row
+        # level 1 has no estimate: d_0 = 0 lets it return only at d_1 = 0
+        prev, prev_d = row, fzero
         for level in range(1, ctx.quad_levels + 1):
             row = mpf_add(row, _row_sum(f, level, cut)._mpf_, prec, rnd)
             cur = mpf_shift(row, -level)
             size = mpf_abs(cur, prec, rnd)
-            bound = mpf_mul(quarter_tol, size, prec, rnd) if mpf_gt(size, fone) else quarter_tol
-            if mpf_le(mpf_abs(mpf_sub(cur, prev, prec, rnd), prec, rnd), bound):
+            size = size if mpf_gt(size, fone) else fone
+            d = mpf_abs(mpf_sub(cur, prev, prec, rnd), prec, rnd)
+            if mpf_le(d, mpf_mul(quarter_tol, size, prec, rnd)) and mpf_le(
+                mpf_mul(d, d, prec, rnd), mpf_mul(mpf_mul(prev_d, deep, prec, rnd), size, prec, rnd)
+            ):
                 return mp.make_mpf(mpf_pos(cur, prec, rnd))
-            prev = cur
+            prev, prev_d = cur, d
         raise QuadratureError(
             "no convergence to %s within %d levels" % (mp.nstr(tol, 5), ctx.quad_levels)
         )
 
 
 def de_quad_0inf(f, ctx, tol=None):
-    """Integrate f over (0,inf), split at 1 with u = 1 - log v on the far
-    piece (Jacobian 1/v).
+    """Integrate f over (0,inf) as de_quad_01 of the folded line
+    g(s) = f(-log(1-s))/(1-s) + f(-log s)/s for s < 1/2 (t > 0 of the
+    line gives u -> 0, t < 0 gives u -> inf), g(1/2) = f(log 2)/(1/2)
+    (the centre, counted once), and g = 0 for s > 1/2, a side cut after
+    _TAIL_RUN terms.  On the rows this is, node for node, the trapezoid
+    sum of the DE line.
 
     f must decay at least exponentially as u -> inf, as the Mellin
-    integrands of series do (like e^{-(a+|omega|)u} times powers of u).
-    An algebraic tail like 1/u^2 gives far terms that fall only like
-    1/sinh(t), still near 1e-9 at t = 20, so it raises QuadratureError
-    at that limit in the first far row.  The mapped u of each node is
-    kept in _far_u, so a warm call takes no logarithm."""
-    near = de_quad_01(f, ctx, tol)
+    integrands of series do.  An algebraic tail like 1/u^2 gives terms
+    that fall only like 1/sinh(t), still near 1e-9 at t = 20, so it
+    raises QuadratureError at that limit in the first row.  The two u of
+    each node are kept in _far_u, so a warm call takes no logarithm."""
 
-    def far(v):
-        key = (mp.prec, v._mpf_)
-        u = _far_u.get(key)
-        if u is None:
-            u = _far_u[key] = 1 - mp.ln(v)
-        return mp.make_mpf(mpf_div(mp.convert(f(u))._mpf_, v._mpf_, mp.prec, round_nearest))
+    def folded(v):
+        prec, rnd, s = mp.prec, round_nearest, v._mpf_
+        if mpf_gt(s, fhalf):
+            return mp.zero
+        pair = _far_u.get((prec, s))
+        if pair is None:
+            pair = _far_u[prec, s] = (-mp.log1p(-v), -mp.ln(v))
+        g = mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd)
+        if s != fhalf:
+            near = mpf_div(mp.convert(f(pair[0]))._mpf_, mpf_sub(fone, s, prec, rnd), prec, rnd)
+            g = mpf_add(near, g, prec, rnd)
+        return mp.make_mpf(g)
 
-    rest = de_quad_01(far, ctx, tol)
-    with ctx.workprec():
-        return mp.make_mpf(mpf_add(near._mpf_, rest._mpf_, mp.prec, round_nearest))
+    return de_quad_01(folded, ctx, tol)

@@ -41,12 +41,49 @@ def test_log_singularity():
         assert abs(v2 - 2) <= TOL
 
 
+def _floor_contexts():
+    for bits in (128, 256, 512):
+        yield PrecisionContext(precision_bits=bits, target_tol=mpf(2) ** -(bits - 16))
+
+
 def test_half_line_gamma_values():
-    with CTX.workprec():
-        v = de_quad_0inf(lambda t: mp.exp(-t) / mp.sqrt(t), CTX)
-        assert abs(v - mp.sqrt(mp.pi)) <= TOL
-        v2 = de_quad_0inf(lambda t: mp.exp(-t) * mp.log(t), CTX)
-        assert abs(v2 + mp.euler) <= TOL
+    for ctx in _floor_contexts():
+        with ctx.workprec():
+            v = de_quad_0inf(lambda t: mp.exp(-t) / mp.sqrt(t), ctx)
+            assert abs(v - mp.sqrt(mp.pi)) <= ctx.target_tol, ctx.precision_bits
+            v2 = de_quad_0inf(lambda t: mp.exp(-t) * mp.log(t), ctx)
+            assert abs(v2 + mp.euler) <= ctx.target_tol, ctx.precision_bits
+
+
+def test_half_line_counts_the_centre_once():
+    # the line's centre u = log 2 is the node s = 1/2 of the folded
+    # integrand; counted on both of its sides, the sum would be off by
+    # (pi/2) e^{-log 2} h
+    for ctx in _floor_contexts():
+        with ctx.workprec():
+            v = de_quad_0inf(lambda t: mp.exp(-t), ctx)
+            assert abs(v - 1) <= ctx.target_tol, ctx.precision_bits
+
+
+def test_folded_line_cuts_the_zero_side(monkeypatch):
+    # the side s > 1/2 of de_quad_0inf's folded integrand is zero, so
+    # each row evaluates it _TAIL_RUN times before cutting it
+    zero_side_calls = []
+    row_sum = quadrature._row_sum
+
+    def counted(f, level, cut):
+        zero_side_calls.append(0)
+
+        def g(s):
+            zero_side_calls[-1] += s > 0.5
+            return f(s)
+
+        return row_sum(g, level, cut)
+
+    monkeypatch.setattr(quadrature, "_row_sum", counted)
+    de_quad_0inf(lambda t: mp.exp(-t) / mp.sqrt(t), CTX)
+    assert len(zero_side_calls) > 2
+    assert all(n == quadrature._TAIL_RUN for n in zero_side_calls)
 
 
 def test_smooth_case():
@@ -134,28 +171,39 @@ def _pair_rule_row_sum(f, h, j_start, j_step, cut):
 
 
 def _oracle_quad_01(f, ctx, row_sum=_oracle_row_sum):
+    """de_quad_01 on per-call nodes: two levels agree to tol/4, and the
+    digit-doubling estimate d_k^2/d_{k-1} is below max(2^-(bits-16),
+    (tol/4)^2)/4, both relative to max(1, |S_k|)."""
     with ctx.workprec():
         tol = mpf(ctx.target_tol)
+        deep = max(mpf(2) ** -(ctx.precision_bits - 16), (tol / 4) ** 2) / 4
         cut = mpf(2) ** (-(ctx.precision_bits + 8))
         g = lambda u: mpf(f(u))
         h = mpf(1)
         row = mp.pi / 4 * g(mpf(1) / 2) + row_sum(g, h, 1, 1, cut)
-        prev = h * row
+        prev, prev_d = h * row, None
         for _ in range(ctx.quad_levels):
             h = h / 2
             row = row + row_sum(g, h, 1, 2, cut)
             cur = h * row
-            if abs(cur - prev) <= tol / 4 * max(1, abs(cur)):
+            d, size = abs(cur - prev), max(1, abs(cur))
+            if d <= tol / 4 * size and (d == 0 or prev_d is not None and d * d <= prev_d * deep * size):
                 return +cur
-            prev = cur
+            prev, prev_d = cur, d
         raise AssertionError("oracle did not converge")
 
 
 def _oracle_quad_0inf(f, ctx, row_sum=_oracle_row_sum):
-    near = _oracle_quad_01(f, ctx, row_sum)
-    far = _oracle_quad_01(lambda v: f(1 - mp.ln(v)) / v, ctx, row_sum)
-    with ctx.workprec():
-        return +(near + far)
+    """The folded line of de_quad_0inf on per-call nodes."""
+    half = mpf(1) / 2
+
+    def folded(s):
+        if s > half:
+            return mpf(0)
+        far = f(-mp.ln(s)) / s
+        return far if s == half else f(-mp.log1p(-s)) / (1 - s) + far
+
+    return _oracle_quad_01(folded, ctx, row_sum)
 
 
 def test_node_table_matches_per_call_nodes(cold_nodes):
@@ -191,20 +239,25 @@ def test_warm_table_computes_no_node(cold_nodes, monkeypatch):
 
 def test_warm_far_map_takes_no_logarithm(cold_nodes, monkeypatch):
     monkeypatch.setattr(quadrature, "_far_u", {})
-    ln_calls = []
-    ln = mp.ln
+    log_calls = []
 
-    def counted(*args, **kwargs):
-        ln_calls.append(args)
-        return ln(*args, **kwargs)
+    def counted(name):
+        log = getattr(mp, name)
 
-    monkeypatch.setattr(mp, "ln", counted)
+        def wrapped(*args, **kwargs):
+            log_calls.append((name, args))
+            return log(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("ln", "log", "log1p"):
+        monkeypatch.setattr(mp, name, counted(name))
     f = lambda t: mp.exp(-t) / (1 + t)
     first = de_quad_0inf(f, CTX)
-    assert ln_calls
-    ln_calls.clear()
+    assert {"ln", "log1p"} <= {name for name, _ in log_calls}
+    log_calls.clear()
     second = de_quad_0inf(f, CTX)
-    assert ln_calls == []
+    assert log_calls == []
     assert first._mpf_ == second._mpf_
 
 
