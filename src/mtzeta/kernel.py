@@ -255,6 +255,12 @@ def gamma0(u, ctx: PrecisionContext) -> mpf:
         return +mp.e1(uv)
 
 
+def log_gamma0_bound(y: float) -> float:
+    """A float upper bound on ln Gamma(0,y), y > 0, from
+    e^y Gamma(0,y) < ln(1 + 1/y) (DLMF 6.8.2); near -y - ln y for large y."""
+    return math.log(math.log1p(1 / y)) - y
+
+
 # ---------------------------------------------------------------------------
 # Taylor factories
 # ---------------------------------------------------------------------------

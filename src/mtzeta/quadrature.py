@@ -45,7 +45,9 @@ u grows like pi sinh(t), so an e^{-cu} decay becomes doubly exponential
 in t, as on (0,1).  The map u = 1/v would make it triply exponential,
 which over-transforms (Mori and Sugihara, J. Comput. Appl. Math. 127,
 2001): the step must then resolve the integrand on a scale that shrinks
-doubly exponentially, costing about one more level.
+doubly exponentially, costing about one more level.  Given a float
+bound on ln|f|, a folded node skips its u -> inf term where rounding to
+nearest would drop it, so no bit of any node, row, cut or level moves.
 
 The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), which
 skips the operators' dispatch and object creation.  The rounding rule
@@ -58,6 +60,8 @@ operand already fits in mp.prec bits, where the operator's rounding
 changes nothing.  The integrand still takes and returns mpf, and its
 value is rounded to the working precision as mpf(f(u)) does.
 """
+
+import math
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -95,6 +99,11 @@ _nodes = {}
 
 # (mp.prec, s._mpf_) -> (-log(1 - s), -log s), the two u of de_quad_0inf
 _far_u = {}
+
+# bits between a skipped far term's bound and a quarter ulp of the near
+# term, for the rounding of the integrand and of log_bound
+_FAR_MARGIN = 10
+_LOG2E = 1 / math.log(2)
 
 
 def _row_sum(f, level, cut):
@@ -164,7 +173,8 @@ def de_quad_01(f, ctx, tol=None):
     rises only polynomially; towards u -> inf, about pi cosh(t) F(u)
     u^{x-1} at u = pi sinh(t) (F(u) ~ e^{-(a+|omega|)u} times powers of
     u) rises with u^x until u ~ x/(a+|omega|), then falls doubly
-    exponentially.  Mass at widely separated scales is not covered.
+    exponentially (where de_quad_0inf skips that part, the term keeps
+    its bits).  Mass at widely separated scales is not covered.
     """
     with ctx.workprec():
         prec, rnd = mp.prec, round_nearest
@@ -197,7 +207,7 @@ def de_quad_01(f, ctx, tol=None):
         )
 
 
-def de_quad_0inf(f, ctx, tol=None):
+def de_quad_0inf(f, ctx, tol=None, log_bound=None):
     """Integrate f over (0,inf) as de_quad_01 of the folded line
     g(s) = f(-log(1-s))/(1-s) + f(-log s)/s for s < 1/2 (t > 0 of the
     line gives u -> 0, t < 0 gives u -> inf), g(1/2) = f(log 2)/(1/2)
@@ -209,7 +219,15 @@ def de_quad_0inf(f, ctx, tol=None):
     integrands of series do.  An algebraic tail like 1/u^2 gives terms
     that fall only like 1/sinh(t), still near 1e-9 at t = 20, so it
     raises QuadratureError at that limit in the first row.  The two u of
-    each node are kept in _far_u, so a warm call takes no logarithm."""
+    each node are kept in _far_u, so a warm call takes no logarithm.
+
+    log_bound, if given, maps a float u >= log 2 to a float upper bound
+    on ln|f(u)|.  The near term is evaluated first, and the far term
+    f(-log s)/s, at most e^(bound + u), is skipped where that lies
+    _FAR_MARGIN bits (and a 1e-9 relative slack for float rounding)
+    below a quarter ulp of the near term: round-to-nearest would return
+    the near term unchanged, so every value stays bit-identical and only
+    integrand calls are saved."""
 
     def folded(v):
         prec, rnd, s = mp.prec, round_nearest, v._mpf_
@@ -218,10 +236,16 @@ def de_quad_0inf(f, ctx, tol=None):
         pair = _far_u.get((prec, s))
         if pair is None:
             pair = _far_u[prec, s] = (-mp.log1p(-v), -mp.ln(v))
-        g = mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd)
-        if s != fhalf:
-            near = mpf_div(mp.convert(f(pair[0]))._mpf_, mpf_sub(fone, s, prec, rnd), prec, rnd)
-            g = mpf_add(near, g, prec, rnd)
-        return mp.make_mpf(g)
+        if s == fhalf:
+            return mp.make_mpf(mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd))
+        near = mpf_div(mp.convert(f(pair[0]))._mpf_, mpf_sub(fone, s, prec, rnd), prec, rnd)
+        if log_bound is not None and near[1]:  # near is finite and nonzero
+            u = float(pair[1])
+            ln_far = log_bound(u) + u  # |f(u)|/s <= e^ln_far, as s = e^-u
+            # near[2] + near[3] - 1 = floor(log2 |near|)
+            if (ln_far + 1e-9 * (abs(ln_far) + u)) * _LOG2E < near[2] + near[3] - 3 - prec - _FAR_MARGIN:
+                return mp.make_mpf(near)
+        far = mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd)
+        return mp.make_mpf(mpf_add(near, far, prec, rnd))
 
     return de_quad_01(folded, ctx, tol)

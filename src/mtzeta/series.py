@@ -35,7 +35,7 @@ from mpmath.libmp import (
 
 from .context import GUARD_BITS, MAX_RANK, positive_x, to_mpf
 from .errors import BudgetError, DomainError
-from .kernel import euler_gamma, gamma0, psi_derivs, zeta_value
+from .kernel import euler_gamma, gamma0, log_gamma0_bound, psi_derivs, zeta_value
 from .jets import Jet
 from .quadrature import de_quad_0inf
 
@@ -156,7 +156,10 @@ def _mellin_over_gamma(kind, x, w, ctx):
     computes it, unless x - 1 is an integer or half-integer (exponent
     field >= -1), where mpmath's power takes another route and mpf_pow,
     the function behind u ** (x-1), computes it.  The integrand runs on
-    raw mpf tuples, rounded as the mpf operators round."""
+    raw mpf tuples, rounded as the mpf operators round.  de_quad_0inf
+    gets a float log_bound(u) >= ln(F(u) u^{x-1}): (x-1) ln u - au plus
+    ln Gamma(0,y) < ln ln(1+1/y) - y (DLMF 6.8.2) or -log(1-e^{-y}) <=
+    1/(e^y - 1) per weight y = omega_i u."""
     global _node_factors, _unit_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
@@ -204,7 +207,11 @@ def _mellin_over_gamma(kind, x, w, ctx):
                 power = mpf_pow(raw_u, xm1, prec, rnd)
             return mp.make_mpf(mpf_mul(F._mpf_, power, prec, rnd))
 
-        raw = de_quad_0inf(integrand, ctx)
+        lead, shift, ys = float(x) - 1, float(w.a), [float(om) for om in w.omega]
+        bound_i = log_gamma0_bound if kind == "I" else lambda y: -y - math.log(-math.expm1(-y))
+        log_bound = lambda u: lead * math.log(u) - shift * u + sum(bound_i(om * u) for om in ys)
+        finite = all(0 < y < math.inf for y in ys)
+        raw = de_quad_0inf(integrand, ctx, log_bound=log_bound if finite else None)
         return +(raw / mp.gamma(x))
 
 
@@ -213,13 +220,10 @@ def i_integral(x, w, ctx):
 
         (1/Gamma(x)) int_0^inf prod_i Gamma(0, omega_i u) e^{-au} u^{x-1} du,
 
-    double-exponential quadrature split at u=1.  The u -> 0 endpoint
-    carries the integrable log^r u * u^{x-1} singularity.  As
-    Gamma(0,y) ~ e^{-y}/y, the far tail dies like
-    e^{-(a+|omega|)u}/prod_i(omega_i u) times u^{x-1}, and is cut by the
-    quadrature row threshold.  The x-independent factor
-    e^{-au} prod_i Gamma(0, omega_i u) is computed once per node and reused for every later x at the same
-    (omega, a) and precision, until another configuration is evaluated."""
+    on de_quad_0inf's folded DE line.  The u -> 0 endpoint carries the
+    integrable log^r u * u^{x-1} singularity.  As Gamma(0,y) ~ e^{-y}/y,
+    the far tail dies like e^{-(a+|omega|)u}/prod_i(omega_i u) times
+    u^{x-1}.  F(u) is kept per node across x (see _mellin_over_gamma)."""
     return _mellin_over_gamma("I", x, w, ctx)
 
 

@@ -17,11 +17,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from mtzeta.context import PrecisionContext, to_mpf
-from mtzeta.errors import BudgetError, DomainError
+from mtzeta.errors import BudgetError, DomainError, QuadratureError
 from mtzeta.jets import Jet
 from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, psi_derivs, zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.quadrature import de_quad_0inf
+import mtzeta.quadrature as quadrature
 import mtzeta.series as series
 from mtzeta.series import (
     WeightConfig,
@@ -339,13 +340,13 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
     # and there only in a few nodes, which the sum absorbs
     nodes = []
 
-    def recorded(f, ctx, tol=None):
+    def recorded(f, ctx, tol=None, log_bound=None):
         def g(u):
             value = f(u)
             nodes.append((u, value))
             return value
 
-        return de_quad_0inf(g, ctx, tol)
+        return de_quad_0inf(g, ctx, tol, log_bound)
 
     monkeypatch.setattr(series, "de_quad_0inf", recorded)
     w = _wc(("0.7", "1.3"), "0.25")
@@ -358,6 +359,141 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
             for u, got in nodes:
                 assert got._mpf_ == (table[u._mpf_][0] * u ** (x - 1))._mpf_, (x, u)
         assert value._mpf_ == _plain_mellin(kind, x, w, CTX128)._mpf_, x
+
+
+def _without_log_bound(f, ctx, tol=None, log_bound=None):
+    return de_quad_0inf(f, ctx, tol)
+
+
+_FAR_SKIP_CASES = [(("1", "2"), "0.3"), (("1.5",), "0.2"), (("1", "1", "1"), "0"), (("0.003", "0.5", "2.4"), "0")]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("fn", [i_integral, m_integral], ids=["I", "M"])
+def test_far_term_skip_keeps_every_bit(fn, bits, monkeypatch):
+    # the far terms de_quad_0inf skips on the Mellin integrand's bound
+    # are below a quarter ulp of the near term, so the values equal those
+    # of the line that evaluates every far term, each from empty node
+    # factor tables
+    ctx = PrecisionContext(precision_bits=bits)
+    xs = [to_mpf(x) for x in ("0.0025", "0.02", "0.5", "1.8")]
+    for omega, a in _FAR_SKIP_CASES:
+        w = _wc(omega, a)
+        values = []
+        for quad in (de_quad_0inf, _without_log_bound):
+            monkeypatch.setattr(series, "de_quad_0inf", quad)
+            monkeypatch.setattr(series, "_node_factors", (None, {}))
+            monkeypatch.setattr(series, "_unit_factors", (None, {}))
+            values.append([fn(x, w, ctx)._mpf_ for x in xs])
+        assert values[0] == values[1], (omega, a)
+
+
+@pytest.mark.parametrize("fn", [i_integral, m_integral], ids=["I", "M"])
+def test_far_term_skip_leaves_weights_beyond_float_range_alone(fn, monkeypatch):
+    # a weight that is 0.0 as a float has no float bound: every far term
+    # is evaluated, as without the skip, instead of dividing by zero
+    w, x = _wc(("1e-400", "1")), to_mpf("1.5")
+    value = fn(x, w, CTX128)
+    monkeypatch.setattr(series, "de_quad_0inf", _without_log_bound)
+    assert value._mpf_ == fn(x, w, CTX128)._mpf_
+
+
+class _Captured(Exception):
+    pass
+
+
+def _log_bound_of(fn, x, w, ctx):
+    """The log_bound that fn hands de_quad_0inf, without integrating."""
+
+    def capture(f, ctx, tol=None, log_bound=None):
+        raise _Captured(log_bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "de_quad_0inf", capture)
+        with pytest.raises(_Captured) as caught:
+            fn(x, w, ctx)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("kind, fn", [("I", i_integral), ("M", m_integral)], ids=["I", "M"])
+def test_log_bound_dominates_the_integrand(kind, fn):
+    # ln|F(u) u^(x-1)| at 2*bits + 64 never exceeds the float bound, on a
+    # geometric grid of u from log 2 to 1e6 and on the far nodes of one
+    # call, for r <= 3, weight ratios up to 1e3, a in {0, 0.3, 1e3} and x
+    # from 1e-5 to 50; 1e-12 relative allows for the float rounding of
+    # u, omega u and the bound, a thousandth of the quadrature's slack
+    far, log2 = [], math.log(2)
+
+    def recorded(f, ctx, tol=None, log_bound=None):
+        def g(u):
+            if u > log2:
+                far.append(float(u))
+            return f(u)
+
+        return de_quad_0inf(g, ctx, tol, log_bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "de_quad_0inf", recorded)
+        fn(to_mpf("0.005"), _wc(("1", "2"), "0.3"), CTX128)
+    assert far
+    grid = [log2 * (1e6 / log2) ** (k / 48) for k in range(49)] + far
+    with mp.workprec(2 * CTX128.precision_bits + 64):
+        for omega in (("1.5",), ("1", "1000"), ("0.003", "0.5", "2.4"), ("1", "1", "1")):
+            # ln f_i(omega_i u), shared by every a and x
+            logs = {}
+            for u in grid:
+                total = mpf(0)
+                for om in omega:
+                    y = to_mpf(om) * mpf(u)
+                    total += mp.log(mp.e1(y) if kind == "I" else -mp.log1p(-mp.exp(-y)))
+                logs[u] = total
+            for a in ("0", "0.3", "1000"):
+                for x in ("1e-5", "0.02", "1", "50"):
+                    bound = _log_bound_of(fn, to_mpf(x), _wc(omega, a), CTX128)
+                    for u in grid:
+                        want = logs[u] - to_mpf(a) * mpf(u) + (to_mpf(x) - 1) * mp.log(mpf(u))
+                        got = bound(u)
+                        assert want <= got + 1e-12 * (1 + abs(got)), (omega, a, x, u)
+
+
+def test_far_term_skip_counts_and_edges(monkeypatch):
+    # omega = (1, 2), a = 0.3, x = 0.005 at 256 bits: the folded line
+    # keeps its 361 calls while the integrand calls fall from 685; x =
+    # 1e-6 still fails fast, and x = 1e-5 keeps its bits
+    ctx = PrecisionContext(precision_bits=256)
+    w = _wc(("1", "2"), "0.3")
+    counts = {}
+    quad_01 = quadrature.de_quad_01
+
+    def counted_01(f, ctx, tol=None):
+        def g(v):
+            counts["folded"] += 1
+            return f(v)
+
+        return quad_01(g, ctx, tol)
+
+    def counted(f, ctx, tol=None, log_bound=None):
+        def g(u):
+            counts["integrand"] += 1
+            return f(u)
+
+        return de_quad_0inf(g, ctx, tol, log_bound if bounded else None)
+
+    monkeypatch.setattr(quadrature, "de_quad_01", counted_01)
+    monkeypatch.setattr(series, "de_quad_0inf", counted)
+    found = {}
+    for bounded in (True, False):
+        counts.update(folded=0, integrand=0)
+        i_integral(to_mpf("0.005"), w, ctx)
+        found[bounded] = dict(counts), i_integral(to_mpf("1e-5"), w, ctx)._mpf_
+    assert found[False][0] == {"folded": 361, "integrand": 685}
+    assert found[True][0]["folded"] == 361 and found[True][0]["integrand"] <= 480, found
+    assert found[True][1] == found[False][1]
+    monkeypatch.setattr(series, "de_quad_0inf", de_quad_0inf)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="does not decay"):
+        i_integral(to_mpf("1e-6"), w, ctx)
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize(
