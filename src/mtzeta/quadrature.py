@@ -33,10 +33,9 @@ value.
 The nodes depend only on the working precision and the level, so they
 live in one module-level table keyed by (mp.prec, level), holding every
 precision used in the process.  Each row lists its (u_left, u_right,
-du/dt) in visiting order and grows lazily to the farthest node any call
-has reached; every later call at that precision reads the stored nodes.
-The tail cut, the finiteness check, the divergence limit and the level
-cap stay per call.
+du/dt), cosh and sinh of t from one call, in visiting order, and grows
+lazily to the farthest node any call has reached.  The tail cut, the
+finiteness check, the divergence limit and the level cap stay per call.
 
 de_quad_0inf runs one DE line u = log(1 + q) over (0,inf), folded onto
 the exact side s = q/(1 + q) of the (0,1) rows, so no nodes are spent
@@ -45,19 +44,20 @@ u grows like pi sinh(t), so an e^{-cu} decay becomes doubly exponential
 in t, as on (0,1).  The map u = 1/v would make it triply exponential,
 which over-transforms (Mori and Sugihara, J. Comput. Appl. Math. 127,
 2001): the step must then resolve the integrand on a scale that shrinks
-doubly exponentially, costing about one more level.  Given a float
-bound on ln|f|, a folded node skips its u -> inf term where rounding to
-nearest would drop it, so no bit of any node, row, cut or level moves.
+doubly exponentially, costing about one more level.  The two u of each
+folded node, 1 - s and the far u as a float are kept per precision in
+_far_u.  Given a float bound on ln|f|, a folded node skips its u -> inf
+term where rounding to nearest would drop it, so no bit moves.
 
 The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), which
 skips the operators' dispatch and object creation.  The rounding rule
 that keeps every value bit-identical to the operator form: each raw call
 that rounds takes the working precision mp.prec and round-to-nearest
-'n', as the mpf operators do; a raw call at another precision or
-rounding would change the values.  mpf_shift, which does not round,
-only replaces a product or quotient by a power of two whose other
-operand already fits in mp.prec bits, where the operator's rounding
-changes nothing.  The integrand still takes and returns mpf, and its
+'n', as the mpf operators do, or the precisions of the mpmath function
+it replaces (log1p: 10 bits up, rounded once).  mpf_shift, which does
+not round, only replaces a product or quotient by a power of two whose
+other operand already fits in mp.prec bits, where the operator's
+rounding changes nothing.  The integrand still takes and returns mpf, and its
 value is rounded to the working precision as mpf(f(u)) does.
 """
 
@@ -65,23 +65,9 @@ import math
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fhalf,
-    finf,
-    fnan,
-    fninf,
-    fone,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_mul,
-    mpf_pi,
-    mpf_pos,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
+    fhalf, finf, fnan, fninf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_cosh_sinh,
+    mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_shift,
+    mpf_sub, round_nearest, to_float,
 )
 
 from .errors import QuadratureError
@@ -97,7 +83,8 @@ _TAIL_RUN = 3
 # _row_sum visits them; entries are pure functions of their key
 _nodes = {}
 
-# (mp.prec, s._mpf_) -> (-log(1 - s), -log s), the two u of de_quad_0inf
+# mp.prec -> {s._mpf_: (-log(1 - s), -log s, 1 - s, float(-log s))}: the
+# two u of a folded node of de_quad_0inf, and what its terms need of s
 _far_u = {}
 
 # bits between a skipped far term's bound and a quarter ulp of the near
@@ -110,14 +97,13 @@ def _row_sum(f, level, cut):
     """Trapezoid contributions at the nodes new at `level`, t = j*2^-level
     for j = 1, 2, 3, ... (level 0) or j = 1, 3, 5, ... (level >= 1).
 
-    Returns the sum over the u -> 0 and u -> 1 sides, without the h
+    Returns the raw sum over the u -> 0 and u -> 1 sides, without the h
     factor.  Each side is cut on its own, after _TAIL_RUN consecutive
-    terms w*f(u) <= cut*(1 + |total|); the row ends when both have been.
+    terms w*f(u) <= 2^cut (1 + |total|); the row ends when both have been.
     """
     prec, rnd = mp.prec, round_nearest
     row = _nodes.setdefault((prec, level), [])
     j_step = 1 if level == 0 else 2
-    cut = cut._mpf_
     total = fzero
     small_runs = [0, 0]  # u_left side, u_right side
     i = 0
@@ -128,29 +114,33 @@ def _row_sum(f, level, cut):
             # practical precision, so surviving terms mean the integrand diverges
             raise QuadratureError("tail of transformed integrand does not decay")
         if i == len(row):
-            t = mp.ldexp(j, -level)
-            ch = mp.cosh(t)
-            q = mp.exp(-mp.pi * mp.sinh(t))
-            base = q / (1 + q)
-            row.append((base, 1 - base, mp.pi * ch * q / (1 + q) ** 2))
+            ch, sh = mpf_cosh_sinh(from_man_exp(j, -level), prec, rnd)
+            pi = mpf_pi(prec, rnd)
+            q = mpf_exp(mpf_mul(mpf_neg(pi), sh, prec, rnd), prec, rnd)
+            q1 = mpf_add(q, fone, prec, rnd)
+            base = mpf_div(q, q1, prec, rnd)
+            w = mpf_mul(mpf_mul(pi, ch, prec, rnd), q, prec, rnd)
+            row.append((mp.make_mpf(base), mp.make_mpf(mpf_sub(fone, base, prec, rnd)),
+                        mpf_div(w, mpf_mul(q1, q1, prec, rnd), prec, rnd)))
         node = row[i]
-        w = node[2]._mpf_
         for side in (0, 1):
             if small_runs[side] >= _TAIL_RUN:
                 continue
-            term = mpf_mul(w, mpf(f(node[side]))._mpf_, prec, rnd)
+            y = f(node[side])
+            y = mpf_pos(y._mpf_, prec, rnd) if type(y) is mpf else mpf(y)._mpf_
+            term = mpf_mul(node[2], y, prec, rnd)
             if term in (finf, fninf, fnan):
                 raise QuadratureError(
                     "integrand not finite at node t=%s" % mp.nstr(mp.ldexp(j, -level), 8)
                 )
             total = mpf_add(total, term, prec, rnd)
-            bound = mpf_mul(cut, mpf_add(mpf_abs(total, prec, rnd), fone, prec, rnd), prec, rnd)
+            bound = mpf_shift(mpf_add(mpf_abs(total, prec, rnd), fone, prec, rnd), cut)
             if mpf_le(mpf_abs(term, prec, rnd), bound):
                 small_runs[side] += 1
             else:
                 small_runs[side] = 0
         i += 1
-    return mp.make_mpf(total)
+    return total
 
 
 def de_quad_01(f, ctx, tol=None):
@@ -183,16 +173,16 @@ def de_quad_01(f, ctx, tol=None):
         tol = mpf(tol)
         quarter_tol = mpf_shift(tol._mpf_, -2)
         deep = (max(mpf(2) ** (16 - ctx.precision_bits), (tol / 4) ** 2) / 4)._mpf_
-        cut = mpf(2) ** (-(ctx.precision_bits + 8))
+        cut = -(ctx.precision_bits + 8)  # log2 of the row cut
 
         # level 0, h = 1: center node j=0 plus the symmetric tail; at
         # level k, h = 2^-k scales the row sum exactly
         center = mpf_mul(mpf_shift(mpf_pi(prec, rnd), -2), mpf(f(mpf(1) / 2))._mpf_, prec, rnd)
-        row = mpf_add(center, _row_sum(f, 0, cut)._mpf_, prec, rnd)
+        row = mpf_add(center, _row_sum(f, 0, cut), prec, rnd)
         # level 1 has no estimate: d_0 = 0 lets it return only at d_1 = 0
         prev, prev_d = row, fzero
         for level in range(1, ctx.quad_levels + 1):
-            row = mpf_add(row, _row_sum(f, level, cut)._mpf_, prec, rnd)
+            row = mpf_add(row, _row_sum(f, level, cut), prec, rnd)
             cur = mpf_shift(row, -level)
             size = mpf_abs(cur, prec, rnd)
             size = size if mpf_gt(size, fone) else fone
@@ -233,19 +223,26 @@ def de_quad_0inf(f, ctx, tol=None, log_bound=None):
         prec, rnd, s = mp.prec, round_nearest, v._mpf_
         if mpf_gt(s, fhalf):
             return mp.zero
-        pair = _far_u.get((prec, s))
-        if pair is None:
-            pair = _far_u[prec, s] = (-mp.log1p(-v), -mp.ln(v))
+        far_u = _far_u.setdefault(prec, {})
+        record = far_u.get(s)
+        if record is None:
+            # -log1p(-s) as mpmath takes it 10 bits up, rounded once: -s - s^2/2
+            # below 2^-wp, which rounds to -s, else log(1 - s); and -ln s
+            wp = prec + 10
+            log1p = mpf_neg(s) if s[2] + s[3] < -wp else mpf_log(mpf_add(fone, mpf_neg(s), 2 * wp, rnd), wp, rnd)
+            far = mpf_neg(mpf_log(s, prec, rnd))
+            record = far_u[s] = (mp.make_mpf(mpf_neg(log1p, prec, rnd)), mp.make_mpf(far),
+                                 mpf_sub(fone, s, prec, rnd), to_float(far, rnd=rnd))
+        u_near, u_far, one_minus_s, u = record
         if s == fhalf:
-            return mp.make_mpf(mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd))
-        near = mpf_div(mp.convert(f(pair[0]))._mpf_, mpf_sub(fone, s, prec, rnd), prec, rnd)
+            return mp.make_mpf(mpf_div(mp.convert(f(u_far))._mpf_, s, prec, rnd))
+        near = mpf_div(mp.convert(f(u_near))._mpf_, one_minus_s, prec, rnd)
         if log_bound is not None and near[1]:  # near is finite and nonzero
-            u = float(pair[1])
             ln_far = log_bound(u) + u  # |f(u)|/s <= e^ln_far, as s = e^-u
             # near[2] + near[3] - 1 = floor(log2 |near|)
             if (ln_far + 1e-9 * (abs(ln_far) + u)) * _LOG2E < near[2] + near[3] - 3 - prec - _FAR_MARGIN:
                 return mp.make_mpf(near)
-        far = mpf_div(mp.convert(f(pair[1]))._mpf_, s, prec, rnd)
+        far = mpf_div(mp.convert(f(u_far))._mpf_, s, prec, rnd)
         return mp.make_mpf(mpf_add(near, far, prec, rnd))
 
     return de_quad_01(folded, ctx, tol)

@@ -14,27 +14,12 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone,
-    from_int,
-    from_man_exp,
-    ftwo,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
+    fone, from_int, from_man_exp, ftwo, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_sub, round_nearest, to_fixed,
 )
 
 from .context import GUARD_BITS, MAX_RANK, positive_x, to_mpf
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, QuadratureError
 from .kernel import euler_gamma, gamma0, log_gamma0_bound, psi_derivs, zeta_value
 from .jets import Jet
 from .quadrature import de_quad_0inf
@@ -98,15 +83,13 @@ class WeightConfig:
 # integral analogue I_r
 # ---------------------------------------------------------------------------
 
-# x-independent integrand factors (F(u), log u) per quadrature node, for
-# the most recently used (kind, omega, a) only, at every precision used
-# with it: (key, {precision_bits: {u._mpf_: (F(u), log u)}}).  DE nodes
-# depend on the precision alone, so a sweep over x at fixed (omega, a)
-# finds every node after the first x.  F is stored as one product keyed by
-# the raw mpf tuple, not as its r + 1 factors, to keep the table small.
-# log u is taken at the working precision + 10 bits, as in mpmath's power.
-# Entries are pure functions of their keys, so a stale read cannot change
-# a value.
+# x-independent integrand factors (F(u), log u) per quadrature node, as
+# raw mpf tuples, for the most recently used (kind, omega, a) only, at
+# every precision used with it: (key, {precision_bits: {u._mpf_: (F(u),
+# log u)}}).  DE nodes depend on the precision alone, so a sweep over x at
+# fixed (omega, a) finds every node after the first x.  F is stored as one
+# product, not as its r + 1 factors, to keep the table small.  Entries are
+# pure functions of their keys, so a stale read cannot change a value.
 _node_factors = (None, {})
 # The same for (kind, (omega,), a = 0), kept while the configurations
 # repeat that one weight at a = 0, as verify mzf's (1,), (1, 1), (1, 1, 1)
@@ -114,6 +97,12 @@ _node_factors = (None, {})
 # rounded to the working precision, and F of (omega, ..., omega) is built
 # from it without a factor call.  Any other configuration drops it.
 _unit_factors = (None, {})
+# log u at the working precision + 10 bits, as in mpmath's power, per
+# precision_bits and u._mpf_, shared by every configuration
+_log_u = {}
+# (kind, omega, a) of the latest configuration and, per float far u of
+# de_quad_0inf, (ln u, -au + sum_i ln bound f_i(omega_i u)) of its log_bound
+_bound_parts = (None, {})
 
 
 def _m_factor(y):
@@ -153,14 +142,16 @@ def _mellin_over_gamma(kind, x, w, ctx):
     computed and stored on a miss, one f_i per distinct weight, which for
     (omega, ..., omega) at a = 0 is read from the table of (omega,).  u^{x-1}
     is exp((x-1) log u) with an exact product, as mpmath's u ** (x-1)
-    computes it, unless x - 1 is an integer or half-integer (exponent
-    field >= -1), where mpmath's power takes another route and mpf_pow,
-    the function behind u ** (x-1), computes it.  The integrand runs on
-    raw mpf tuples, rounded as the mpf operators round.  de_quad_0inf
-    gets a float log_bound(u) >= ln(F(u) u^{x-1}): (x-1) ln u - au plus
+    computes it, log u from _log_u, unless x - 1 is an integer or
+    half-integer (exponent field >= -1), where mpmath's power takes
+    another route and mpf_pow computes it.  The integrand runs on raw mpf
+    tuples, rounded as the mpf operators round.  de_quad_0inf gets a
+    float log_bound(u) >= ln(F(u) u^{x-1}): (x-1) ln u - au plus
     ln Gamma(0,y) < ln ln(1+1/y) - y (DLMF 6.8.2) or -log(1-e^{-y}) <=
-    1/(e^y - 1) per weight y = omega_i u."""
-    global _node_factors, _unit_factors
+    1/(e^y - 1) per weight y = omega_i u, all but (x-1) ln u kept per
+    configuration and far u.  Raises QuadratureError where |int| <
+    ctx.target_tol: the absolute stop then certifies no digit."""
+    global _node_factors, _unit_factors, _bound_parts
     x = positive_x(x)
     key = (kind, w.omega, w.a)
     unit_key = (kind, w.omega[:1], w.a) if not w.a and w.omega == w.omega[:1] * w.r else None
@@ -170,8 +161,10 @@ def _mellin_over_gamma(kind, x, w, ctx):
         _node_factors = _unit_factors
     elif _node_factors[0] != key:
         _node_factors = (key, {})
+    _bound_parts = _bound_parts if _bound_parts[0] == key else (key, {})
     table = _node_factors[1].setdefault(ctx.precision_bits, {})
     unit = _unit_factors[1].setdefault(ctx.precision_bits, {}) if unit_key and key != unit_key else None
+    logs, parts = _log_u.setdefault(ctx.precision_bits, {}), _bound_parts[1]
     # one factor per distinct weight, multiplied into F in weight order
     distinct = tuple(dict.fromkeys(w.omega))
     slots = [distinct.index(om) for om in w.omega]
@@ -186,32 +179,42 @@ def _mellin_over_gamma(kind, x, w, ctx):
             raw_u = u._mpf_
             factors = table.get(raw_u)
             if factors is None:
-                # one factor per distinct weight, then log u
+                log_u = logs.get(raw_u)
+                if log_u is None:
+                    log_u = logs[raw_u] = mpf_log(raw_u, log_prec, rnd)
+                # one factor per distinct weight
                 f = unit.get(raw_u) if unit is not None else None
                 if f is None:
                     if kind == "I":
-                        f = [gamma0(om * u, ctx) for om in distinct]
+                        f = [gamma0(om * u, ctx)._mpf_ for om in distinct]
                     else:
-                        f = [_m_factor(om * u) for om in distinct]
-                    f.append(mp.make_mpf(mpf_log(raw_u, log_prec, rnd)))
+                        f = [_m_factor(om * u)._mpf_ for om in distinct]
                     if unit is not None:
-                        f = unit[raw_u] = (+f[0], f[1])
+                        f = unit[raw_u] = (mpf_pos(f[0], prec, rnd), log_u)
                 F = mpf_exp(mpf_mul(neg_a, raw_u, prec, rnd), prec, rnd)
                 for i in slots:
-                    F = mpf_mul(F, f[i]._mpf_, prec, rnd)
-                factors = table[raw_u] = (mp.make_mpf(F), f[-1])
+                    F = mpf_mul(F, f[i], prec, rnd)
+                factors = table[raw_u] = (F, log_u)
             F, log_u = factors
             if general:
-                power = mpf_exp(mpf_mul(xm1, log_u._mpf_), prec, rnd)  # exact product
+                power = mpf_exp(mpf_mul(xm1, log_u), prec, rnd)  # exact product
             else:
                 power = mpf_pow(raw_u, xm1, prec, rnd)
-            return mp.make_mpf(mpf_mul(F._mpf_, power, prec, rnd))
+            return mp.make_mpf(mpf_mul(F, power, prec, rnd))
 
         lead, shift, ys = float(x) - 1, float(w.a), [float(om) for om in w.omega]
         bound_i = log_gamma0_bound if kind == "I" else lambda y: -y - math.log(-math.expm1(-y))
-        log_bound = lambda u: lead * math.log(u) - shift * u + sum(bound_i(om * u) for om in ys)
+
+        def log_bound(u):
+            part = parts.get(u)
+            if part is None:
+                part = parts[u] = (math.log(u), sum(bound_i(om * u) for om in ys) - shift * u)
+            return lead * part[0] + part[1]
+
         finite = all(0 < y < math.inf for y in ys)
         raw = de_quad_0inf(integrand, ctx, log_bound=log_bound if finite else None)
+        if abs(raw) < ctx.target_tol:
+            raise QuadratureError("|integral| < target_tol: the quadrature certifies no digit of it")
         return +(raw / mp.gamma(x))
 
 

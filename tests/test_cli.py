@@ -154,6 +154,12 @@ def test_eval_accuracy_failure_exit_1(monkeypatch, capsys):
     assert code == 1 and "accuracy failure" in err
 
 
+def test_eval_integral_below_target_tol_exit_1(capsys):
+    # the integral is about 1e-932470 in magnitude, far below target_tol
+    code, out, err = _run(capsys, ["eval", "I", "--omega", "1", "--a", "1e20", "--x", "0.5"])
+    assert code == 1 and out == "" and "accuracy failure" in err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta import quadrature
-from mtzeta.context import PrecisionContext
+from mtzeta.context import GUARD_BITS, PrecisionContext
 from mtzeta.errors import QuadratureError
 from mtzeta.kernel import gamma0
 from mtzeta.quadrature import de_quad_01, de_quad_0inf
@@ -219,45 +219,44 @@ def test_node_table_matches_per_call_nodes(cold_nodes):
         assert de_quad_0inf(gamma_half, ctx)._mpf_ == _oracle_quad_0inf(gamma_half, ctx)._mpf_, bits
 
 
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of module.name, which stays bound."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_warm_table_computes_no_node(cold_nodes, monkeypatch):
-    cosh_calls = []
-    cosh = mp.cosh
-
-    def counted(t):
-        cosh_calls.append(t)
-        return cosh(t)
-
-    monkeypatch.setattr(mp, "cosh", counted)
+    # every node takes its cosh and sinh from one mpf_cosh_sinh call, on
+    # a table miss only
+    calls = _count_calls(monkeypatch, quadrature, "mpf_cosh_sinh")
     f = lambda t: mp.exp(-t) * mp.log(t)
     first = de_quad_0inf(f, CTX)
-    assert cosh_calls
-    cosh_calls.clear()
+    assert len(calls) == sum(map(len, quadrature._nodes.values())) > 0
+    calls.clear()
     second = de_quad_0inf(f, CTX)
-    assert cosh_calls == []
+    assert calls == []
     assert first._mpf_ == second._mpf_
 
 
 def test_warm_far_map_takes_no_logarithm(cold_nodes, monkeypatch):
+    # the two u of each folded node come from mpf_log on a miss of the
+    # far map only, at the working precision
     monkeypatch.setattr(quadrature, "_far_u", {})
-    log_calls = []
-
-    def counted(name):
-        log = getattr(mp, name)
-
-        def wrapped(*args, **kwargs):
-            log_calls.append((name, args))
-            return log(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("ln", "log", "log1p"):
-        monkeypatch.setattr(mp, name, counted(name))
+    calls = _count_calls(monkeypatch, quadrature, "mpf_log")
     f = lambda t: mp.exp(-t) / (1 + t)
     first = de_quad_0inf(f, CTX)
-    assert {"ln", "log1p"} <= {name for name, _ in log_calls}
-    log_calls.clear()
+    assert list(quadrature._far_u) == [CTX.precision_bits + GUARD_BITS]
+    assert 0 < len(calls) <= 2 * len(quadrature._far_u[CTX.precision_bits + GUARD_BITS])
+    calls.clear()
     second = de_quad_0inf(f, CTX)
-    assert log_calls == []
+    assert calls == []
     assert first._mpf_ == second._mpf_
 
 

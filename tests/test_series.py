@@ -355,10 +355,58 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
         nodes.clear()
         value = fn(x, w, CTX128)
         table = series._node_factors[1][CTX128.precision_bits]
+        logs = series._log_u[CTX128.precision_bits]
         with CTX128.workprec():
             for u, got in nodes:
-                assert got._mpf_ == (table[u._mpf_][0] * u ** (x - 1))._mpf_, (x, u)
+                # raw (F, log u), log u read from the table all configurations share
+                F, log_u = table[u._mpf_]
+                assert log_u == logs[u._mpf_], (x, u)
+                assert got._mpf_ == (mp.make_mpf(F) * u ** (x - 1))._mpf_, (x, u)
         assert value._mpf_ == _plain_mellin(kind, x, w, CTX128)._mpf_, x
+
+
+def test_two_configurations_take_log_u_once_per_node(monkeypatch):
+    # log u is kept per precision for every configuration, so a second
+    # configuration at the same precision takes it only at nodes the
+    # first did not reach; gamma0 takes no series-level mpf_log
+    for name, empty in (("_node_factors", (None, {})), ("_unit_factors", (None, {})), ("_log_u", {})):
+        monkeypatch.setattr(series, name, empty)
+    calls = []
+    original = series.mpf_log
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(series, "mpf_log", counted)
+    x = to_mpf("0.5")
+    i_integral(x, _wc(("1.6",)), CTX128)
+    first = len(calls)
+    value = i_integral(x, _wc(("0.7", "2.5"), "0.3"), CTX128)
+    nodes = series._node_factors[1][CTX128.precision_bits]
+    assert first > 0 and len(calls) == len(set(calls)) == len(series._log_u[CTX128.precision_bits])
+    assert len(calls) - first < len(nodes)
+    assert value._mpf_ == _plain_mellin("I", x, _wc(("0.7", "2.5"), "0.3"), CTX128)._mpf_
+
+
+@pytest.mark.parametrize("fn", [i_integral, m_integral], ids=["I", "M"])
+@pytest.mark.parametrize("a, x", [("1e20", "0.5"), ("1e400", "0.5"), ("1e3", "20"), ("1e3", "40")])
+def test_integral_below_target_tol_raises(fn, a, x):
+    # |int| < target_tol, where the absolute stop certifies no digit: at
+    # a = 1e20 and 1e400 the values came out near 1e-932470 and
+    # 2^(-3.1e386) against 4.7e-9 and 9.2e-198, at a = 1e3 25% and 94% off
+    with pytest.raises(QuadratureError, match="target_tol"):
+        fn(to_mpf(x), _wc(("1",), a), CTX128)
+
+
+def test_integral_above_target_tol_still_returns():
+    # a = 100, x = 20: |int| is about 1.5e-23, and the value agrees with a
+    # 200-bit mp.quad reference to 1e-29 relative
+    a, x = to_mpf("100"), to_mpf("20")
+    value = i_integral(x, _wc(("1",), "100"), CTX128)
+    with mp.workprec(200):
+        ref = mp.quad(lambda u: mp.e1(u) * mp.exp(-a * u) * u ** (x - 1), [0, 0.01, 0.1, 1, mp.inf]) / mp.gamma(x)
+        assert abs(value - ref) <= 1e-29 * ref
 
 
 def _without_log_bound(f, ctx, tol=None, log_bound=None):
