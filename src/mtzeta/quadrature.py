@@ -57,8 +57,8 @@ that rounds takes the working precision mp.prec and round-to-nearest
 it replaces (log1p: 10 bits up, rounded once).  mpf_shift, which does
 not round, only replaces a product or quotient by a power of two whose
 other operand already fits in mp.prec bits, where the operator's
-rounding changes nothing.  The integrand still takes and returns mpf, and its
-value is rounded to the working precision as mpf(f(u)) does.
+rounding changes nothing.  The integrand still takes and returns mpf,
+and its value is rounded to the working precision as mpf(f(u)) does.
 """
 
 import math
