@@ -6,8 +6,10 @@ the truncated expansion coefficient table), table (sweep a grid to
 CSV).  eval and table read one declaration, EVAL_OBJECTS, and verify
 reads suites.SUITES; each subcommand registers only the flags it reads
 and refuses, with _reject_unread, those the chosen object or suite does
-not read.  Exit codes: 0 all checks pass, 1 tolerance or accuracy
-failure, 2 usage error (UsageError), 3 violated precondition.
+not read.  Each builds its JSON lines and CSV rows and hands them to
+_write, the one function that opens --json and --csv files.  Exit
+codes: 0 all checks pass, 1 tolerance or accuracy failure, 2 usage
+error (UsageError), 3 violated precondition.
 """
 
 import argparse
@@ -23,13 +25,7 @@ from .context import PrecisionContext, to_mpf
 from .errors import BudgetError, DomainError, QuadratureError, UsageError
 from .kernel import bell_complete, stirling_first_unsigned
 from .polylog import PolylogArgs, hurwitz_li0, hurwitz_li1, mpl, mpl_one_var
-from .reports import (
-    exact_decimal,
-    value_str,
-    write_reports_csv,
-    write_reports_jsonl,
-    write_table_csv,
-)
+from .reports import REPORT_CSV_HEADER, exact_decimal, value_str, write_table_csv
 from .series import WeightConfig, i_integral, m_integral, s_series, t_coeff
 from . import suites
 
@@ -75,6 +71,17 @@ def _context(ns):
     if bits < 64:
         raise UsageError("precision must be at least 64 bits")
     return PrecisionContext(precision_bits=bits)
+
+
+def _write(ns, json_lines, header, rows):
+    """Write json_lines to --json (UTF-8, LF) and header and rows to --csv
+    (RFC 4180, CRLF); either is iterated only if its flag is given."""
+    if getattr(ns, "json", None):
+        with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in json_lines)
+    if ns.csv:
+        with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
+            write_table_csv(header, rows, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +209,18 @@ def _cmd_eval(ns):
     with ctx.workprec():
         value, method = evaluate(params, ctx)
     rendered = str(value) if isinstance(value, int) else value_str(value, ctx.precision_bits)
-    out = {
+    line = json.dumps({
         "schema": "mtz-eval/1",
         "object": obj,
         "params": params,
         "value": rendered,
         "method": method,
         "bits": ctx.precision_bits,
-    }
-    line = json.dumps(out, separators=(",", ":"))
+    }, separators=(",", ":"))
     print(line)
-    if ns.json:
-        with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
-    if ns.csv:
-        exact = str(value) if isinstance(value, int) else exact_decimal(value)
-        with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
-            write_table_csv(
-                ["object", "params", "value", "method"],
-                [[obj, json.dumps(params, sort_keys=True), exact, method]],
-                fh,
-            )
+    # a one-row generator: the exact decimal is made only for --csv
+    _write(ns, [line], ["object", "params", "value", "method"],
+           ([obj, json.dumps(params, sort_keys=True), exact_decimal(v), method] for v in [value]))
     return 0
 
 
@@ -259,29 +257,23 @@ def _cmd_verify(ns):
         raise UsageError("--tol must be positive and finite, got %r" % ns.tol)
     reports = _verify_reports(ns, ctx, tol, threads)
     bits = ctx.precision_bits
-    for report in reports:
-        print(report.to_json_line(bits))
-    if ns.json:
-        with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
-            write_reports_jsonl(reports, fh, bits)
-    if ns.csv:
-        with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
-            write_reports_csv(reports, fh)
+    lines = [r.to_json_line(bits) for r in reports]
+    for line in lines:
+        print(line)
+    _write(ns, lines, REPORT_CSV_HEADER, (r.csv_row() for r in reports))
     failures = [r for r in reports if not r.passed]
-    if failures:
-        for r in failures:
-            print(
-                "FAIL %s %s residual=%s tolerance=%s"
-                % (
-                    r.identity_id,
-                    json.dumps(r.params, sort_keys=True),
-                    value_str(r.residual, bits),
-                    value_str(r.tolerance, bits),
-                ),
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for r in failures:
+        print(
+            "FAIL %s %s residual=%s tolerance=%s"
+            % (
+                r.identity_id,
+                json.dumps(r.params, sort_keys=True),
+                value_str(r.residual, bits),
+                value_str(r.tolerance, bits),
+            ),
+            file=sys.stderr,
+        )
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +289,24 @@ def _cmd_expand(ns):
     v = _values(ns, "expand", _EXPAND_FLAGS, _EXPAND_FLAGS)
     with ctx.workprec():
         expansion = i_expansion(_weights(v), int(v["order"]), ctx)
-    rows = [(m, p, c) for m, (p, c) in enumerate(zip(expansion.powers, expansion.coeffs))]
-    header = "%-4s %-6s %s" % ("m", "power", "coefficient")
-    print(header)
-    for m, power, coeff in rows:
-        print("%-4d %-6d %s" % (m, power, value_str(coeff, ctx.precision_bits)))
-    if ns.json:
-        with open(ns.json, "w", encoding="utf-8", newline="\n") as fh:
-            for m, power, coeff in rows:
-                record = {
-                    "schema": "mtz-expand/1",
-                    "omega": v["omega"],
-                    "a": v["a"],
-                    "m": m,
-                    "power": power,
-                    "coeff": value_str(coeff, ctx.precision_bits),
-                }
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    if ns.csv:
-        with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
-            write_table_csv(
-                ["m", "power", "coefficient"],
-                [[str(m), str(p), exact_decimal(c)] for m, p, c in rows],
-                fh,
-            )
+    rows = [(m, p, c, value_str(c, ctx.precision_bits))
+            for m, (p, c) in enumerate(zip(expansion.powers, expansion.coeffs))]
+    print("%-4s %-6s %s" % ("m", "power", "coefficient"))
+    for m, power, _, shown in rows:
+        print("%-4d %-6d %s" % (m, power, shown))
+    _write(
+        ns,
+        (json.dumps({
+            "schema": "mtz-expand/1",
+            "omega": v["omega"],
+            "a": v["a"],
+            "m": m,
+            "power": p,
+            "coeff": shown,
+        }, separators=(",", ":")) for m, p, _, shown in rows),
+        ["m", "power", "coefficient"],
+        ([str(m), str(p), exact_decimal(c)] for m, p, c, _ in rows),
+    )
     return 0
 
 
@@ -359,11 +345,9 @@ def _cmd_table(ns):
         for item in grid:
             value, _ = EVAL_OBJECTS[obj][1](dict(values, **{point: item}), ctx)
             rows.append(cells + [item, exact_decimal(value)])
-    if ns.csv:
-        with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
-            write_table_csv(header, rows, fh)
-    else:
+    if not ns.csv:
         write_table_csv(header, rows, sys.stdout)
+    _write(ns, (), header, rows)
     return 0
 
 
@@ -379,10 +363,10 @@ _FLAG_OPTIONS = {
     "csv": dict(metavar="PATH", help="write CSV to PATH"),
     "threads": dict(type=int, help="worker processes"),
     "k_max": dict(type=int),
-    "omega": dict(help="comma-separated weights"),
+    "omega": dict(help="comma-separated weights (--omega=-0.3,0.2 if the first is negative)"),
     "index": dict(help="comma-separated exponents"),
-    "z": dict(help="comma-separated arguments"),
-    "args": dict(help="comma-separated values"),
+    "z": dict(help="comma-separated arguments (--z=-0.5,0.3 if the first is negative)"),
+    "args": dict(help="comma-separated values (--args=-1,2 if the first is negative)"),
 }
 
 

@@ -17,20 +17,8 @@ import math
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone,
-    from_man_exp,
-    mpf_add,
-    mpf_div,
-    mpf_euler,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
+    fone, from_man_exp, mpf_add, mpf_div, mpf_euler, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pos,
+    mpf_pow_int, mpf_sub, round_nearest, to_fixed,
 )
 
 from .context import GUARD_BITS, PrecisionContext, to_mpf

@@ -124,11 +124,20 @@ class IdentityReport:
     def to_json_line(self, bits):
         return json.dumps(self.to_json_dict(bits), separators=(",", ":"))
 
-
-def write_reports_jsonl(reports, fh, bits):
-    for report in reports:
-        fh.write(report.to_json_line(bits))
-        fh.write("\n")
+    def csv_row(self):
+        """The report's cells under REPORT_CSV_HEADER."""
+        return [
+            self.identity_id,
+            json.dumps(self.params, sort_keys=True),
+            exact_decimal(self.lhs),
+            exact_decimal(self.rhs),
+            residual_str(self.residual),
+            exact_decimal(self.tolerance),
+            "true" if self.passed else "false",
+            self.method.get("lhs", ""),
+            self.method.get("rhs", ""),
+            str(self.wall_time_ms),
+        ]
 
 
 REPORT_CSV_HEADER = (
@@ -145,28 +154,7 @@ REPORT_CSV_HEADER = (
 )
 
 
-def write_reports_csv(reports, fh):
-    writer = csv.writer(fh)
-    writer.writerow(REPORT_CSV_HEADER)
-    for r in reports:
-        writer.writerow(
-            [
-                r.identity_id,
-                json.dumps(r.params, sort_keys=True),
-                exact_decimal(r.lhs),
-                exact_decimal(r.rhs),
-                residual_str(r.residual),
-                exact_decimal(r.tolerance),
-                "true" if r.passed else "false",
-                r.method.get("lhs", ""),
-                r.method.get("rhs", ""),
-                str(r.wall_time_ms),
-            ]
-        )
-
-
 def write_table_csv(header, rows, fh):
     writer = csv.writer(fh)
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow(list(row))
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -445,9 +445,10 @@ def suite_mzf(r=None, x_grid=None, ctx=None, tol=None, threads=1):
 
 def run_suite(name, ctx=None, tol=None, threads=1, **options):
     """Run suite_<name>, looked up when called, with the options that
-    SUITES declares for it."""
+    SUITES declares for it; refuse any other, as the command line does."""
     if name not in SUITES:
         raise DomainError("unknown suite %r" % (name,))
+    refuse_unread(name, SUITES[name][1], options)
     suite = globals()["suite_" + name.replace("-", "_")]
     return suite(ctx=ctx, tol=tol, threads=threads, **options)
 

@@ -128,6 +128,40 @@ def test_eval_li_tiny_argument(capsys):
     assert code == 0 and abs(mpf(json.loads(out)["value"]) - mpf("1e-250")) <= mpf(2) ** -256
 
 
+def test_eval_negative_first_list_value(capsys):
+    # a list whose first value is negative is given as --flag=value
+    code, out, _ = _run(capsys, ["eval", "S", "--omega=-0.3,0.2", "--x", "1"])
+    assert code == 0
+    with CTX.workprec():
+        expected = s_series(mpf(1), (to_mpf("-0.3"), to_mpf("0.2")), CTX)
+    assert json.loads(out)["value"] == value_str(expected, 256)
+    code, out, _ = _run(capsys, ["eval", "Li", "--index", "2,1", "--z=-0.5,0.3"])
+    assert code == 0
+    with CTX.workprec():
+        expected = mpl(PolylogArgs((2, 1), (to_mpf("-0.5"), to_mpf("0.3"))), CTX)
+    assert json.loads(out)["value"] == value_str(expected, 256)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "S", "--omega", "-0.3,0.2", "--x", "1"],
+     ["eval", "Li", "--index", "2,1", "--z", "-0.5,0.3"]],
+    ids=["omega", "z"],
+)
+def test_eval_spaced_negative_list_exits_2(argv, capsys):
+    # argparse reads "-0.3,0.2" as an option, not as the flag's value
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "expected one argument" in err and "Traceback" not in err
+
+
+def test_list_flag_help_names_the_equals_form(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert cli_main(["eval", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--omega=-0.3,0.2" in out and "--z=-0.5,0.3" in out
+
+
 def test_eval_t_rank_mismatch_exit_3(capsys):
     # T_{r,l} needs exactly r weights
     code, out, err = _run(capsys, ["eval", "T", "--r", "3", "--l", "1", "--omega", "0.1,0.2"])

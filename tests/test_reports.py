@@ -10,15 +10,15 @@ import time
 import pytest
 from mpmath import mp, mpf
 
+from mtzeta.cli import cli_main
 from mtzeta.context import to_mpf
 from mtzeta.errors import DomainError
 from mtzeta.reports import (
+    REPORT_CSV_HEADER,
     IdentityReport,
     exact_decimal,
     residual_str,
     value_str,
-    write_reports_csv,
-    write_reports_jsonl,
     write_table_csv,
 )
 
@@ -138,21 +138,21 @@ def test_report_sort_key_orders_params():
     assert a.sort_key() < b.sort_key()
 
 
-def test_jsonl_writer_lf_lines():
-    rep = _make_report(to_mpf(1), to_mpf(1), to_mpf("1e-30"))
-    buf = io.StringIO()
-    write_reports_jsonl([rep, rep], buf, 256)
-    text = buf.getvalue()
-    assert text.count("\n") == 2
+def test_jsonl_writer_lf_lines(tmp_path, capsys):
+    path = tmp_path / "reports.jsonl"
+    assert cli_main(["verify", "r2m2", "--json", str(path)]) == 0
+    text = path.read_bytes().decode()
+    assert text.count("\n") == 5
     assert "\r" not in text
     for line in text.splitlines():
-        json.loads(line)
+        assert json.loads(line)["schema"] == "mtz-report/1"
+    assert text == capsys.readouterr().out
 
 
 def test_reports_csv_quoting_and_crlf():
     rep = _make_report(to_mpf("0.5"), to_mpf("0.25"), to_mpf("1e-30"))
     buf = io.StringIO()
-    write_reports_csv([rep], buf)
+    write_table_csv(REPORT_CSV_HEADER, [rep.csv_row()], buf)
     text = buf.getvalue()
     lines = text.split("\r\n")
     assert lines[0].startswith("identity_id,params,")

@@ -371,6 +371,26 @@ def test_run_suite_name_check():
         run_suite("no-such-suite", ctx=CTX)
 
 
+# for each suite, an option that another suite declares
+_FOREIGN_OPTIONS = {
+    "r2m2": ("k_max", 3),
+    "r3m3": ("x_grid", ("0.5",)),
+    "inversion": ("x_grid", ("0.5",)),
+    "asymptotic-order": ("k_max", 3),
+    "mzf": ("omega", ("1",)),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suite_refuses_an_undeclared_option(name):
+    # refused before the call: a suite_* given it would raise TypeError
+    option, value = _FOREIGN_OPTIONS[name]
+    assert option not in suites.SUITES[name][1]
+    with pytest.raises(UsageError) as exc:
+        run_suite(name, ctx=CTX, **{option: value})
+    assert str(exc.value) == "%s does not read %s" % (name, option)
+
+
 def test_suite_determinism_modulo_wall_time():
     first = suite_r2m2(omega=("2", "3"), a="1", ctx=CTX)
     second = suite_r2m2(omega=("2", "3"), a="1", ctx=CTX)
