@@ -35,12 +35,13 @@ with ctx.workprec():
         rhs += c_coeff(1, 1, WeightConfig(omega=rest, a=w.a + w.omega[i]), ctx)
     print("shift recurrence gap:", mp.nstr(abs(lhs - rhs), 3))
 
-    # table of the expansion through x^2 and its value against quadrature
-    exp = i_expansion(w, 4, ctx)
+    # table of the expansion through x^2 and its value against quadrature;
+    # entry m of the coefficient tuple belongs to x^(m - r)
+    coeffs = i_expansion(w, 4, ctx)
     print()
     print("normalized expansion, rank 2, four coefficient orders:")
-    for p, c in zip(exp.powers, exp.coeffs):
-        print("  x^%-3d %s" % (p, mp.nstr(c, 16)))
+    for m, c in enumerate(coeffs):
+        print("  x^%-3d %s" % (m - w.r, mp.nstr(c, 16)))
     x = mpf("0.3")
     series = power_series_I(x, w, 4, ctx)
     quad = i_integral(x, w, ctx)

@@ -11,7 +11,6 @@ routes against each other over fixed parameter grids.
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    ExpansionResult,
     c_coeff,
     c_prime_coeff,
     expression_by_S,
@@ -22,9 +21,6 @@ from .asymptotics import (
     power_series_I,
 )
 from .combinatorics import (
-    Composition,
-    DisjointSubsetFamily,
-    WeakComposition,
     compositions,
     disjoint_subset_families,
     lambda_k,
@@ -68,16 +64,12 @@ from .suites import (
 
 __all__ = [
     "BudgetError",
-    "Composition",
-    "DisjointSubsetFamily",
     "DomainError",
-    "ExpansionResult",
     "IdentityReport",
     "MultiIndex",
     "PolylogArgs",
     "PrecisionContext",
     "QuadratureError",
-    "WeakComposition",
     "WeightConfig",
     "bell_complete",
     "c_coeff",

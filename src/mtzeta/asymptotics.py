@@ -10,7 +10,6 @@ independent.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from mpmath import mp, mpf
@@ -29,7 +28,6 @@ from .polylog import PolylogArgs, mpl, mpl_one_var, prefetched
 from .series import s_series
 
 __all__ = [
-    "ExpansionResult",
     "main_term_I",
     "main_term_M",
     "c_coeff",
@@ -42,30 +40,6 @@ __all__ = [
 
 # beyond this order the termwise sums are intractable: refuse, not stall
 MAX_ORDER = 40
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    """Truncated expansion sum_m coeffs[m] x^powers[m]."""
-
-    powers: tuple
-    coeffs: tuple
-    truncation_order: int
-
-    def __post_init__(self):
-        powers = tuple(int(p) for p in self.powers)
-        if len(powers) != len(self.coeffs):
-            raise DomainError("powers and coeffs must align")
-        if any(q <= p for p, q in zip(powers, powers[1:])):
-            raise DomainError("powers must be strictly increasing")
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    def evaluate(self, x):
-        total = mpf(0)
-        for p, c in zip(self.powers, self.coeffs):
-            total += c * x ** p
-        return total
 
 
 def _lambda_sum(x, w, ctx):
@@ -119,25 +93,24 @@ def c_coeff(r, m, w, ctx):
             for s in range(1, t + 1):
                 for comp in compositions(t, s):
                     kfact = 1
-                    for ki in comp.parts:
+                    for ki in comp:
                         kfact *= math.factorial(ki)
-                    # the telescoping ratios of each family, shared by every l
+                    # the telescoping ratios of each family, shared by every l;
+                    # each block summed in sorted index order at this precision
                     fam_zs = []
-                    for fam in disjoint_subset_families(r, comp):
-                        b = a + w.subset_total(fam.remainder)
+                    for blocks, remainder in disjoint_subset_families(r, comp):
+                        b = a + sum((w.omega[i - 1] for i in remainder), mpf(0))
                         zs = []
-                        for block in fam.blocks:
-                            b2 = b + w.subset_total(block)
+                        for block in blocks:
+                            b2 = b + sum((w.omega[i - 1] for i in block), mpf(0))
                             zs.append(b / b2)
                             b = b2
                         fam_zs.append(zs)
                     for wc in weak_compositions(m - t, s):
                         binom = 1
-                        for ki, li in zip(comp.parts, wc.parts):
+                        for ki, li in zip(comp, wc):
                             binom *= math.comb(ki + li - 1, li)
-                        index = tuple(
-                            ki + li for ki, li in zip(comp.parts, wc.parts)
-                        )
+                        index = tuple(ki + li for ki, li in zip(comp, wc))
                         terms.append((sign * rt_fact * kfact * binom,
                                       [PolylogArgs(index, zs) for zs in fam_zs]))
         # one fixed-point pass per argument tuple; mpl then hits the cache
@@ -179,17 +152,19 @@ def c_prime_coeff(r, m, w, ctx):
 
 
 def i_expansion(w, M, ctx):
-    """ExpansionResult for (a+|omega|)^x I_r through order M: the x^{-r}
-    coefficient is r!, then c_{r,m} at x^{m-r} for m = 1..M."""
+    """Coefficients of (a+|omega|)^x I_r through order M: entry m belongs
+    to x^{m-r}, entry 0 is r!, and entry m >= 1 is c_{r,m}."""
     M = int(M)
     if M < 0:
         raise DomainError("truncation order must be nonnegative")
     r = w.r
+    # the caps of c_coeff, checked before the first coefficient
+    if M and r > MAX_RANK:
+        raise BudgetError("family enumeration is capped at rank %d" % MAX_RANK)
+    if M > MAX_ORDER:
+        raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
     with ctx.workprec():
-        coeffs = [mp.factorial(r)]
-        for m in range(1, M + 1):
-            coeffs.append(c_coeff(r, m, w, ctx))
-    return ExpansionResult(tuple(range(-r, M - r + 1)), tuple(coeffs), M)
+        return (mp.factorial(r),) + tuple(c_coeff(r, m, w, ctx) for m in range(1, M + 1))
 
 
 def power_series_I(x, w, M, ctx):
@@ -198,9 +173,12 @@ def power_series_I(x, w, M, ctx):
     x = to_mpf(x)
     if not 0 < x < 1:
         raise DomainError("the power series representation requires 0 < x < 1")
-    exp = i_expansion(w, M, ctx)
+    coeffs = i_expansion(w, M, ctx)
     with ctx.workprec():
-        return +(exp.evaluate(x) / (w.a + w.total) ** x)
+        total = mpf(0)
+        for m, c in enumerate(coeffs):
+            total += c * x ** (m - w.r)
+        return +(total / (w.a + w.total) ** x)
 
 
 def expression_by_S(x, w, ctx):

@@ -288,9 +288,9 @@ def _cmd_expand(ns):
     ctx = _context(ns)
     v = _values(ns, "expand", _EXPAND_FLAGS, _EXPAND_FLAGS)
     with ctx.workprec():
-        expansion = i_expansion(_weights(v), int(v["order"]), ctx)
-    rows = [(m, p, c, value_str(c, ctx.precision_bits))
-            for m, (p, c) in enumerate(zip(expansion.powers, expansion.coeffs))]
+        w = _weights(v)
+        coeffs = i_expansion(w, int(v["order"]), ctx)
+    rows = [(m, m - w.r, c, value_str(c, ctx.precision_bits)) for m, c in enumerate(coeffs)]
     print("%-4s %-6s %s" % ("m", "power", "coefficient"))
     for m, power, _, shown in rows:
         print("%-4d %-6d %s" % (m, power, shown))
@@ -416,8 +416,11 @@ def cli_main(argv):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        for flag in ("json", "csv"):
-            _check_writable(getattr(ns, flag, None))
+        paths = [getattr(ns, flag, None) for flag in ("json", "csv")]
+        for path in paths:
+            _check_writable(path)
+        if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise UsageError("--json and --csv name one file: %s" % paths[1])
         return ns.func(ns)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

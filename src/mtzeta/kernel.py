@@ -29,33 +29,16 @@ from .jets import Jet
 # exact combinatorial numbers
 # ---------------------------------------------------------------------------
 
-# Rows of unsigned Stirling numbers of the first kind, c[m][l] for 0<=l<=m,
-# built by c(m+1,l) = m*c(m,l) + c(m,l-1).  Seeded through m=64 on first use;
-# grows on demand (coefficient series routinely need m in the hundreds).
-_STIRLING_ROWS: list[list[int]] = [[1]]
-_STIRLING_SEED = 64
-
-
-def _stirling_row(m: int) -> list[int]:
-    while len(_STIRLING_ROWS) <= max(m, _STIRLING_SEED):
-        prev = _STIRLING_ROWS[-1]
-        n = len(_STIRLING_ROWS) - 1  # prev is row n
-        row = [0] * (n + 2)
-        for l in range(n + 2):
-            acc = n * prev[l] if l <= n else 0
-            if l >= 1:
-                acc += prev[l - 1]
-            row[l] = acc
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[m]
-
-
 def stirling_first_unsigned(m: int, l: int) -> int:
     """Unsigned Stirling number of the first kind: coefficient of x^l in the
-    rising factorial (x)_m.  Exact integer."""
+    rising factorial (x)_m.  Exact integer, from one row rolled forward by
+    c(n+1, j) = n c(n, j) + c(n, j-1)."""
     if m < 1 or l < 1 or l > m:
         raise DomainError("stirling_first_unsigned requires 1 <= l <= m")
-    return _stirling_row(m)[l]
+    row = [1]  # c(0, j)
+    for n in range(m):
+        row = [n * c + prev for c, prev in zip(row + [0], [0] + row)]
+    return row[l]
 
 
 def bell_complete(n: int, xs) -> object:

@@ -74,7 +74,6 @@ class MultiIndex:
     """Exponent tuple (k_1,...,k_s), all parts >= 1."""
 
     parts: tuple
-    weight: int = field(init=False)
     depth: int = field(init=False)
 
     def __post_init__(self):
@@ -82,7 +81,6 @@ class MultiIndex:
         if not parts or any(k < 1 for k in parts):
             raise DomainError("index parts must be positive integers")
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "weight", sum(parts))
         object.__setattr__(self, "depth", len(parts))
 
 

@@ -38,8 +38,8 @@ __all__ = [
 class WeightConfig:
     """Weights (omega_1..omega_r) > 0 together with the shift a >= 0.
 
-    Subset weight sums |omega_J| are cached per instance; J is given in
-    1-based indices matching the ground set {1..r}.
+    Holds no derived values: total sums the weights at the caller's
+    precision on every call.
     """
 
     omega: tuple
@@ -54,7 +54,6 @@ class WeightConfig:
             raise DomainError("shift a must be nonnegative and finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_subset_sums", {})
 
     @property
     def r(self):
@@ -62,21 +61,7 @@ class WeightConfig:
 
     @property
     def total(self):
-        return self.subset_total(range(1, self.r + 1))
-
-    def subset_total(self, J):
-        key = tuple(sorted(int(j) for j in J))
-        if any(not 1 <= j <= self.r for j in key):
-            raise DomainError("subset index outside ground set")
-        if len(set(key)) != len(key):
-            raise DomainError("subset indices must be distinct")
-        cached = self._subset_sums.get(key)
-        if cached is None:
-            cached = mpf(0)
-            for j in key:
-                cached += self.omega[j - 1]
-            self._subset_sums[key] = cached
-        return cached
+        return sum(self.omega, mpf(0))
 
 
 # ---------------------------------------------------------------------------

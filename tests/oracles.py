@@ -53,9 +53,9 @@ def li1_series_in_x(p, x, L, ctx):
             inner = mpf(0)
             for wc in weak_compositions(l, s):
                 coeff = 1
-                for k, li in zip(ks, wc.parts):
+                for k, li in zip(ks, wc):
                     coeff *= math.comb(k + li - 1, li)
-                shifted = tuple(k + li for k, li in zip(ks, wc.parts))
+                shifted = tuple(k + li for k, li in zip(ks, wc))
                 inner += coeff * mpl(PolylogArgs(shifted, p.args), ctx)
             total += (-x) ** l * inner
         return +total

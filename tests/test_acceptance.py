@@ -211,7 +211,7 @@ def test_criterion_11_exact_combinatorics():
                 for k in compositions(t, s):
                     count = sum(1 for _ in disjoint_subset_families(r, k))
                     expect = math.factorial(r) // math.factorial(r - t)
-                    for part in k.parts:
+                    for part in k:
                         expect //= math.factorial(part)
                     assert count == expect
 

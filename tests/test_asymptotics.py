@@ -11,7 +11,6 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.asymptotics import (
-    ExpansionResult,
     c_coeff,
     c_prime_coeff,
     expression_by_S,
@@ -43,27 +42,22 @@ def _random_config(rng, r):
 
 
 # ---------------------------------------------------------------------------
-# expansion container
+# expansion coefficients
 # ---------------------------------------------------------------------------
 
-def test_expansion_result_invariants():
-    e = ExpansionResult((-2, -1, 0), (mpf(2), mpf(1), mpf(3)), 2)
-    with CTX.workprec():
-        x = mpf("0.5")
-        assert e.evaluate(x) == 2 * x ** -2 + x ** -1 + 3
-    with pytest.raises(DomainError):
-        ExpansionResult((-1, -1, 0), (1, 2, 3), 2)
-    with pytest.raises(DomainError):
-        ExpansionResult((-1, 0), (1, 2, 3), 2)
-
-
 def test_i_expansion_structure():
+    # entry m is the coefficient of x^{m-r}: r!, then c_{r,1..M}; the power
+    # series sums them in that order
     w = _wc((1, 2), "0.3")
-    e = i_expansion(w, 3, CTX)
-    assert e.powers == (-2, -1, 0, 1)
-    assert e.truncation_order == 3
+    coeffs = i_expansion(w, 3, CTX)
+    assert coeffs[1:] == tuple(c_coeff(2, m, w, CTX) for m in (1, 2, 3))
     with CTX.workprec():
-        assert e.coeffs[0] == 2
+        assert coeffs[0] == 2
+        x = mpf("0.5")
+        total = mpf(0)
+        for m, c in enumerate(coeffs):
+            total += c * x ** (m - 2)
+        assert power_series_I(x, w, 3, CTX) == +(total / (w.a + w.total) ** x)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +255,24 @@ def test_c_domain_and_budget():
     big = _wc((1,) * 9, "0.5")
     with pytest.raises(BudgetError):
         c_coeff(9, 1, big, CTX)
+
+
+def test_coefficients_at_a_later_precision_match_a_fresh_config():
+    # a configuration used at 128 bits and then at 512 bits gives the
+    # 512-bit values of a fresh one, bit for bit: no sum of its weights
+    # is kept from the earlier precision
+    lo, hi = PrecisionContext(precision_bits=128), PrecisionContext(precision_bits=512)
+    reused = _wc(("0.7", "1.3", "2.1"), "0.5")
+    evaluators = (
+        lambda w, ctx: c_coeff(3, 3, w, ctx),
+        lambda w, ctx: c_prime_coeff(3, 3, w, ctx),
+        lambda w, ctx: power_series_I("0.1", w, 4, ctx),
+    )
+    for f in evaluators:
+        f(reused, lo)
+    for f in evaluators:
+        fresh = _wc(("0.7", "1.3", "2.1"), "0.5")
+        assert f(reused, hi)._mpf_ == f(fresh, hi)._mpf_
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 import mtzeta
-from mtzeta import suites
+from mtzeta import asymptotics, suites
 from mtzeta import (
     PolylogArgs,
     WeightConfig,
@@ -684,6 +684,37 @@ def test_unwritable_output_path_exits_2_before_evaluating(argv, tmp_path, capsys
         code, out, err = _run(capsys, argv + [str(path)])
         assert code == 2 and out == "", path
         assert "cannot write" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("second", ["P", os.path.join("dir", os.pardir, "P")], ids=["same", "dotdot"])
+def test_json_and_csv_naming_one_file_exit_2_before_evaluating(second, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    code, out, err = _run(
+        capsys, ["eval", "Stirling", "--n", "5", "--k", "2", "--json", "P", "--csv", second]
+    )
+    assert code == 2 and out == ""
+    assert "name one file" in err and "Traceback" not in err
+    assert not (tmp_path / "P").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--r", "3", "--omega", "1,2,3", "--a", "0.5", "--order", "41"],
+        ["expand", "--r", "9", "--omega", "1,1,1,1,1,1,1,1,1", "--a", "0.5", "--order", "1"],
+        ["verify", "asymptotic-order", "--method", "truncated-series", "--omega", "1,2",
+         "--a", "0.3", "--order", "41", "--x-ladder", "0.1,0.05,0.025"],
+    ],
+    ids=["expand-order", "expand-rank", "verify-order"],
+)
+def test_expansion_past_a_cap_exits_3_before_any_coefficient(argv, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("c_coeff called past a cap")
+
+    monkeypatch.setattr(asymptotics, "c_coeff", unreachable)
+    code, _, err = _run(capsys, argv)
+    assert code == 3 and "is capped at" in err
 
 
 def _python_m(*argv, module="mtzeta"):

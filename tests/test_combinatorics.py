@@ -11,8 +11,6 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.combinatorics import (
-    Composition,
-    DisjointSubsetFamily,
     compositions,
     disjoint_subset_families,
     lambda_k,
@@ -33,15 +31,15 @@ def tol_bits(slack):
 # ---------------------------------------------------------------------------
 
 def test_compositions_examples():
-    assert [c.parts for c in compositions(3, 1)] == [(3,)]
-    assert [c.parts for c in compositions(3, 2)] == [(1, 2), (2, 1)]
+    assert list(compositions(3, 1)) == [(3,)]
+    assert list(compositions(3, 2)) == [(1, 2), (2, 1)]
     assert sum(1 for _ in compositions(6, 3)) == 10
 
 
 def test_compositions_counts_and_order():
     for t in range(1, 9):
         for s in range(1, t + 1):
-            items = [c.parts for c in compositions(t, s)]
+            items = list(compositions(t, s))
             assert len(items) == math.comb(t - 1, s - 1)
             assert len(set(items)) == len(items)
             assert items == sorted(items)
@@ -63,15 +61,15 @@ def test_compositions_rejects_bad_split():
 # ---------------------------------------------------------------------------
 
 def test_weak_compositions_examples():
-    assert [w.parts for w in weak_compositions(0, 3)] == [(0, 0, 0)]
-    assert [w.parts for w in weak_compositions(2, 2)] == [(0, 2), (1, 1), (2, 0)]
+    assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
+    assert list(weak_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert sum(1 for _ in weak_compositions(4, 3)) == 15
 
 
 def test_weak_compositions_counts():
     for l in range(0, 7):
         for s in range(1, 5):
-            items = [w.parts for w in weak_compositions(l, s)]
+            items = list(weak_compositions(l, s))
             assert len(items) == math.comb(l + s - 1, s - 1)
             assert len(set(items)) == len(items)
             for parts in items:
@@ -85,11 +83,9 @@ def test_weak_compositions_counts():
 
 def test_family_examples():
     fams = list(disjoint_subset_families(2, (1,)))
-    assert [f.blocks for f in fams] == [((1,),), ((2,),)]
-    assert [f.remainder for f in fams] == [(2,), (1,)]
+    assert fams == [(((1,),), (2,)), (((2,),), (1,))]
     assert sum(1 for _ in disjoint_subset_families(3, (1, 1))) == 6
-    only = list(disjoint_subset_families(3, (3,)))
-    assert len(only) == 1 and only[0].remainder == ()
+    assert list(disjoint_subset_families(3, (3,))) == [(((1, 2, 3),), ())]
 
 
 def test_family_rejects_oversized():
@@ -108,10 +104,10 @@ def test_families_match_power_set_filter():
         for t in range(1, r + 1):
             for s in range(1, min(t, 3) + 1):
                 for comp in compositions(t, s):
-                    stream = {f.blocks for f in disjoint_subset_families(r, comp)}
+                    stream = {blocks for blocks, _ in disjoint_subset_families(r, comp)}
                     naive = set()
                     for blocks in product(_subsets(ground), repeat=s):
-                        if any(len(b) != k for b, k in zip(blocks, comp.parts)):
+                        if any(len(b) != k for b, k in zip(blocks, comp)):
                             continue
                         flat = [i for b in blocks for i in b]
                         if len(flat) != len(set(flat)):
@@ -119,18 +115,19 @@ def test_families_match_power_set_filter():
                         naive.add(blocks)
                     assert stream == naive
                     expect = math.factorial(r) // (
-                        math.prod(math.factorial(k) for k in comp.parts)
+                        math.prod(math.factorial(k) for k in comp)
                         * math.factorial(r - t)
                     )
                     assert len(stream) == expect
 
 
 def test_family_invariants():
-    for fam in disjoint_subset_families(5, (2, 1)):
-        flat = [i for b in fam.blocks for i in b]
+    for blocks, remainder in disjoint_subset_families(5, (2, 1)):
+        flat = [i for b in blocks for i in b]
         assert len(flat) == len(set(flat))
-        assert set(flat) | set(fam.remainder) == set(range(1, 6))
-        assert not set(flat) & set(fam.remainder)
+        assert set(flat) | set(remainder) == set(range(1, 6))
+        assert not set(flat) & set(remainder)
+        assert all(list(b) == sorted(b) for b in blocks + (remainder,))
 
 
 def test_family_counting_law():
@@ -146,9 +143,9 @@ def test_family_counting_law():
                         sizes = [0] * (N + 1)
                         for g in assign:
                             sizes[g] += 1
-                        if tuple(sizes[1:]) == wc.parts:
+                        if tuple(sizes[1:]) == wc:
                             fam_count += 1
-                    total += math.prod(math.factorial(j) for j in wc.parts) * fam_count
+                    total += math.prod(math.factorial(j) for j in wc) * fam_count
                 expect = (
                     math.factorial(r)
                     // math.factorial(r - s)
@@ -217,9 +214,8 @@ def test_lambda_matches_subset_enumeration():
 
 
 def test_composition_type_validation():
-    with pytest.raises(DomainError):
-        Composition((1, 0))
-    with pytest.raises(DomainError):
-        DisjointSubsetFamily(3, ((1, 2), (2,)))
-    fam = DisjointSubsetFamily(3, ((2,), (1, 3)))
-    assert fam.remainder == ()
+    # the block sizes handed to disjoint_subset_families: positive ints
+    for bad in ((), (1, 0), (2, -1), (1.0,), ("1",)):
+        with pytest.raises(DomainError):
+            list(disjoint_subset_families(3, bad))
+    assert all(remainder == () for _, remainder in disjoint_subset_families(3, (1, 2)))

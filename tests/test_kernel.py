@@ -8,6 +8,7 @@ never masks method error in the library.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,18 @@ def test_stirling_examples():
         stirling_first_unsigned(3, 4)
     with pytest.raises(DomainError):
         stirling_first_unsigned(3, 0)
+
+
+def test_stirling_builds_one_row_at_a_time():
+    # c(600, 1) = 599!, reached without keeping the 600 rows before it
+    tracemalloc.start()
+    try:
+        value = stirling_first_unsigned(600, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == math.factorial(599)
+    assert peak < 4 * 2 ** 20
 
 
 def test_pochhammer_stirling_identity_exact():

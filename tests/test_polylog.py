@@ -262,7 +262,7 @@ def test_multi_index_validation():
     with pytest.raises(DomainError):
         PolylogArgs((1, 2), ("0.5",))
     idx = MultiIndex((3, 1, 2))
-    assert idx.weight == 6 and idx.depth == 3
+    assert idx.parts == (3, 1, 2) and idx.depth == 3
 
 
 # ---------------------------------------------------------------------------

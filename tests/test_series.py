@@ -56,28 +56,16 @@ def test_weight_config_validation():
         WeightConfig((1, -2), 0)
     with pytest.raises(DomainError):
         WeightConfig((1,), -1)
-    w = _wc((1, 2, 3), "0.5")
-    with pytest.raises(DomainError):
-        w.subset_total((1, 1))
-    with pytest.raises(DomainError):
-        w.subset_total((0,))
-    with pytest.raises(DomainError):
-        w.subset_total((4,))
 
 
 def test_weight_config_subsets():
     w = _wc((1, 2, 3), "0.5")
     assert w.r == 3
     assert w.total == 6
-    assert w.subset_total((1, 3)) == 4
-    assert w.subset_total(()) == 0
     assert tuple(w.omega[j - 1] for j in (2,)) == (mpf(2),)
     rest, a2 = w.omega[:1] + w.omega[2:], w.a + w.omega[1]
     assert rest == (mpf(1), mpf(3))
     assert a2 == mpf("2.5")
-    # repeated queries come from the per-instance cache
-    assert (1, 3) in w._subset_sums
-    assert w.subset_total((3, 1)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,7 @@ def test_m_i_bridge_shrinks_linearly():
                 for k in range(r + 1):
                     for J in combinations(range(1, r + 1), r - k):
                         rest = tuple(j for j in range(1, r + 1) if j not in J)
-                        a2 = w.a + (w.subset_total(rest) if rest else 0)
+                        a2 = w.a + sum((w.omega[j - 1] for j in rest), mpf(0))
                         if J:
                             part = i_integral(x, WeightConfig(tuple(w.omega[j - 1] for j in J), a2), CTX)
                         else:
