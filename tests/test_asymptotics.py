@@ -45,6 +45,31 @@ def _random_config(rng, r):
 # expansion coefficients
 # ---------------------------------------------------------------------------
 
+def test_expansion_result_invariants(monkeypatch):
+    # order M gives M + 1 entries, order 0 only r!, and a lower order is a
+    # prefix of a higher one
+    w = _wc((1, 2, "0.5"), "0.3")
+    assert i_expansion(w, 0, CTX) == (6,)
+    low, high = i_expansion(w, 2, CTX), i_expansion(w, 4, CTX)
+    assert len(low) == 3 and len(high) == 5
+    assert high[:3] == low
+    assert all(isinstance(c, type(mpf(0))) for c in high)
+    with pytest.raises(DomainError):
+        i_expansion(w, -1, CTX)
+    # both caps refuse before the first coefficient is computed
+    import mtzeta.asymptotics as asym
+
+    def no_coefficient(*args):
+        raise AssertionError("coefficient computed past a cap")
+
+    monkeypatch.setattr(asym, "c_coeff", no_coefficient)
+    with pytest.raises(BudgetError):
+        i_expansion(w, 41, CTX)
+    with pytest.raises(BudgetError):
+        i_expansion(_wc((1,) * 9, "0.5"), 1, CTX)
+    assert i_expansion(_wc((1,) * 9, "0.5"), 0, CTX) == (mp.factorial(9),)
+
+
 def test_i_expansion_structure():
     # entry m is the coefficient of x^{m-r}: r!, then c_{r,1..M}; the power
     # series sums them in that order
