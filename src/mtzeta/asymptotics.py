@@ -42,6 +42,17 @@ __all__ = [
 MAX_ORDER = 40
 
 
+def check_order(r, M):
+    """Refuse coefficients c_{r,1..M} of a negative order M or beyond the
+    rank or order cap, before the first one is summed."""
+    if M < 0:
+        raise DomainError("truncation order must be nonnegative")
+    if M and r > MAX_RANK:
+        raise BudgetError("family enumeration is capped at rank %d" % MAX_RANK)
+    if M > MAX_ORDER:
+        raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
+
+
 def _lambda_sum(x, w, ctx):
     """sum_k (-1)^k Lambda_k(omega) (r-k)!/x^{r-k}, at the caller's
     working precision."""
@@ -80,10 +91,7 @@ def c_coeff(r, m, w, ctx):
         raise DomainError("rank must match the weight configuration")
     if m < 1:
         raise DomainError("coefficients start at m = 1")
-    if r > MAX_RANK:
-        raise BudgetError("family enumeration is capped at rank %d" % MAX_RANK)
-    if m > MAX_ORDER:
-        raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
+    check_order(r, m)
     with ctx.workprec():
         a = w.a
         terms = []
@@ -154,15 +162,8 @@ def c_prime_coeff(r, m, w, ctx):
 def i_expansion(w, M, ctx):
     """Coefficients of (a+|omega|)^x I_r through order M: entry m belongs
     to x^{m-r}, entry 0 is r!, and entry m >= 1 is c_{r,m}."""
-    M = int(M)
-    if M < 0:
-        raise DomainError("truncation order must be nonnegative")
-    r = w.r
-    # the caps of c_coeff, checked before the first coefficient
-    if M and r > MAX_RANK:
-        raise BudgetError("family enumeration is capped at rank %d" % MAX_RANK)
-    if M > MAX_ORDER:
-        raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
+    M, r = int(M), w.r
+    check_order(r, M)
     with ctx.workprec():
         return (mp.factorial(r),) + tuple(c_coeff(r, m, w, ctx) for m in range(1, M + 1))
 

@@ -58,19 +58,10 @@ def _require(ns, names):
         raise UsageError("missing required option(s): %s" % ", ".join(missing))
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name, default)
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError("%s must be an integer, got %r" % (name, raw))
-
-
 def _context(ns):
-    bits = ns.bits if ns.bits is not None else _env_int("MTZ_PRECISION_BITS", "256")
-    if bits < 64:
+    if ns.bits < 64:
         raise UsageError("precision must be at least 64 bits")
-    return PrecisionContext(precision_bits=bits)
+    return PrecisionContext(precision_bits=ns.bits)
 
 
 def _write(ns, json_lines, header, rows):
@@ -168,7 +159,7 @@ EVAL_OBJECTS = {
         "rising-factorial series with convolved coefficients")),
     "T": (("r", "l", "omega"), lambda v, ctx: (
         t_coeff(int(v["r"]), int(v["l"]), _mpfs(v["omega"]), ctx),
-        "harmonic-chain convolution series")),
+        "jet coefficient of the rising-factorial series")),
     "Li": (("index", "z"), _eval_li),
     "Li0": (("index", "z", "x"), lambda v, ctx: (
         hurwitz_li0(to_mpf(v["x"]), _polylog_args(v), ctx),
@@ -231,7 +222,7 @@ def _cmd_eval(ns):
 _VERIFY_FLAGS = tuple(dict.fromkeys(f for _, reads in suites.SUITES.values() for f in reads))
 
 
-def _verify_reports(ns, ctx, tol, threads):
+def _verify_reports(ns, ctx, tol):
     """Pass each verify flag to the named suite's option of the same
     name, after refusing those that suites.SUITES does not declare."""
     name = ns.suite
@@ -240,22 +231,21 @@ def _verify_reports(ns, ctx, tol, threads):
     reads = suites.SUITES[name][1] if name != "all" else {}
     _reject_unread(ns, "verify " + name, reads, _VERIFY_FLAGS)
     if name == "all":
-        return suites.verify_all(ctx=ctx, tol=tol, threads=threads)
+        return suites.verify_all(ctx=ctx, tol=tol, threads=ns.threads)
     options = {f: _LIST_FLAGS.get(f, str)(getattr(ns, f)) for f in reads if getattr(ns, f) is not None}
     _check_rank(ns, options.get("omega"))
-    return suites.run_suite(name, ctx=ctx, tol=tol, threads=threads, **options)
+    return suites.run_suite(name, ctx=ctx, tol=tol, threads=ns.threads, **options)
 
 
 def _cmd_verify(ns):
     """run a verification suite"""
     ctx = _context(ns)
-    threads = ns.threads if ns.threads is not None else _env_int("MTZ_THREADS", "1")
-    if threads < 1:
+    if ns.threads < 1:
         raise UsageError("threads must be at least 1")
     tol = to_mpf(ns.tol) if ns.tol is not None else None
     if tol is not None and not 0 < tol < mp.inf:
         raise UsageError("--tol must be positive and finite, got %r" % ns.tol)
-    reports = _verify_reports(ns, ctx, tol, threads)
+    reports = _verify_reports(ns, ctx, tol)
     bits = ctx.precision_bits
     lines = [r.to_json_line(bits) for r in reports]
     for line in lines:
@@ -355,13 +345,13 @@ def _cmd_table(ns):
 # parser and entry points
 # ---------------------------------------------------------------------------
 
-# argparse keywords of the flags that take a type, a metavar or help text
+# argparse keywords of the flags that take a type, a default, a metavar or help text
 _FLAG_OPTIONS = {
-    "bits": dict(type=int, help="working precision in bits"),
+    "bits": dict(type=int, default=256, help="working precision in bits"),
     "tol": dict(help="tolerance as a decimal string"),
     "json": dict(metavar="PATH", help="write JSON lines to PATH"),
     "csv": dict(metavar="PATH", help="write CSV to PATH"),
-    "threads": dict(type=int, help="worker processes"),
+    "threads": dict(type=int, default=1, help="worker processes"),
     "k_max": dict(type=int),
     "omega": dict(help="comma-separated weights (--omega=-0.3,0.2 if the first is negative)"),
     "index": dict(help="comma-separated exponents"),

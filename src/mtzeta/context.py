@@ -1,8 +1,9 @@
-"""Precision context: the single knob bundle governing every evaluation.
+"""Precision context and the package-wide caps.
 
 All numerical routines take an explicit PrecisionContext and do their mpf
 arithmetic inside ``mp.workprec`` blocks derived from it, so results do not
-depend on the caller's ambient mpmath state.
+depend on the caller's ambient mpmath state.  The caps are module
+constants that each evaluator reads when it is called.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ GUARD_BITS = 32
 # Rank cap: c-coefficient families are 3^r-sized and zeta_ez_ones loses
 # digits to Newton's identity as r grows; beyond it evaluators refuse.
 MAX_RANK = 8
+
+# Caps on series terms (nested sums, the auxiliary series' degree, the
+# Euler-Maclaurin cutoff) and on DE quadrature levels; beyond them
+# evaluators raise BudgetError (QuadratureError for levels).
+MAX_TERMS = 500_000
+QUAD_LEVELS = 10
 
 
 def to_mpf(value) -> mpf:
@@ -49,21 +56,17 @@ def positive_x(x) -> mpf:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision, tolerances and truncation caps.
+    """Working precision and acceptance tolerance.
 
     precision_bits: mantissa bits for every mpf operation (>= 64).
     target_tol:     acceptance tolerance; quadrature refines until successive
                     levels agree to target_tol/4 and, by digit doubling, the last
                     is off by under max(2^-(bits-16), (target_tol/4)^2)/4.  Default:
                     max(1e-30, 2^-(bits-16)), the guard-digit floor below 116 bits.
-    max_terms:      hard cap on series terms / enumerated combinatorial items.
-    quad_levels:    cap on DE quadrature level doubling.
     """
 
     precision_bits: int = 256
     target_tol: mpf | None = None
-    max_terms: int = 500_000
-    quad_levels: int = 10
 
     def __post_init__(self):
         if self.precision_bits < 64:
@@ -82,16 +85,12 @@ class PrecisionContext:
                 "target_tol must be >= 2^-(precision_bits-16); "
                 "raise precision_bits or loosen target_tol"
             )
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
-        if self.quad_levels < 1:
-            raise DomainError("quad_levels must be positive")
 
     @property
     def eps(self) -> mpf:
         """2^-precision_bits, the round-off unit of the context."""
         return mpf(2) ** (-self.precision_bits)
 
-    def workprec(self, extra_bits: int = GUARD_BITS):
-        """mp.workprec context manager at precision_bits + extra_bits."""
-        return mp.workprec(self.precision_bits + extra_bits)
+    def workprec(self):
+        """mp.workprec context manager at precision_bits + GUARD_BITS."""
+        return mp.workprec(self.precision_bits + GUARD_BITS)

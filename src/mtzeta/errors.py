@@ -16,9 +16,10 @@ class UsageError(DomainError):
 
 
 class BudgetError(RuntimeError):
-    """A truncation or enumeration cap (ctx.max_terms, ctx.quad_levels) was
-    exceeded before the requested accuracy was reached.  Never silently
-    degraded into an approximate answer."""
+    """A truncation or enumeration cap (context.MAX_TERMS, QUAD_LEVELS,
+    MAX_RANK, asymptotics.MAX_ORDER) was exceeded before the requested
+    accuracy was reached.  Never silently degraded into an approximate
+    answer."""
 
 
 class QuadratureError(BudgetError):

@@ -26,7 +26,7 @@ from n_1 = 0, else 0.  Where (s-1)/n <= ln((1 + rho)/(2 rho)), b(n+1) <=
 b(n) (1 + rho)/2, so the tail after N is T <= 2 b(N+1)/(1 - rho).  Each
 index runs to the least N >= n_start with N + 1 in that range and
 T <= 2^-precision_bits, found by doubling and bisection.  When some N
-exceeds ctx.max_terms, or 1 - rho < 2^-50, BudgetError comes first.
+exceeds MAX_TERMS, or 1 - rho < 2^-50, BudgetError comes first.
 
 The loop runs in fixed point: the arguments z_i, the powers z_i^n and
 the stage sums P_i are Python ints scaled by 2^wp, wp = precision_bits
@@ -44,8 +44,8 @@ denominator keeps a relative error near 2^-wp even where x^k is tiny.
 Only P_depth is converted back to mpf, rounded to wp bits.  Every term
 adds at most a few units of 2^-wp times max(1, |P_{i-1}|) and a power's
 error decays with the power, so the error grows about as
-N * 2^-wp * max(1, |value|) over N terms; with N below max_terms
-(500,000 < 2^19 by default) that stays under 2^(-13-bits) max(1, |value|),
+N * 2^-wp * max(1, |value|) over N terms; with N below MAX_TERMS
+(500,000 < 2^19) that stays under 2^(-13-bits) max(1, |value|),
 beside the 2^-bits of the tail.
 """
 
@@ -56,7 +56,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .context import GUARD_BITS, positive_x, to_mpf
+from .context import GUARD_BITS, MAX_TERMS, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 
 __all__ = [
@@ -146,7 +146,7 @@ def prefetched(terms, ctx):
 def _term_counts(kss, zs, shift, n_start, ctx):
     """{ks: N}: the least N >= n_start, with b decreasing from N + 1 on,
     whose tail bound T (module docstring) is at most 2^-precision_bits;
-    BudgetError, naming N, if N > ctx.max_terms."""
+    BudgetError, naming N, if N > MAX_TERMS."""
     s = len(zs)
     with ctx.workprec():
         rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
@@ -168,9 +168,9 @@ def _term_counts(kss, zs, shift, n_start, ctx):
         while not ok(hi):  # gallop to an N that passes, then bisect
             hi = 2 * hi + 1
         out[ks] = N = first + bisect_left(range(first, hi), True, key=ok)
-        if N > ctx.max_terms:
+        if N > MAX_TERMS:
             raise BudgetError("nested sum did not close: it needs N = %d terms, over "
-                              "max_terms = %d (rho=%s)" % (N, ctx.max_terms, mp.nstr(rho, 6)))
+                              "max_terms = %d (rho=%s)" % (N, MAX_TERMS, mp.nstr(rho, 6)))
     return out
 
 

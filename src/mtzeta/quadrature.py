@@ -27,7 +27,7 @@ d_k = |S_k - S_{k-1}| <= (tol/4) max(1, |S_k|), and where digit
 doubling puts S_k's own error, about d_k^2/d_{k-1}, below
 max(2^-(bits-16), (tol/4)^2)/4 of max(1, |S_k|): the accuracy that one
 level past the agreeing one delivers, asked for directly.  It is capped
-by ctx.quad_levels; hitting the cap raises instead of returning a bad
+by context.QUAD_LEVELS; hitting the cap raises instead of returning a bad
 value.
 
 The nodes depend only on the working precision and the level, so they
@@ -70,6 +70,7 @@ from mpmath.libmp import (
     mpf_sub, round_nearest, to_float,
 )
 
+from .context import QUAD_LEVELS
 from .errors import QuadratureError
 
 __all__ = ["de_quad_01", "de_quad_0inf"]
@@ -148,7 +149,7 @@ def de_quad_01(f, ctx, tol=None):
 
     f receives nodes strictly inside (0,1); a left-endpoint singularity
     integrable there is handled by the transform.  Raises
-    QuadratureError if ctx.quad_levels levels pass without meeting the
+    QuadratureError if QUAD_LEVELS levels pass without meeting the
     two-part stop of the module docstring; level 1, which has no error
     estimate, meets it only with a zero difference.
 
@@ -181,7 +182,7 @@ def de_quad_01(f, ctx, tol=None):
         row = mpf_add(center, _row_sum(f, 0, cut), prec, rnd)
         # level 1 has no estimate: d_0 = 0 lets it return only at d_1 = 0
         prev, prev_d = row, fzero
-        for level in range(1, ctx.quad_levels + 1):
+        for level in range(1, QUAD_LEVELS + 1):
             row = mpf_add(row, _row_sum(f, level, cut), prec, rnd)
             cur = mpf_shift(row, -level)
             size = mpf_abs(cur, prec, rnd)
@@ -193,7 +194,7 @@ def de_quad_01(f, ctx, tol=None):
                 return mp.make_mpf(mpf_pos(cur, prec, rnd))
             prev, prev_d = cur, d
         raise QuadratureError(
-            "no convergence to %s within %d levels" % (mp.nstr(tol, 5), ctx.quad_levels)
+            "no convergence to %s within %d levels" % (mp.nstr(tol, 5), QUAD_LEVELS)
         )
 
 

@@ -18,7 +18,7 @@ from mpmath.libmp import (
     mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_sub, round_nearest, to_fixed,
 )
 
-from .context import GUARD_BITS, MAX_RANK, positive_x, to_mpf
+from .context import GUARD_BITS, MAX_RANK, MAX_TERMS, positive_x, to_mpf
 from .errors import BudgetError, DomainError, QuadratureError
 from .kernel import euler_gamma, gamma0, log_gamma0_bound, psi_derivs, zeta_value
 from .jets import Jet
@@ -277,7 +277,7 @@ def _degree_profile(omega, ctx, extra_log_powers):
     M = int(bits / lg) + 8
     for _ in range(3):
         M = int((bits + (extra_log_powers + r) * mp.log(M + 2, 2)) / lg) + 8
-    if M > ctx.max_terms:
+    if M > MAX_TERMS:
         raise BudgetError("truncation degree exceeds max_terms; rho too close to 1")
     one = 1 << wp
     E = None
@@ -321,7 +321,8 @@ def s_series(x, omega, ctx):
     xs = x.coeffs if isinstance(x, Jet) else (to_mpf(x),)
     if not all(mp.isfinite(c) for c in xs):
         raise DomainError("x must be finite")
-    E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=2)
+    # Taylor coefficient D of c_m carries up to D powers of log m
+    E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=max(2, len(xs) - 1))
     one = 1 << wp
     with ctx.workprec():
         R = to_fixed(rho._mpf_, wp)
@@ -348,39 +349,14 @@ def s_series(x, omega, ctx):
 
 
 def t_coeff(r, l, omega, ctx):
-    """Coefficient of x^l in S_r: the Stirling-weighted degree sum.
-
-    Uses the harmonic-sum form of the Stirling ratio,
-    c(m,l)/m! = h(m,l) = sum_{m_1<...<m_{l-1}<m} 1/(m_1...m_{l-1} m), so
-    the term at degree m is h(m,l) rho^m E[m], E from _degree_profile.
-    The chains h(m,j) (prefix sums floored through division by m) and
-    rho^m are Python ints at scale 2^wp; the sum is carried at scale
-    2^(2wp) and rounded once to wp bits.  h(m,l) <= (1 + log m)^(l-1)/m
-    and every floor costs one unit of 2^-wp, so with the r m^2 2^-wp error
-    of E[m] the absolute error stays below about
-    (2r/(1-rho)^3 + (1 + log M)^l/(1-rho)) 2^-wp."""
+    """Coefficient of x^l in S_r: coefficient l of s_series at the jet
+    x = 0 + xi of degree l."""
     r, l = int(r), int(l)
     if r < 1 or l < 1:
         raise DomainError("r and l must be positive")
     if r != len(omega):
         raise DomainError("rank must match the number of weights")
-    E, M, rho, wp = _degree_profile(omega, ctx, extra_log_powers=l)
-    one = 1 << wp
-    with ctx.workprec():
-        R = to_fixed(rho._mpf_, wp)
-    # prefix[j-1] = sum_{m' < m} h(m', j)
-    prefix = [0] * l
-    power = one
-    total = 0
-    for m in range(1, M + 1):
-        power = power * R >> wp
-        h = [one // m] + [s // m for s in prefix[: l - 1]]  # h(m, 1..l)
-        if E[m]:
-            total += (h[l - 1] * power >> wp) * E[m]
-        for j in range(l - 1):
-            prefix[j] += h[j]
-    with ctx.workprec():
-        return mp.ldexp(total, -2 * wp)
+    return s_series(Jet.variable(0, l), omega, ctx).coeffs[l]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +440,7 @@ def zeta_ez_ones(r, x, ctx):
             if val is not None:
                 return +val
             N *= 2
-            if N > ctx.max_terms:
+            if N > MAX_TERMS:
                 raise BudgetError("Euler-Maclaurin tail failed to close")
 
 

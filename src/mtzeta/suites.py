@@ -22,7 +22,7 @@ from math import factorial
 
 from mpmath import mp, mpf
 
-from .asymptotics import c_coeff, c_prime_coeff, main_term_I, power_series_I
+from .asymptotics import c_coeff, c_prime_coeff, check_order, main_term_I, power_series_I
 from .context import MAX_RANK, PrecisionContext, to_mpf
 from .errors import BudgetError, DomainError, UsageError
 from .kernel import euler_gamma, zeta_value
@@ -347,6 +347,10 @@ def order_point(method, omega, a, x_ladder, order, ctx):
         if order is None:
             raise DomainError("truncated-series needs a truncation order")
         M = int(order)
+        # power_series_I's refusals, made before the quadratures
+        check_order(w.r, M)
+        if not xs[0] < 1:
+            raise DomainError("the power series representation requires 0 < x < 1")
         claimed = M + 1 - w.r
         identity_id = "remainder-order/truncated-series/r%d-M%d" % (w.r, M)
         against = "truncation"

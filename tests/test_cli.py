@@ -321,17 +321,13 @@ def test_table_unknown_object(capsys):
     assert code == 2
 
 
-def test_env_overrides(monkeypatch, capsys):
+def test_defaults_ignore_environment(monkeypatch, capsys):
+    # the precision comes from --bits alone, 256 without it
     monkeypatch.setenv("MTZ_PRECISION_BITS", "128")
     code, out, _ = _run(capsys, ["eval", "Lambda", "--omega", "2,3", "--k", "1"])
     assert code == 0
-    assert json.loads(out)["bits"] == 128
-    monkeypatch.setenv("MTZ_PRECISION_BITS", "not-a-number")
-    code, _, err = _run(capsys, ["eval", "Lambda", "--omega", "2,3", "--k", "1"])
-    assert code == 2 and "MTZ_PRECISION_BITS" in err
-    monkeypatch.delenv("MTZ_PRECISION_BITS")
-    monkeypatch.setenv("MTZ_THREADS", "0")
-    code, _, err = _run(capsys, ["verify", "r2m2", "--omega", "1,1", "--a", "0"])
+    assert json.loads(out)["bits"] == 256
+    code, _, err = _run(capsys, ["verify", "r2m2", "--omega", "1,1", "--a", "0", "--threads", "0"])
     assert code == 2 and "threads" in err
 
 
@@ -528,7 +524,7 @@ EVAL_CASES = [
      lambda: s_series(to_mpf("0.4"), _vals(["0.3", "-0.2"]), CTX)),
     ("T", ["--r", "2", "--l", "2", "--omega", "0.1,0.2"], "T",
      {"r": "2", "l": "2", "omega": ["0.1", "0.2"]},
-     "harmonic-chain convolution series",
+     "jet coefficient of the rising-factorial series",
      lambda: t_coeff(2, 2, _vals(["0.1", "0.2"]), CTX)),
     ("Li", ["--index", "1,2", "--z", "0.3"], "Li",
      {"index": ["1", "2"], "z": ["0.3"]},
@@ -715,6 +711,26 @@ def test_expansion_past_a_cap_exits_3_before_any_coefficient(argv, monkeypatch, 
     monkeypatch.setattr(asymptotics, "c_coeff", unreachable)
     code, _, err = _run(capsys, argv)
     assert code == 3 and "is capped at" in err
+
+
+class _Quadrature(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--order", "41"], "is capped at"),
+     (["--order", "4", "--x-ladder", "1.5,1.2,1.1"], "0 < x < 1")],
+    ids=["order", "ladder"],
+)
+def test_truncated_series_point_exits_3_before_any_quadrature(extra, message, monkeypatch, capsys):
+    def unreachable(*args):
+        raise _Quadrature
+
+    monkeypatch.setattr(suites, "i_integral", unreachable)
+    code, _, err = _run(capsys, ["verify", "asymptotic-order", "--method", "truncated-series",
+                                 "--omega", "1,2", "--a", "0.3"] + extra)
+    assert code == 3 and message in err
 
 
 def _python_m(*argv, module="mtzeta"):

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 
 from mtzeta import polylog
 from mtzeta.asymptotics import c_coeff
-from mtzeta.context import GUARD_BITS, PrecisionContext, to_mpf
+from mtzeta.context import GUARD_BITS, MAX_TERMS, PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
 from mtzeta.polylog import (
     MultiIndex,
@@ -356,10 +356,9 @@ def test_fixed_point_zero_argument_is_exact(bits):
 
 
 def test_budget_exhaustion_raises():
-    # rho = 0.9999 needs far more than 2000 terms at 256 bits
-    ctx = PrecisionContext(max_terms=2000)
+    # rho = 0.9999 needs N = 1,614,791 terms at 256 bits, over MAX_TERMS
     with pytest.raises(BudgetError, match="did not close"):
-        mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), ctx)
+        mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), CTX)
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +435,24 @@ def test_tail_bound_dominates_error_on_c_coeff_arguments(row):
         _assert_bound_dominates(kss, zs, shift, n_start, 256)
 
 
-def _assert_fails_before_summing(excinfo, max_terms):
+def _assert_fails_before_summing(excinfo):
     # raised by the term count, so before the pass's first term
     assert excinfo.traceback[-1].name == "_term_counts"
     needed = int(re.search(r"needs N = (\d+) terms", str(excinfo.value)).group(1))
-    assert needed > max_terms
+    assert needed > MAX_TERMS
 
 
 def test_rho_near_one_fails_before_summing():
     with pytest.raises(BudgetError, match="did not close") as excinfo:
         mpl(PolylogArgs((1, 2), ("0.5", "0.9999")), CTX)
-    _assert_fails_before_summing(excinfo, CTX.max_terms)
+    _assert_fails_before_summing(excinfo)
     w = WeightConfig((mpf(1), mpf(10) ** 4), mpf(0))
     with pytest.raises(BudgetError, match="did not close") as excinfo:
         c_coeff(2, 3, w, CTX)
-    _assert_fails_before_summing(excinfo, CTX.max_terms)
+    _assert_fails_before_summing(excinfo)
     with pytest.raises(BudgetError, match="did not close") as excinfo:
         suite_r2m2(omega=("0.001", "1000"), a="0")
-    _assert_fails_before_summing(excinfo, CTX.max_terms)
+    _assert_fails_before_summing(excinfo)
 
 
 @pytest.mark.parametrize("e", [80, 1100])
@@ -544,12 +543,11 @@ def test_grouped_pass_keeps_zero_arguments_exact(bits, monkeypatch):
 
 
 def test_grouped_pass_that_cannot_close_raises(monkeypatch):
-    # rho = 0.9999 needs far more than 2000 terms at 256 bits
-    ctx = PrecisionContext(max_terms=2000)
+    # rho = 0.9999 needs more than MAX_TERMS terms at 256 bits
     zs = (to_mpf("0.5"), to_mpf("0.9999"))
     monkeypatch.setattr(polylog, "_CACHE", {})
     with pytest.raises(BudgetError, match="did not close"):
-        polylog._prefetch([(ks, zs, mpf(0), 1, 256) for ks in _SHARED], ctx)
+        polylog._prefetch([(ks, zs, mpf(0), 1, 256) for ks in _SHARED], CTX)
     assert polylog._CACHE == {}
 
 

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta import quadrature
-from mtzeta.context import GUARD_BITS, PrecisionContext
+from mtzeta.context import GUARD_BITS, QUAD_LEVELS, PrecisionContext
 from mtzeta.errors import QuadratureError
 from mtzeta.kernel import gamma0
 from mtzeta.quadrature import de_quad_01, de_quad_0inf
@@ -100,11 +100,12 @@ def _warm_up():
 # each failure must raise with a cold table and again once the rows at
 # that precision are stored: a stored row cannot skip a per-call check
 
-def test_level_cap_raises(cold_nodes):
-    shallow = PrecisionContext(quad_levels=1)
+def test_level_cap_raises(cold_nodes, monkeypatch):
     for _ in range(2):
-        with pytest.raises(QuadratureError):
-            de_quad_01(lambda u: u ** mpf("-0.97"), shallow)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "QUAD_LEVELS", 1)
+            with pytest.raises(QuadratureError):
+                de_quad_01(lambda u: u ** mpf("-0.97"), CTX)
         _warm_up()
 
 
@@ -182,7 +183,7 @@ def _oracle_quad_01(f, ctx, row_sum=_oracle_row_sum):
         h = mpf(1)
         row = mp.pi / 4 * g(mpf(1) / 2) + row_sum(g, h, 1, 1, cut)
         prev, prev_d = h * row, None
-        for _ in range(ctx.quad_levels):
+        for _ in range(QUAD_LEVELS):
             h = h / 2
             row = row + row_sum(g, h, 1, 2, cut)
             cur = h * row
