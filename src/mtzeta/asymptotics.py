@@ -40,17 +40,33 @@ __all__ = [
 
 # beyond this order the termwise sums are intractable: refuse, not stall
 MAX_ORDER = 40
+# the most (family, index) terms one call may sum; at 256 bits c_{3,1..20}
+# (9,141) takes about 1 s and c_{6,5} (7,982, five deep) 7 to 10 s
+_MAX_FAMILY_TERMS = 10000
 
 
-def check_order(r, M):
-    """Refuse coefficients c_{r,1..M} of a negative order M or beyond the
-    rank or order cap, before the first one is summed."""
+def _family_terms(r, m):
+    """The (family, index) terms of c_{r,m}: C(r, t) s! S(t, s) families
+    of t indices in s blocks, times C(m-t+s-1, s-1) weak compositions."""
+    return sum(math.comb(r, t) * math.comb(m - t + s - 1, s - 1)
+               * sum((-1) ** i * math.comb(s, i) * (s - i) ** t for i in range(s + 1))
+               for t in range(1, min(m, r) + 1) for s in range(1, t + 1))
+
+
+def check_order(r, M, lo=1):
+    """Refuse the coefficients c_{r,lo..M} at a negative order M, beyond
+    the rank or order cap, or beyond the term budget, before the first
+    one is summed."""
     if M < 0:
         raise DomainError("truncation order must be nonnegative")
     if M and r > MAX_RANK:
         raise BudgetError("family enumeration is capped at rank %d" % MAX_RANK)
     if M > MAX_ORDER:
         raise BudgetError("coefficient order is capped at %d" % MAX_ORDER)
+    terms = sum(_family_terms(r, m) for m in range(lo, M + 1))
+    if terms > _MAX_FAMILY_TERMS:
+        raise BudgetError("the c_{%d,m} asked for need %d (family, index) terms, over the "
+                          "budget of %d" % (r, terms, _MAX_FAMILY_TERMS))
 
 
 def _lambda_sum(x, w, ctx):
@@ -80,6 +96,46 @@ def main_term_M(x, w, ctx):
         return +(_lambda_sum(x, w, ctx) / mp.gamma(x + 1))
 
 
+def _c_coeffs(r, lo, M, w, ctx):
+    """(c_{r,lo}, ..., c_{r,M}) from one family enumeration and one
+    prefetch, each summed over its own terms in c_coeff's order."""
+    with ctx.workprec():
+        a = w.a
+        terms = []
+        for t in range(1, min(M, r) + 1):
+            rt_fact = math.factorial(r - t)
+            for s in range(1, t + 1):
+                for comp in compositions(t, s):
+                    kfact = 1
+                    for ki in comp:
+                        kfact *= math.factorial(ki)
+                    # the telescoping ratios of each family, shared by every m and l;
+                    # each block summed in sorted index order at this precision
+                    fam_zs = []
+                    for blocks, remainder in disjoint_subset_families(r, comp):
+                        b = a + sum((w.omega[i - 1] for i in remainder), mpf(0))
+                        zs = []
+                        for block in blocks:
+                            b2 = b + sum((w.omega[i - 1] for i in block), mpf(0))
+                            zs.append(b / b2)
+                            b = b2
+                        fam_zs.append(zs)
+                    for m in range(max(t, lo), M + 1):
+                        sign = mpf(-1) ** (m - t)
+                        for wc in weak_compositions(m - t, s):
+                            binom = 1
+                            for ki, li in zip(comp, wc):
+                                binom *= math.comb(ki + li - 1, li)
+                            index = tuple(ki + li for ki, li in zip(comp, wc))
+                            terms.append(((m, sign * rt_fact * kfact * binom),
+                                          [PolylogArgs(index, zs) for zs in fam_zs]))
+        # each m's terms come in its own order, so each total keeps its bits
+        totals = [mpf(0)] * (M + 1)
+        for (m, coef), ps in prefetched(terms, ctx):
+            totals[m] += coef * sum((mpl(p, ctx) for p in ps), mpf(0))
+        return tuple(+total for total in totals[lo:])
+
+
 def c_coeff(r, m, w, ctx):
     """Coefficient of x^{m-r} in (a+|omega|)^x I_r: the signed sum over
     chain lengths t, depths s, compositions k of t, weak compositions l
@@ -91,41 +147,8 @@ def c_coeff(r, m, w, ctx):
         raise DomainError("rank must match the weight configuration")
     if m < 1:
         raise DomainError("coefficients start at m = 1")
-    check_order(r, m)
-    with ctx.workprec():
-        a = w.a
-        terms = []
-        for t in range(1, min(m, r) + 1):
-            sign = mpf(-1) ** (m - t)
-            rt_fact = math.factorial(r - t)
-            for s in range(1, t + 1):
-                for comp in compositions(t, s):
-                    kfact = 1
-                    for ki in comp:
-                        kfact *= math.factorial(ki)
-                    # the telescoping ratios of each family, shared by every l;
-                    # each block summed in sorted index order at this precision
-                    fam_zs = []
-                    for blocks, remainder in disjoint_subset_families(r, comp):
-                        b = a + sum((w.omega[i - 1] for i in remainder), mpf(0))
-                        zs = []
-                        for block in blocks:
-                            b2 = b + sum((w.omega[i - 1] for i in block), mpf(0))
-                            zs.append(b / b2)
-                            b = b2
-                        fam_zs.append(zs)
-                    for wc in weak_compositions(m - t, s):
-                        binom = 1
-                        for ki, li in zip(comp, wc):
-                            binom *= math.comb(ki + li - 1, li)
-                        index = tuple(ki + li for ki, li in zip(comp, wc))
-                        terms.append((sign * rt_fact * kfact * binom,
-                                      [PolylogArgs(index, zs) for zs in fam_zs]))
-        # one fixed-point pass per argument tuple; mpl then hits the cache
-        total = mpf(0)
-        for coef, ps in prefetched(terms, ctx):
-            total += coef * sum((mpl(p, ctx) for p in ps), mpf(0))
-        return +total
+    check_order(r, m, m)
+    return _c_coeffs(r, m, m, w, ctx)[0]
 
 
 def c_prime_coeff(r, m, w, ctx):
@@ -161,11 +184,12 @@ def c_prime_coeff(r, m, w, ctx):
 
 def i_expansion(w, M, ctx):
     """Coefficients of (a+|omega|)^x I_r through order M: entry m belongs
-    to x^{m-r}, entry 0 is r!, and entry m >= 1 is c_{r,m}."""
+    to x^{m-r}, entry 0 is r!, and entry m >= 1 is c_{r,m}, bit for bit
+    c_coeff's, from one enumeration and one prefetch for every m."""
     M, r = int(M), w.r
     check_order(r, M)
     with ctx.workprec():
-        return (mp.factorial(r),) + tuple(c_coeff(r, m, w, ctx) for m in range(1, M + 1))
+        return (mp.factorial(r),) + _c_coeffs(r, 1, M, w, ctx)
 
 
 def power_series_I(x, w, M, ctx):

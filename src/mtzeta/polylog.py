@@ -10,11 +10,14 @@ P_depth(N) is the nested sum truncated at outer index N.  Updating the
 stages in decreasing i per n keeps the strict n_{i-1} < n_i coupling
 without materializing prefix arrays.
 
-One pass over n sums every index that shares an argument tuple: stage i
-depends on k_1..k_i only, so the stages form a trie of prefixes, each
-z_i^n is advanced once and siblings share their parent's product.  Each
-index is read at its own term count, so no value depends on its group;
-c_coeff groups its sums through prefetched().
+One pass sums every index a prefetch asks for.  Indices sharing an
+argument tuple (and, shifted, max(ks), which sets the scale) form a group
+whose stages are a trie of prefixes, stage i depending on k_1..k_i only,
+so siblings share their parent's product.  Each (z, n_start) has one
+power sequence, advanced once per n for every group; n runs in blocks of
+_BLOCK, each trie node's terms one list comprehension per block.  Each
+index is read at its own term count, so no value depends on what else
+the prefetch holds; c_{r,m} sends all its sums through prefetched().
 
 Truncation is decided before the first term.  Let rho = max over i of
 |z_i ... z_s| < 1.  As prod z_i^{n_i} = prod_i (z_i ... z_s)^{n_i - n_{i-1}}
@@ -54,6 +57,7 @@ from mpmath.libmp import to_fixed
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 from .context import GUARD_BITS, MAX_TERMS, positive_x, to_mpf
@@ -103,9 +107,10 @@ class PolylogArgs:
 
 
 # value cache: the expansion coefficients evaluate polylogs of the same
-# telescoping ratios over and over.  Keyed on exact argument bits.
+# telescoping ratios over and over.  Keyed on exact argument bits; the
+# cap is above the c_{r,m} term budget, so a coefficient's prefetch fits
 _CACHE = {}
-_CACHE_CAP = 8192
+_CACHE_CAP = 16384
 
 
 def _sum_with_cache(ks, zs, shift, n_start, ctx):
@@ -117,30 +122,22 @@ def _sum_with_cache(ks, zs, shift, n_start, ctx):
 
 def _prefetch(keys, ctx):
     """Cache the sum at each (ks, zs, shift, n_start, bits) of keys that
-    the cache lacks, in one pass over n per zs (and, shifted, per max(ks),
-    which sets the scale)."""
-    groups = {}
-    for key in keys:
-        if key not in _CACHE:
-            ks, zs, shift, n_start, _ = key
-            groups.setdefault((zs, shift, n_start, max(ks) if shift else 0), {})[ks] = None
-    for (zs, shift, n_start, _), kss in groups.items():
-        for ks, val in _nested_sums(kss, zs, shift, n_start, ctx).items():
-            if len(_CACHE) >= _CACHE_CAP:
-                _CACHE.pop(next(iter(_CACHE)))
-            _CACHE[(ks, zs, shift, n_start, ctx.precision_bits)] = val
+    the cache lacks, all from one _nested_sums pass."""
+    todo = {key[:4]: None for key in keys if key not in _CACHE}
+    for key, val in _nested_sums(todo, ctx).items():
+        if len(_CACHE) >= _CACHE_CAP:
+            _CACHE.pop(next(iter(_CACHE)))
+        _CACHE[key + (ctx.precision_bits,)] = val
 
 
 def prefetched(terms, ctx):
-    """Yield each (coefficient, [PolylogArgs, ...]) of terms once mpl is
-    cached at all its PolylogArgs, in chunks of at most _CACHE_CAP
-    arguments so that no prefetched value is evicted before it is read."""
-    per = max(1, _CACHE_CAP // max([1] + [len(ps) for _, ps in terms]))
-    for i in range(0, len(terms), per):
-        chunk = terms[i:i + per]
-        _prefetch([(p.index.parts, p.args, mpf(0), 1, ctx.precision_bits)
-                   for _, ps in chunk for p in ps], ctx)
-        yield from chunk
+    """terms, each (coefficient, [PolylogArgs, ...]), once one prefetch
+    has cached mpl at all their PolylogArgs.  No value is evicted before
+    it is read while they number at most _CACHE_CAP; past it, mpl sums an
+    evicted value again."""
+    _prefetch([(p.index.parts, p.args, mpf(0), 1, ctx.precision_bits)
+               for _, ps in terms for p in ps], ctx)
+    return terms
 
 
 def _term_counts(kss, zs, shift, n_start, ctx):
@@ -154,77 +151,114 @@ def _term_counts(kss, zs, shift, n_start, ctx):
         if d < 2.0 ** -50:  # over 2^55 terms, and beyond float logs
             raise BudgetError("nested sum did not close: 1 - rho = %.3g < 2^-50" % d)
         lr = float(mp.log(rho))  # -inf at rho = 0, where every N passes
-        # T <= 2^-bits iff log b(N+1) - log((1 + c)/(s-1)!) <= goal
-        goals = {ks: math.log(d / 2) - ctx.precision_bits * math.log(2) + math.lgamma(s)
-                 - (float(mp.log1p((s - 1) * shift ** -ks[0])) if n_start == 0 else 0)
-                 for ks in kss}
+        # T <= 2^-bits iff log b(N+1) - log((1 + c)/(s-1)!) <= goal; N
+        # depends on k_s and, from n_1 = 0, on k_1 only
+        ends = {ks: (ks[0] if n_start == 0 else 0, ks[-1]) for ks in kss}
+        goals = {e: math.log(d / 2) - ctx.precision_bits * math.log(2) + math.lgamma(s)
+                 - (float(mp.log1p((s - 1) * shift ** -e[0])) if n_start == 0 else 0)
+                 for e in ends.values()}
     # b(n+1) <= b(n) (1 + rho)/2 from n = (s - 1)/log((1 + rho)/(2 rho)) on
     first = max(n_start, math.ceil((s - 1) / (math.log1p(-d / 2) - lr)) - 1)
-    out = {}
-    for ks, goal in goals.items():
+    counts = {}
+    for e, goal in goals.items():
         ok = lambda N: ((N + 1) * lr + (s - 1) * math.log1p(math.log(N + 1))
-                        - ks[-1] * math.log(N + 1) <= goal)
+                        - e[1] * math.log(N + 1) <= goal)
         hi = first
         while not ok(hi):  # gallop to an N that passes, then bisect
             hi = 2 * hi + 1
-        out[ks] = N = first + bisect_left(range(first, hi), True, key=ok)
+        counts[e] = N = first + bisect_left(range(first, hi), True, key=ok)
         if N > MAX_TERMS:
             raise BudgetError("nested sum did not close: it needs N = %d terms, over "
                               "max_terms = %d (rho=%s)" % (N, MAX_TERMS, mp.nstr(rho, 6)))
-    return out
+    return {ks: counts[e] for ks, e in ends.items()}
 
 
-def _nested_sums(kss, zs, shift, n_start, ctx):
-    """{ks: sum} for every index tuple ks in kss, in one pass over n.
+# outer indices per block of the pass: enough to run each trie node as
+# one list comprehension, few enough to keep the block's lists small
+_BLOCK = 64
+
+
+def _nested_sums(keys, ctx):
+    """{(ks, zs, shift, n_start): sum} for every key, in one pass over n.
     n_start is the first value of the innermost counter; starting at 0
     realizes the z_1^0 = 1 convention (0^0 = 1 included) for the shifted
-    sums.  Shifted sums scale with max(ks), which one call's must share."""
-    s = len(zs)
+    sums.  A shifted sum's scale follows max(ks), so keys group by it."""
     wp = ctx.precision_bits + GUARD_BITS
-    ends = {}  # N: the indices read after outer index N
-    for ks, N in _term_counts(kss, zs, shift, n_start, ctx).items():
-        ends.setdefault(N, []).append(ks)
+    groups = {}
+    for ks, zs, shift, n_start in keys:
+        groups.setdefault((zs, shift, n_start, max(ks) if shift else 0), []).append(ks)
+    counts = [_term_counts(kss, *g[:3], ctx) for g, kss in groups.items()]
+    # a run is one group's (n_start, end, sh, xf, stages, P, reads); a
+    # power is [z, z^n, end, z^n over the block], one per (z, n_start)
+    runs, powers = [], {}
     with ctx.workprec():
-        zf = list(enumerate(to_fixed(z._mpf_, wp) for z in zs))
-        powers = [to_fixed((z ** n_start)._mpf_, wp) for z in zs]  # 0^0 = 1
-        # (n + shift)^k >= min(1, shift)^k: sh extra bits keep the
-        # denominator's relative error near 2^-wp at small shift
-        sh = wp + max(map(max, kss)) * max(0, 1 - mp.mag(shift)) if shift else 0
-        xf = to_fixed(shift._mpf_, sh) if shift else 0
-    # node[prefix] indexes P, the stage sums; stages has (power index,
-    # parent, j, node), stage s first.  A later sibling has parent -1: it
-    # divides the previous quotient by n^(k - k_prev), or, shifted, the
-    # shared product by (n + shift)^k
-    node = {p: c for c, p in enumerate(sorted({ks[:i] for ks in kss for i in range(s + 1)}))}
-    P = [1 << wp] + [0] * (len(node) - 1)
-    stages = []
-    for i in range(s, 0, -1):
-        prefixes = sorted({ks[:i] for ks in kss})
-        for a, b in zip([None] + prefixes, prefixes):
-            sibling = a is not None and a[:-1] == b[:-1]
-            j = b[-1] - a[-1] if sibling and not sh else b[-1]
-            stages.append((i - 1, -1 if sibling else node[b[:-1]], j, node[b]))
-    done = {}
-    for n in range(n_start, max(ends) + 1):
-        if sh:
-            base = (n << sh) + xf
-        # a stage adds exact zeros before n >= n_start + i - 1 (its
-        # parent is still 0) and once its power is 0, so it always runs
-        for i, parent, j, c in stages:
-            if parent >= 0:
-                # P_0 = 2^wp, so stage 1 needs no product
-                y = powers[i] * P[parent] << sh >> wp if parent else powers[i] << sh
+        for ((zs, shift, n_start, kmax), kss), ends in zip(groups.items(), counts):
+            end = max(ends.values()) + 1
+            for z in zs:  # z^0 = 1, 0^0 included
+                power = powers.setdefault((z, n_start), [to_fixed(z._mpf_, wp),
+                                                         to_fixed((z ** n_start)._mpf_, wp), 0, None])
+                power[2] = max(power[2], end)
+            # (n + shift)^k >= min(1, shift)^k: sh extra bits keep the
+            # denominator's relative error near 2^-wp at small shift
+            sh = wp + kmax * max(0, 1 - mp.mag(shift)) if shift else 0
+            xf = to_fixed(shift._mpf_, sh) if shift else 0
+            # node[prefix] indexes P, the stage sums; stages has (power,
+            # parent, j, node), stage 1 first.  A later sibling has
+            # parent -1: it divides the previous quotient by n^(k - k_prev),
+            # or, shifted, the shared product by (n + shift)^k
+            node = {p: c for c, p in enumerate(sorted({ks[:i] for ks in kss for i in range(len(zs) + 1)}))}
+            stages = []
+            for i in range(1, len(zs) + 1):
+                prefixes = sorted({ks[:i] for ks in kss})
+                for a, b in zip([None] + prefixes, prefixes):
+                    sibling = a is not None and a[:-1] == b[:-1]
+                    j = b[-1] - a[-1] if sibling and not sh else b[-1]
+                    stages.append((powers[zs[i - 1], n_start], -1 if sibling else node[b[:-1]], j,
+                                   node[b]))
+            reads = {node[ks]: ((ks, zs, shift, n_start), N) for ks, N in ends.items()}
+            runs.append((n_start, end, sh, xf, stages, [1 << wp] + [0] * (len(node) - 1), reads))
+    done = []
+    for n0 in range(min((r[0] for r in runs), default=0), max((r[1] for r in runs), default=0), _BLOCK):
+        for power in powers.values():
+            power[3] = None  # made at its first read, from n = max(n0, n_start)
+        dens = {}  # (lo, j): n^j from n = lo, read by every unshifted run
+        for n_start, end, sh, xf, stages, P, reads in runs:
+            lo, hi = max(n0, n_start), min(n0 + _BLOCK, end)
+            if lo >= hi:
+                continue
             if sh:
-                q = y // ((base ** j) >> ((j - 1) * sh))
-            else:
-                q = y = y // n ** j
-            P[c] += q
-        for ks in ends.get(n, ()):
-            done[ks] = P[node[ks]]
-        for i, z in zf:
-            powers[i] = powers[i] * z >> wp
+                bases = [(n << sh) + xf for n in range(lo, hi)]
+            den, prev = {} if sh else dens, {}
+            # a stage adds exact zeros before n >= n_start + i - 1 (its
+            # parent is still 0) and once its power is 0, so it always runs
+            for power, parent, j, c in stages:
+                zf, p, stop, pw = power
+                if pw is None:
+                    power[3] = pw = [p]
+                    for _ in range(lo + 1, min(n0 + _BLOCK, stop)):
+                        p = p * zf >> wp
+                        pw.append(p)
+                    power[1] = p * zf >> wp
+                if parent > 0:
+                    y = [p * v << sh >> wp for p, v in zip(pw, prev[parent])]
+                elif parent == 0:  # P_0 = 2^wp, so stage 1 needs no product
+                    y = [p << sh for p in pw[:hi - lo]] if sh else pw[:hi - lo]
+                if (lo, j) not in den:
+                    den[lo, j] = ([(b ** j) >> ((j - 1) * sh) for b in bases] if sh
+                                  else [n ** j for n in range(lo, n0 + _BLOCK)])
+                q = [v // d for v, d in zip(y, den[lo, j])]
+                if not sh:
+                    y = q
+                if c in reads:  # a leaf: only its sum at N is read
+                    key, N = reads[c]
+                    if lo <= N < hi:
+                        done.append((key, P[c] + sum(q[:N - lo + 1])))
+                    P[c] += sum(q)
+                else:  # P(n - 1) for each n of the block, read by children
+                    prev[c] = list(accumulate(q, initial=P[c]))
+                    P[c] = prev[c].pop()
     with ctx.workprec():
-        return {ks: mp.ldexp(v, -wp) for ks, v in done.items()}
+        return {key: mp.ldexp(v, -wp) for key, v in done}
 
 
 def mpl(p, ctx):

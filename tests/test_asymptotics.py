@@ -11,6 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mtzeta.asymptotics import (
+    _family_terms,
     c_coeff,
     c_prime_coeff,
     expression_by_S,
@@ -23,7 +24,7 @@ from mtzeta.asymptotics import (
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
 from mtzeta.kernel import euler_gamma, inv_gamma_taylor, zeta_value
-from mtzeta.combinatorics import lambda_k
+from mtzeta.combinatorics import compositions, disjoint_subset_families, lambda_k, weak_compositions
 from mtzeta.polylog import PolylogArgs, mpl, mpl_one_var
 from mtzeta.series import WeightConfig, i_integral, t_coeff
 
@@ -62,12 +63,32 @@ def test_expansion_result_invariants(monkeypatch):
     def no_coefficient(*args):
         raise AssertionError("coefficient computed past a cap")
 
-    monkeypatch.setattr(asym, "c_coeff", no_coefficient)
+    monkeypatch.setattr(asym, "compositions", no_coefficient)
     with pytest.raises(BudgetError):
         i_expansion(w, 41, CTX)
     with pytest.raises(BudgetError):
         i_expansion(_wc((1,) * 9, "0.5"), 1, CTX)
     assert i_expansion(_wc((1,) * 9, "0.5"), 0, CTX) == (mp.factorial(9),)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize(
+    "omega, a, M",
+    [(("0.7",), "0.2", 8), (("0.7", "1.3"), "0.2", 8), (("0.7", "1.3", "2.1"), "0.2", 8),
+     (("0.7", "1.3", "2.1", "0.9"), "0.2", 5)],
+    ids=["r1", "r2", "r3", "r4"],
+)
+def test_i_expansion_matches_c_coeff_bit_for_bit(omega, a, M, bits, monkeypatch):
+    # every m from one enumeration and one prefetch, against each c_{r,m}
+    # alone; a fresh cache each time, so no value is read from the other
+    import mtzeta.polylog as polylog
+
+    ctx, w = PrecisionContext(precision_bits=bits), _wc(omega, a)
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    coeffs = i_expansion(w, M, ctx)
+    for m in range(1, M + 1):
+        polylog._CACHE.clear()
+        assert coeffs[m]._mpf_ == c_coeff(w.r, m, w, ctx)._mpf_, m
 
 
 def test_i_expansion_structure():
@@ -280,6 +301,38 @@ def test_c_domain_and_budget():
     big = _wc((1,) * 9, "0.5")
     with pytest.raises(BudgetError):
         c_coeff(9, 1, big, CTX)
+
+
+def _enumerated_terms(r, m):
+    return sum(
+        len(list(disjoint_subset_families(r, comp))) * len(list(weak_compositions(m - t, s)))
+        for t in range(1, min(m, r) + 1)
+        for s in range(1, t + 1)
+        for comp in compositions(t, s)
+    )
+
+
+@pytest.mark.parametrize(
+    "r, m", [(r, r) for r in range(1, 7)] + [(1, 40), (2, 9), (3, 7), (4, 6), (5, 7)]
+)
+def test_family_term_count_matches_enumeration(r, m):
+    assert _family_terms(r, m) == _enumerated_terms(r, m)
+
+
+def test_term_budget_refuses_before_the_first_composition(monkeypatch):
+    import mtzeta.asymptotics as asym
+
+    def no_composition(*args):
+        raise AssertionError("composition enumerated past the budget")
+
+    monkeypatch.setattr(asym, "compositions", no_composition)
+    with pytest.raises(BudgetError, match="need 26465 "):
+        c_coeff(6, 6, _wc((1, 2, 3, 4, 5, 6), 1), CTX)
+    # i_expansion counts every m it sums: c_{4,10} alone is under the budget
+    total = sum(_family_terms(4, m) for m in range(1, 11))
+    assert _family_terms(4, 10) < 10000 < total
+    with pytest.raises(BudgetError, match="need %d " % total):
+        i_expansion(_wc((1, 2, 3, 4), 1), 10, CTX)
 
 
 def test_coefficients_at_a_later_precision_match_a_fresh_config():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -706,11 +707,32 @@ def test_json_and_csv_naming_one_file_exit_2_before_evaluating(second, tmp_path,
 )
 def test_expansion_past_a_cap_exits_3_before_any_coefficient(argv, monkeypatch, capsys):
     def unreachable(*args):
-        raise AssertionError("c_coeff called past a cap")
+        raise AssertionError("coefficient summed past a cap")
 
-    monkeypatch.setattr(asymptotics, "c_coeff", unreachable)
+    monkeypatch.setattr(asymptotics, "_c_coeffs", unreachable)
     code, _, err = _run(capsys, argv)
     assert code == 3 and "is capped at" in err
+
+
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        (["eval", "c", "--r", "8", "--m", "8", "--omega", "1,2,3,4,5,6,7,8", "--a", "1"], 4958021),
+        (["expand", "--r", "8", "--omega", "1,2,3,4,5,6,7,8", "--a", "1", "--order", "40"],
+         7191327228901),
+    ],
+    ids=["eval-c", "expand"],
+)
+def test_rank_8_past_the_term_budget_exits_3_at_once(argv, terms, monkeypatch, capsys):
+    # the guard stands between these and gigabytes of terms: never sum them
+    def unreachable(*args):
+        raise AssertionError("coefficient summed past the term budget")
+
+    monkeypatch.setattr(asymptotics, "_c_coeffs", unreachable)
+    start = time.monotonic()
+    code, _, err = _run(capsys, argv)
+    assert time.monotonic() - start < 1
+    assert code == 3 and "need %d (family, index) terms" % terms in err
 
 
 class _Quadrature(Exception):

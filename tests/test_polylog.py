@@ -386,14 +386,15 @@ def _assert_bound_dominates(kss, zs, x, n_start, bits):
     fixed-point loop's budget), and within 2^-bits * max(1, |v|)."""
     ctx, hi = PrecisionContext(precision_bits=bits), PrecisionContext(precision_bits=2 * bits + 64)
     counts = polylog._term_counts(kss, zs, x, n_start, ctx)
-    lo, ref = (polylog._nested_sums(kss, zs, x, n_start, c) for c in (ctx, hi))
+    keys = [(ks, zs, x, n_start) for ks in kss]
+    lo, ref = (polylog._nested_sums(keys, c) for c in (ctx, hi))
     with mp.workprec(2 * bits + 64):
         eps = mpf(2) ** -bits
-        for ks in kss:
-            N, v = counts[ks], lo[ks]
+        for ks, key in zip(kss, keys):
+            N, v = counts[ks], lo[key]
             tail, first = _tail_bound(ks, zs, x, n_start, N)
             assert tail <= eps and (N == first or _tail_bound(ks, zs, x, n_start, N - 1)[0] > eps)
-            err = abs(v - ref[ks])
+            err = abs(v - ref[key])
             round_off = N * mpf(2) ** -(bits + GUARD_BITS) * max(1, abs(v))
             assert err <= tail + round_off, (ks, N)
             assert err <= eps * max(1, abs(v)), (ks, N)
@@ -410,20 +411,22 @@ def test_tail_bound_dominates_error(oracle_args, bits):
 
 
 def _c_coeff_passes(omega, a, bits):
-    """(kss, zs, shift, n_start) of every pass that c_coeff(r, r) makes."""
-    passes = []
+    """(kss, zs, shift, n_start) of every argument tuple that c_coeff(r, r)
+    sums, with the index tuples the pass sums at it."""
+    groups = {}
     nested_sums = polylog._nested_sums
 
-    def recorded(kss, zs, shift, n_start, ctx):
-        passes.append((sorted(kss), zs, shift, n_start))
-        return nested_sums(kss, zs, shift, n_start, ctx)
+    def recorded(keys, ctx):
+        for ks, *args in keys:
+            groups.setdefault(tuple(args), []).append(ks)
+        return nested_sums(keys, ctx)
 
     w = WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polylog, "_CACHE", {})
         patch.setattr(polylog, "_nested_sums", recorded)
         c_coeff(w.r, w.r, w, PrecisionContext(precision_bits=bits))
-    return passes
+    return [(sorted(kss),) + args for args, kss in groups.items()]
 
 
 @pytest.mark.parametrize("row", R2M2_GRID + R3M3_GRID, ids="-".join)
@@ -468,20 +471,43 @@ def test_rho_within_2_pow_minus_50_of_one_raises(e):
 
 
 # ---------------------------------------------------------------------------
-# grouped passes: one pass per argument tuple, every value as if alone
+# grouped passes: one pass per prefetch, every value as if alone
 # ---------------------------------------------------------------------------
 
 def _alone(ks, zs, x, n_start, ctx):
     """The index summed by itself, through its public entry point."""
+    if not x and len(zs) > 1 and zs[0] == 1:
+        return mpl_one_var(ks, zs[-1], ctx)
     pa = PolylogArgs(ks, zs)
     if not x:
         return mpl(pa, ctx)
     return (hurwitz_li0 if n_start == 0 else hurwitz_li1)(x, pa, ctx)
 
 
+def _assert_one_pass_matches_each_alone(keys, ctx, monkeypatch):
+    """_prefetch sums keys in one _nested_sums pass, and each value has
+    the bits of its index summed alone."""
+    passes = []
+    nested_sums = polylog._nested_sums
+
+    def counted(todo, ctx):
+        passes.append(sorted(todo, key=repr))
+        return nested_sums(todo, ctx)
+
+    monkeypatch.setattr(polylog, "_CACHE", {})
+    monkeypatch.setattr(polylog, "_nested_sums", counted)
+    polylog._prefetch(keys, ctx)
+    assert passes == [sorted((key[:4] for key in keys), key=repr)]
+    grouped = dict(polylog._CACHE)
+    for key in keys:
+        polylog._CACHE.clear()
+        alone = _alone(*key[:4], ctx)
+        assert grouped[key]._mpf_ == alone._mpf_, key
+
+
 # (label, index set, inner arguments, shift, n_start); the last argument
 # is rho.  Index sets share prefixes; a shifted set with two values of
-# max(ks) takes one pass per value, since max(ks) sets its scale
+# max(ks) has one scale per value, since max(ks) sets its scale
 _SHARED = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 _GROUPS = [
     ("d1", [(1,), (2,), (3,), (5,)], (), 0, 1),
@@ -510,23 +536,34 @@ def test_grouped_pass_matches_each_index_alone(bits, rho, label, kss, inner, x, 
     ctx = PrecisionContext(precision_bits=bits)
     zs = tuple(to_mpf(z) for z in inner + (rho,))
     x = to_mpf(x)
-    keys = [(ks, zs, x, n_start, bits) for ks in kss]
-    passes = []
-    nested_sums = polylog._nested_sums
+    _assert_one_pass_matches_each_alone([(ks, zs, x, n_start, bits) for ks in kss], ctx, monkeypatch)
 
-    def counted(group, *args):
-        passes.append(sorted(group))
-        return nested_sums(group, *args)
 
-    monkeypatch.setattr(polylog, "_CACHE", {})
-    monkeypatch.setattr(polylog, "_nested_sums", counted)
-    polylog._prefetch(keys, ctx)
-    assert len(passes) == (len({max(ks) for ks in kss}) if x else 1)
-    grouped = dict(polylog._CACHE)
-    for ks in kss:
-        polylog._CACHE.clear()
-        alone = _alone(ks, zs, x, n_start, ctx)
-        assert grouped[(ks, zs, x, n_start, bits)]._mpf_ == alone._mpf_, ks
+# one prefetch over mixed argument tuples: depths 1 to 3 sharing z = 0.6,
+# inner arguments 1, a zero and a negative argument, and shifted groups
+# from n_start 0 (two scales) and 1 at the same arguments
+_MIXED = [
+    ((2,), ("0.6",), 0, 1),
+    ((1, 2), ("0.6", "0.7"), 0, 1),
+    ((2, 1), ("0.6", "0.7"), 0, 1),
+    ((1, 1, 2), ("0.8", "0.6", "0.7"), 0, 1),
+    ((2, 1, 1), ("0.8", "0.6", "0.7"), 0, 1),
+    ((1, 2), ("0.7", "0.6"), 0, 1),
+    ((1, 1, 2), (1, 1, "0.6"), 0, 1),
+    ((2, 1), (0, "0.6"), 0, 1),
+    ((1, 3), ("-0.6", "0.7"), 0, 1),
+    ((2, 1), ("0.6", "0.7"), "0.3", 0),
+    ((3, 1), ("0.6", "0.7"), "0.3", 0),
+    ((1, 2), ("0.6", "0.7"), "0.3", 1),
+]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_mixed_prefetch_matches_each_index_alone(bits, monkeypatch):
+    ctx = PrecisionContext(precision_bits=bits)
+    keys = [(ks, tuple(to_mpf(z) for z in zs), to_mpf(x), n_start, bits)
+            for ks, zs, x, n_start in _MIXED]
+    _assert_one_pass_matches_each_alone(keys, ctx, monkeypatch)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -552,7 +589,8 @@ def test_grouped_pass_that_cannot_close_raises(monkeypatch):
 
 
 def test_c_coeff_with_a_cache_of_four_values(monkeypatch):
-    # prefetched() hands c_coeff's terms over in chunks that fit the cache
+    # a cache smaller than c_coeff's one prefetch keeps its cap, and mpl
+    # sums what was evicted again, to the same bits
     w = WeightConfig((mpf(1), mpf(2), mpf(3)), to_mpf("0.5"))
     monkeypatch.setattr(polylog, "_CACHE", {})
     full = c_coeff(3, 3, w, CTX)
