@@ -3,8 +3,9 @@
 Each grid point declares its two routes and nothing more: a point
 returns lhs() and rhs(), zero-argument evaluations of the two sides,
 and a reports(lhs_value, rhs_value) step that turns their values into
-(identity_id, params, method, lhs, rhs) tuples with elementary
-arithmetic alone.  The dispatcher evaluates lhs() and then rhs(), times
+(identity_id, params, method, lhs, rhs, gate) tuples with elementary
+arithmetic alone; gate is the tolerance a report passes under unless
+the caller gives one.  The dispatcher evaluates lhs() and then rhs(), times
 the point, and builds every IdentityReport.  The routes are disjoint:
 the coefficient c_{r,r} as nested polylog series against its
 Bell-polynomial closed form c'_{r,r}, quadrature against truncated
@@ -30,6 +31,8 @@ from .polylog import mpl_one_var
 from .reports import IdentityReport, exact_decimal
 from .series import WeightConfig, i_integral, m_integral, zeta_ez_ones
 
+# the series gate is SERIES_TOL, or 2^16 ulps of the context where that
+# is the larger
 SERIES_TOL = "1e-30"
 QUAD_TOL = "1e-9"
 ORDER_TOL = "0.2"
@@ -106,9 +109,9 @@ def _rows(name, omega, a, default):
     return [tuple(omega) + ("0" if a is None else a,)]
 
 
-def _single(identity_id, params, method):
+def _single(identity_id, params, method, gate):
     """The reports step of a point whose two sides are one report's."""
-    return lambda lhs, rhs: [(identity_id, params, method, lhs, rhs)]
+    return lambda lhs, rhs: [(identity_id, params, method, lhs, rhs, gate)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,8 @@ def _single(identity_id, params, method):
 def _call(job):
     """Evaluate one point in the worker: its lhs route, then its rhs
     route, then its reports step, all at the context's working
-    precision.  Every report of the point carries the point's time."""
+    precision.  Every report of the point carries the point's time, and
+    tol, or the point's own gate where tol is None."""
     point, row, ctx, tol = job
     t0 = time.perf_counter()
     lhs, rhs, reports = point(*row, ctx)
@@ -127,33 +131,18 @@ def _call(job):
         rhs_value = rhs()
         sides = reports(lhs_value, rhs_value)
     return [
-        IdentityReport.from_sides(identity_id, params, lhs, rhs, tol, method, t0)
-        for identity_id, params, method, lhs, rhs in sides
+        IdentityReport.from_sides(identity_id, params, lhs, rhs, to_mpf(gate) if tol is None else tol,
+                                  method, t0)
+        for identity_id, params, method, lhs, rhs, gate in sides
     ]
 
 
-def _series_tol(ctx, row):
-    # SERIES_TOL, or 2^16 ulps of the context where that is the larger
-    return max(to_mpf(SERIES_TOL), ctx.eps * 2 ** 16)
-
-
-def _order_tol(ctx, row):
-    return CONSTANT_TOL if row[0] == "harmonic-constant" else ORDER_TOL
-
-
-def _quad_tol(ctx, row):
-    return QUAD_TOL
-
-
-def _run(point, rows, ctx, tol, threads, default_tol):
+def _run(point, rows, ctx, tol, threads):
     """Evaluate point(*row, ctx) for every row, serially or over a fork
     pool, and return the reports sorted by parameters.  A tol of None
-    takes default_tol(ctx, row)."""
+    leaves each report its point's gate."""
     ctx = ctx or PrecisionContext()
-    jobs = [
-        (point, tuple(row), ctx, to_mpf(default_tol(ctx, row) if tol is None else tol))
-        for row in rows
-    ]
+    jobs = [(point, tuple(row), ctx, None if tol is None else to_mpf(tol)) for row in rows]
     fork = None
     if threads and int(threads) > 1:
         # imported here: a serial run does not pay for the pool modules
@@ -195,16 +184,17 @@ def relation_point(*row):
                 "lhs": "c_{r,r}: nested polylog series over ordered subset families",
                 "rhs": "c'_{r,r}: Bell-polynomial closed form in logarithms and zeta values",
             },
+            max(to_mpf(SERIES_TOL), ctx.eps * 2 ** 16),
         ),
     )
 
 
 def suite_r2m2(omega=None, a=None, ctx=None, tol=None, threads=1):
-    return _run(relation_point, _rows("r2m2", omega, a, R2M2_GRID), ctx, tol, threads, _series_tol)
+    return _run(relation_point, _rows("r2m2", omega, a, R2M2_GRID), ctx, tol, threads)
 
 
 def suite_r3m3(omega=None, a=None, ctx=None, tol=None, threads=1):
-    return _run(relation_point, _rows("r3m3", omega, a, R3M3_GRID), ctx, tol, threads, _series_tol)
+    return _run(relation_point, _rows("r3m3", omega, a, R3M3_GRID), ctx, tol, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +212,7 @@ def inversion_point(omega, a, k_max, ctx):
     k_max = int(k_max)
     if k_max < 1:
         raise DomainError("depth k must be at least 1")
+    gate = max(to_mpf(SERIES_TOL), ctx.eps * 2 ** 16)
 
     def series():
         neg = -o / av
@@ -255,6 +246,7 @@ def inversion_point(omega, a, k_max, ctx):
                 },
                 depth_series[k - 1],
                 rhs_f,
+                gate,
             ))
             sides.append((
                 "polylog-inversion/backward/k%02d" % k,
@@ -265,6 +257,7 @@ def inversion_point(omega, a, k_max, ctx):
                 },
                 li[k],
                 rhs_b,
+                gate,
             ))
         return sides
 
@@ -274,7 +267,7 @@ def inversion_point(omega, a, k_max, ctx):
 def suite_inversion(omega=None, a=None, k_max=None, ctx=None, tol=None, threads=1):
     k_max = INVERSION_K_MAX if k_max is None else k_max
     rows = [row + (k_max,) for row in _rows("inversion", omega, a, INVERSION_GRID)]
-    return _run(inversion_point, rows, ctx, tol, threads, _series_tol)
+    return _run(inversion_point, rows, ctx, tol, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +327,7 @@ def order_point(method, omega, a, x_ladder, order, ctx):
             _single("harmonic-constant-term/r1", params, {
                 "lhs": "polynomial extrapolation of quadrature values to x=0",
                 "rhs": "gamma minus log omega",
-            }),
+            }, CONSTANT_TOL),
         )
     if method == "integral-main-term":
         claimed = 1
@@ -369,7 +362,7 @@ def order_point(method, omega, a, x_ladder, order, ctx):
         return [(identity_id, params, {
             "lhs": "empirical decay order of quadrature-vs-%s defects, capped at the claim" % against,
             "rhs": "claimed remainder order",
-        }, lhs, rhs)]
+        }, lhs, rhs, ORDER_TOL)]
 
     return (
         lambda: [i_integral(x, w, ctx) for x in xs],
@@ -400,7 +393,7 @@ def suite_asymptotic_order(
             raise DomainError("rank r must match the number of weights")
         x_ladder = ORDER_LADDER if x_ladder is None else tuple(x_ladder)
         rows = [(method, tuple(omega), "0" if a is None else a, x_ladder, order)]
-    return _run(order_point, rows, ctx, tol, threads, _order_tol)
+    return _run(order_point, rows, ctx, tol, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +417,7 @@ def mzf_point(x, depths, ctx):
             ("multisum-euler-zagier/r%d" % r, {"r": str(r), "x": _s(x)}, {
                 "lhs": "double-exponential quadrature of the log-product integral",
                 "rhs": "builtin zeta at 1+x" if r == 1 else "direct outer sum with tail expansion, times r!",
-            }, quadrature, value)
+            }, quadrature, value, QUAD_TOL)
             for r, quadrature, value in zip(depths, quadratures, sums)
         ]
 
@@ -440,7 +433,7 @@ def suite_mzf(r=None, x_grid=None, ctx=None, tol=None, threads=1):
         if to_mpf(x) in [to_mpf(y) for y in x_grid[:i]]:
             raise UsageError("mzf x-grid repeats x = %s" % x)
     # one job per x, so each x's depth-independent work is shared across r
-    return _run(mzf_point, [(x, depths) for x in x_grid], ctx, tol, threads, _quad_tol)
+    return _run(mzf_point, [(x, depths) for x in x_grid], ctx, tol, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -271,12 +271,15 @@ def test_multi_index_validation():
 
 def _mpf_nested_sum(ks, zs, x, n_start, bits):
     """The library's accumulation in mpf arithmetic at bits + GUARD_BITS,
-    over the outer indices n_start..N with the N the library chose for
-    ks: the reference for the fixed-point loop."""
+    over the outer indices n_start..N: the reference for the fixed-point
+    loop.  From n_start = 1, N is the one the library chose for ks.  From
+    n_start = 0, the terms with n_1 = 0 carry x^{-k_1}, so N is the count
+    at bits + 64 + k_1 log2(1/x): one loop over the whole range, with no
+    split into the two sums hurwitz_li0 adds."""
     with mp.workprec(bits + GUARD_BITS):
         ks, zs, x = tuple(ks), tuple(to_mpf(z) for z in zs), to_mpf(x)
-        ctx = PrecisionContext(precision_bits=bits)
-        N = polylog._term_counts([ks], zs, x, n_start, ctx)[ks]
+        extra = 0 if n_start else 64 + int(ks[0] * max(0, -mp.log(x, 2)))
+        N = polylog._term_counts([ks], zs, PrecisionContext(precision_bits=bits + extra))[ks]
         s = len(ks)
         P = [mpf(1)] + [mpf(0)] * s
         powers = [z ** n_start for z in zs]
@@ -311,9 +314,18 @@ _FIXED_POINT_CASES = [
      ((1, 2), ("1e-150", "1e-150"), "0.5", 1)),
     ("h0-small-x", lambda c: hurwitz_li0("1e-3", PolylogArgs((3, 1), ("0.5", "0.6")), c),
      ((3, 1), ("0.5", "0.6"), "1e-3", 0)),
-    # x^3 = 1e-15 is 2^-50, beyond the guard bits of a plain 2^-wp scale
+    # x^-3 = 1e15 = 2^50 amplifies the n_1 = 0 terms beyond the guard bits
     ("h0-tiny-x", lambda c: hurwitz_li0("1e-5", PolylogArgs((3, 1), ("0.5", "0.6")), c),
      ((3, 1), ("0.5", "0.6"), "1e-5", 0)),
+] + [
+    ("h0-x%s" % x, lambda c, x=x: hurwitz_li0(x, PolylogArgs((3, 1), ("0.5", "0.6")), c),
+     ((3, 1), ("0.5", "0.6"), x, 0))
+    for x in ("1e-30", "1e-300")
+] + [
+    # x^-3 = 1e900 times a tail near 1e-150, below 2^-wp: lost unless the
+    # n_1 = 0 terms are summed at more bits
+    ("h0-x1e-300-z1e-150", lambda c: hurwitz_li0("1e-300", PolylogArgs((3, 1), ("0.5", "1e-150")), c),
+     ((3, 1), ("0.5", "1e-150"), "1e-300", 0)),
     ("h1", lambda c: hurwitz_li1("0.3", PolylogArgs((2, 1), ("0.7", "0.8")), c),
      ((2, 1), ("0.7", "0.8"), "0.3", 1)),
 ]
@@ -365,77 +377,80 @@ def test_budget_exhaustion_raises():
 # the a-priori term count: its tail bound dominates, and rho -> 1 fails fast
 # ---------------------------------------------------------------------------
 
-def _tail_bound(ks, zs, x, n_start, N):
+def _tail_bound(ks, zs, N):
     """(T, first) as the module docstring writes them: the tail bound
     T = 2 b(N+1)/(1 - rho) after outer index N, and the least N it may be
-    read at, max(n_start, ceil(m) - 1), b(n+1) <= b(n) (1 + rho)/2 from
-    n = m on."""
+    read at, max(1, ceil(m) - 1), b(n+1) <= b(n) (1 + rho)/2 from n = m
+    on.  A shift only shrinks the terms, so it does not enter."""
     s = len(ks)
     rho = max(abs(mp.fprod(zs[i:])) for i in range(s))
-    c = (s - 1) * x ** -ks[0] if n_start == 0 else 0
     n = mpf(N + 1)
-    b = rho ** n * (1 + mp.log(n)) ** (s - 1) * (1 + c) / (mp.factorial(s - 1) * n ** ks[-1])
+    b = rho ** n * (1 + mp.log(n)) ** (s - 1) / (mp.factorial(s - 1) * n ** ks[-1])
     m = (s - 1) / mp.log((1 + rho) / (2 * rho)) if rho else 0
-    return 2 * b / (1 - rho), max(n_start, int(mp.ceil(m)) - 1)
+    return 2 * b / (1 - rho), max(1, int(mp.ceil(m)) - 1)
 
 
-def _assert_bound_dominates(kss, zs, x, n_start, bits):
+def _assert_bound_dominates(kss, zs, x, bits):
     """Every index of kss at bits against the same pass at 2*bits + 64:
     its N is the least with T(N) <= 2^-bits, and the error is within
     T(N) plus the round-off of N terms of 2^-wp, relative above 1 (the
     fixed-point loop's budget), and within 2^-bits * max(1, |v|)."""
     ctx, hi = PrecisionContext(precision_bits=bits), PrecisionContext(precision_bits=2 * bits + 64)
-    counts = polylog._term_counts(kss, zs, x, n_start, ctx)
-    keys = [(ks, zs, x, n_start) for ks in kss]
+    counts = polylog._term_counts(kss, zs, ctx)
+    keys = [(ks, zs, x) for ks in kss]
     lo, ref = (polylog._nested_sums(keys, c) for c in (ctx, hi))
     with mp.workprec(2 * bits + 64):
         eps = mpf(2) ** -bits
         for ks, key in zip(kss, keys):
             N, v = counts[ks], lo[key]
-            tail, first = _tail_bound(ks, zs, x, n_start, N)
-            assert tail <= eps and (N == first or _tail_bound(ks, zs, x, n_start, N - 1)[0] > eps)
+            tail, first = _tail_bound(ks, zs, N)
+            assert tail <= eps and (N == first or _tail_bound(ks, zs, N - 1)[0] > eps)
             err = abs(v - ref[key])
             round_off = N * mpf(2) ** -(bits + GUARD_BITS) * max(1, abs(v))
             assert err <= tail + round_off, (ks, N)
             assert err <= eps * max(1, abs(v)), (ks, N)
 
 
-@pytest.mark.parametrize("bits", [64, 256, 1024])
-@pytest.mark.parametrize(
-    "oracle_args", [case[2] for case in _FIXED_POINT_CASES],
-    ids=[case[0] for case in _FIXED_POINT_CASES],
-)
-def test_tail_bound_dominates_error(oracle_args, bits):
-    ks, zs, x, n_start = oracle_args
-    _assert_bound_dominates([ks], tuple(to_mpf(z) for z in zs), to_mpf(x), n_start, bits)
-
-
-def _c_coeff_passes(omega, a, bits):
-    """(kss, zs, shift, n_start) of every argument tuple that c_coeff(r, r)
-    sums, with the index tuples the pass sums at it."""
+def _passes(call, bits):
+    """(kss, zs, shift, bits) of every argument tuple that call sums from
+    an empty cache at a context of bits, with the index tuples the pass
+    sums at it and the bits it sums them at: hurwitz_li0 sums its
+    n_1 = 0 terms at more bits than it was given."""
     groups = {}
     nested_sums = polylog._nested_sums
 
     def recorded(keys, ctx):
         for ks, *args in keys:
-            groups.setdefault(tuple(args), []).append(ks)
+            groups.setdefault((*args, ctx.precision_bits), []).append(ks)
         return nested_sums(keys, ctx)
 
-    w = WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polylog, "_CACHE", {})
         patch.setattr(polylog, "_nested_sums", recorded)
-        c_coeff(w.r, w.r, w, PrecisionContext(precision_bits=bits))
+        call(PrecisionContext(precision_bits=bits))
     return [(sorted(kss),) + args for args, kss in groups.items()]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "call", [case[1] for case in _FIXED_POINT_CASES],
+    ids=[case[0] for case in _FIXED_POINT_CASES],
+)
+def test_tail_bound_dominates_error(call, bits):
+    passes = _passes(call, bits)
+    assert passes
+    for kss, zs, shift, pass_bits in passes:
+        _assert_bound_dominates(kss, zs, shift, pass_bits)
 
 
 @pytest.mark.parametrize("row", R2M2_GRID + R3M3_GRID, ids="-".join)
 def test_tail_bound_dominates_error_on_c_coeff_arguments(row):
     *omega, a = row
-    passes = _c_coeff_passes(omega, a, 256)
+    w = WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
+    passes = _passes(lambda ctx: c_coeff(w.r, w.r, w, ctx), 256)
     assert passes
-    for kss, zs, shift, n_start in passes:
-        _assert_bound_dominates(kss, zs, shift, n_start, 256)
+    for kss, zs, shift, bits in passes:
+        _assert_bound_dominates(kss, zs, shift, bits)
 
 
 def _assert_fails_before_summing(excinfo):
@@ -474,14 +489,12 @@ def test_rho_within_2_pow_minus_50_of_one_raises(e):
 # grouped passes: one pass per prefetch, every value as if alone
 # ---------------------------------------------------------------------------
 
-def _alone(ks, zs, x, n_start, ctx):
+def _alone(ks, zs, x, ctx):
     """The index summed by itself, through its public entry point."""
     if not x and len(zs) > 1 and zs[0] == 1:
         return mpl_one_var(ks, zs[-1], ctx)
     pa = PolylogArgs(ks, zs)
-    if not x:
-        return mpl(pa, ctx)
-    return (hurwitz_li0 if n_start == 0 else hurwitz_li1)(x, pa, ctx)
+    return hurwitz_li1(x, pa, ctx) if x else mpl(pa, ctx)
 
 
 def _assert_one_pass_matches_each_alone(keys, ctx, monkeypatch):
@@ -497,26 +510,26 @@ def _assert_one_pass_matches_each_alone(keys, ctx, monkeypatch):
     monkeypatch.setattr(polylog, "_CACHE", {})
     monkeypatch.setattr(polylog, "_nested_sums", counted)
     polylog._prefetch(keys, ctx)
-    assert passes == [sorted((key[:4] for key in keys), key=repr)]
+    assert passes == [sorted((key[:3] for key in keys), key=repr)]
     grouped = dict(polylog._CACHE)
     for key in keys:
         polylog._CACHE.clear()
-        alone = _alone(*key[:4], ctx)
+        alone = _alone(*key[:3], ctx)
         assert grouped[key]._mpf_ == alone._mpf_, key
 
 
-# (label, index set, inner arguments, shift, n_start); the last argument
-# is rho.  Index sets share prefixes; a shifted set with two values of
-# max(ks) has one scale per value, since max(ks) sets its scale
+# (label, index set, inner arguments, shift); the last argument is rho.
+# Index sets share prefixes; the shifted sets sit at two shifts, h0's
+# at the x = 1e-3 of the hurwitz_li0 cases above
 _SHARED = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 _GROUPS = [
-    ("d1", [(1,), (2,), (3,), (5,)], (), 0, 1),
-    ("d2", _SHARED, ("0.6",), 0, 1),
-    ("d2-negative", _SHARED, ("-0.7",), 0, 1),
+    ("d1", [(1,), (2,), (3,), (5,)], (), 0),
+    ("d2", _SHARED, ("0.6",), 0),
+    ("d2-negative", _SHARED, ("-0.7",), 0),
     ("d3", [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (3, 1, 1)],
-     ("0.5", "0.8"), 0, 1),
-    ("h0", [(3, 1), (1, 3), (3, 3), (2, 1), (1, 2)], ("0.5",), "1e-3", 0),
-    ("h1", _SHARED, ("0.7",), "0.3", 1),
+     ("0.5", "0.8"), 0),
+    ("h0", [(3, 1), (1, 3), (3, 3), (2, 1), (1, 2)], ("0.5",), "1e-3"),
+    ("h1", _SHARED, ("0.7",), "0.3"),
 ]
 _GROUPED_RUNS = [
     (bits, rho) + case
@@ -528,41 +541,43 @@ _GROUPED_RUNS = [
 
 
 @pytest.mark.parametrize(
-    "bits, rho, label, kss, inner, x, n_start",
+    "bits, rho, label, kss, inner, x",
     _GROUPED_RUNS,
     ids=["%s-rho%s-%d" % (run[2], run[1], run[0]) for run in _GROUPED_RUNS],
 )
-def test_grouped_pass_matches_each_index_alone(bits, rho, label, kss, inner, x, n_start, monkeypatch):
+def test_grouped_pass_matches_each_index_alone(bits, rho, label, kss, inner, x, monkeypatch):
     ctx = PrecisionContext(precision_bits=bits)
     zs = tuple(to_mpf(z) for z in inner + (rho,))
     x = to_mpf(x)
-    _assert_one_pass_matches_each_alone([(ks, zs, x, n_start, bits) for ks in kss], ctx, monkeypatch)
+    _assert_one_pass_matches_each_alone([(ks, zs, x, bits) for ks in kss], ctx, monkeypatch)
 
 
 # one prefetch over mixed argument tuples: depths 1 to 3 sharing z = 0.6,
 # inner arguments 1, a zero and a negative argument, and shifted groups
-# from n_start 0 (two scales) and 1 at the same arguments
+# of depths 1 and 2 at two shifts, beside the unshifted ones at the same
+# arguments
 _MIXED = [
-    ((2,), ("0.6",), 0, 1),
-    ((1, 2), ("0.6", "0.7"), 0, 1),
-    ((2, 1), ("0.6", "0.7"), 0, 1),
-    ((1, 1, 2), ("0.8", "0.6", "0.7"), 0, 1),
-    ((2, 1, 1), ("0.8", "0.6", "0.7"), 0, 1),
-    ((1, 2), ("0.7", "0.6"), 0, 1),
-    ((1, 1, 2), (1, 1, "0.6"), 0, 1),
-    ((2, 1), (0, "0.6"), 0, 1),
-    ((1, 3), ("-0.6", "0.7"), 0, 1),
-    ((2, 1), ("0.6", "0.7"), "0.3", 0),
-    ((3, 1), ("0.6", "0.7"), "0.3", 0),
-    ((1, 2), ("0.6", "0.7"), "0.3", 1),
+    ((2,), ("0.6",), 0),
+    ((1, 2), ("0.6", "0.7"), 0),
+    ((2, 1), ("0.6", "0.7"), 0),
+    ((1, 1, 2), ("0.8", "0.6", "0.7"), 0),
+    ((2, 1, 1), ("0.8", "0.6", "0.7"), 0),
+    ((1, 2), ("0.7", "0.6"), 0),
+    ((1, 1, 2), (1, 1, "0.6"), 0),
+    ((2, 1), (0, "0.6"), 0),
+    ((1, 3), ("-0.6", "0.7"), 0),
+    ((2, 1), ("0.6", "0.7"), "0.3"),
+    ((1, 2), ("0.6", "0.7"), "0.3"),
+    ((3, 1), ("0.6", "0.7"), "1e-3"),
+    ((2,), ("0.6",), "1e-3"),
+    ((3,), ("0.7",), "0.3"),
 ]
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 def test_mixed_prefetch_matches_each_index_alone(bits, monkeypatch):
     ctx = PrecisionContext(precision_bits=bits)
-    keys = [(ks, tuple(to_mpf(z) for z in zs), to_mpf(x), n_start, bits)
-            for ks, zs, x, n_start in _MIXED]
+    keys = [(ks, tuple(to_mpf(z) for z in zs), to_mpf(x), bits) for ks, zs, x in _MIXED]
     _assert_one_pass_matches_each_alone(keys, ctx, monkeypatch)
 
 
@@ -572,11 +587,11 @@ def test_grouped_pass_keeps_zero_arguments_exact(bits, monkeypatch):
     monkeypatch.setattr(polylog, "_CACHE", {})
     for zs in ((0, "0.5"), ("0.4", 0)):
         zs = tuple(to_mpf(z) for z in zs)
-        polylog._prefetch([(ks, zs, mpf(0), 1, bits) for ks in _SHARED], ctx)
-        assert [polylog._CACHE[(ks, zs, mpf(0), 1, bits)] for ks in _SHARED] == [0] * 6
+        polylog._prefetch([(ks, zs, mpf(0), bits) for ks in _SHARED], ctx)
+        assert [polylog._CACHE[(ks, zs, mpf(0), bits)] for ks in _SHARED] == [0] * 6
     zs = (mpf(0), to_mpf("0.5"))
-    polylog._prefetch([(ks, zs, to_mpf("0.3"), 1, bits) for ks in ((2, 1), (1, 2))], ctx)
-    assert polylog._CACHE[((2, 1), zs, to_mpf("0.3"), 1, bits)] == 0
+    polylog._prefetch([(ks, zs, to_mpf("0.3"), bits) for ks in ((2, 1), (1, 2))], ctx)
+    assert polylog._CACHE[((2, 1), zs, to_mpf("0.3"), bits)] == 0
 
 
 def test_grouped_pass_that_cannot_close_raises(monkeypatch):
@@ -584,7 +599,7 @@ def test_grouped_pass_that_cannot_close_raises(monkeypatch):
     zs = (to_mpf("0.5"), to_mpf("0.9999"))
     monkeypatch.setattr(polylog, "_CACHE", {})
     with pytest.raises(BudgetError, match="did not close"):
-        polylog._prefetch([(ks, zs, mpf(0), 1, 256) for ks in _SHARED], CTX)
+        polylog._prefetch([(ks, zs, mpf(0), 256) for ks in _SHARED], CTX)
     assert polylog._CACHE == {}
 
 

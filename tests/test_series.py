@@ -19,7 +19,7 @@ from mpmath.libmp import to_fixed
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError, QuadratureError
 from mtzeta.jets import Jet
-from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, psi_derivs, zeta_value
+from mtzeta.kernel import euler_gamma, gamma0, loggamma_jet, psi_derivs, stirling_first_unsigned, zeta_value
 from mtzeta.polylog import mpl_one_var
 from mtzeta.quadrature import de_quad_0inf
 import mtzeta.quadrature as quadrature
@@ -848,14 +848,23 @@ def test_t_coeff_is_one_var_polylog():
             assert abs(v - ref) <= mpf(2) ** -(BITS - 24)
 
 
-def test_t_coeff_matches_jet_expansion():
-    om = (to_mpf("0.2"), to_mpf("0.3"))
-    sj = s_series(Jet.variable(mpf(0), 5), om, CTX)
-    with CTX.workprec():
-        assert sj.coeffs[0] == 0
-        for l in range(1, 6):
-            v = t_coeff(2, l, om, CTX)
-            assert abs(sj.coeffs[l] - v) <= mpf(2) ** -(BITS - 24)
+def test_t_coeff_matches_stirling_route():
+    # S_r = sum_m (x)_m C_m, C_m = [t^m] prod_i sum_{k>=1} (omega_i t)^k/(k k!),
+    # so T_{r,l} = sum_m c(m, l) C_m with unsigned Stirling numbers c and
+    # C_m from a plain mpf convolution, no jets.  Stopping at M = 160
+    # leaves under 1e-48 while sum |omega| <= 0.5
+    ctx, M, ls = PrecisionContext(precision_bits=128), 160, (1, 2, 4)
+    stirling = {l: [stirling_first_unsigned(m, l) for m in range(l, M + 1)] for l in ls}
+    for omega in (("0.2", "0.3"), ("0.05", "-0.07")):
+        om = tuple(to_mpf(o) for o in omega)
+        with ctx.workprec():
+            C = [mpf(1)] + [mpf(0)] * M
+            for o in om:
+                f = [mpf(0)] + [o ** k / (k * mp.factorial(k)) for k in range(1, M + 1)]
+                C = [mp.fsum(C[i] * f[m - i] for i in range(m + 1)) for m in range(M + 1)]
+            for l in ls:
+                expect = mp.fsum(c * C_m for c, C_m in zip(stirling[l], C[l:]))
+                assert abs(t_coeff(2, l, om, ctx) - expect) <= mpf(2) ** -120 * max(1, abs(expect)), (omega, l)
 
 
 def test_t_coeff_rank_must_match_weights():

@@ -95,9 +95,7 @@ def test_grid_rows_of_another_weight_count_are_refused(suite, row, monkeypatch):
 def test_relation_point_at_rank_four_passes_the_series_gate(bits):
     # c_{4,4} = c'_{4,4}: no suite declares rank 4, the point serves it
     ctx = PrecisionContext(precision_bits=bits)
-    (rep,) = suites._run(
-        suites.relation_point, [("1", "2", "3", "4", "0.5")], ctx, None, 1, suites._series_tol
-    )
+    (rep,) = suites._run(suites.relation_point, [("1", "2", "3", "4", "0.5")], ctx, None, 1)
     assert rep.identity_id == "polylog-evaluation/r4m4"
     assert rep.params == {"omega": ["1", "2", "3", "4"], "a": "0.5"}
     assert rep.tolerance == to_mpf(suites.SERIES_TOL)
@@ -191,7 +189,7 @@ def test_inversion_shares_classical_polylogs_across_depths(monkeypatch):
     monkeypatch.setattr(mp, "polylog", counted)
     reports = suite_inversion(ctx=CTX)
     assert sorted(calls) == [1, 2, 3, 4, 5, 6]
-    tol = suites._series_tol(CTX, None)
+    tol = max(to_mpf(suites.SERIES_TOL), CTX.eps * 2 ** 16)
     (omega, a), = suites.INVERSION_GRID
     expected = [
         rep for k in range(1, suites.INVERSION_K_MAX + 1) for rep in _inversion_at_depth(omega, a, k, CTX, tol)
@@ -404,9 +402,7 @@ def test_parallel_dispatch_matches_serial():
         # factors, the forked workers start from the serial run's table
         lambda threads: suite_mzf(r=2, x_grid=("0.5", "1"), ctx=CTX, threads=threads),
         # two depths per x: each worker runs both depths of its x
-        lambda threads: suites._run(
-            suites.mzf_point, [("0.5", (2, 3)), ("1", (2, 3))], CTX, None, threads, suites._quad_tol
-        ),
+        lambda threads: suites._run(suites.mzf_point, [("0.5", (2, 3)), ("1", (2, 3))], CTX, None, threads),
     )
     for run in runs:
         serial = run(1)
