@@ -1,8 +1,9 @@
 """Expansion-side evaluators for the integral analogue and the multi-sum:
 main terms around x = 0, the polylogarithm coefficients c_{r,m} of the
-normalized power series, their Bell-polynomial closed forms c'_{r,m},
-the tricoloring reconstruction of I_r through the auxiliary series, and
-the complete rank-1 expansion.
+normalized power series, their closed forms c'_{r,m} from the main
+term's Lambda polynomial and the reciprocal-gamma series, the
+reconstruction of I_r through the auxiliary series, and the complete
+rank-1 expansion.
 
 Everything here is series/special-function assembly; none of it touches
 quadrature, so cross-checks against the direct evaluators are genuinely
@@ -10,7 +11,7 @@ independent.
 """
 
 import math
-from itertools import product
+from itertools import combinations
 
 from mpmath import mp, mpf
 
@@ -23,7 +24,7 @@ from .combinatorics import (
 from .context import MAX_RANK, positive_x, to_mpf
 from .errors import BudgetError, DomainError
 from .jets import Jet
-from .kernel import bell_complete, euler_gamma, loggamma_jet, zeta_value
+from .kernel import euler_gamma, inv_gamma_taylor, loggamma_jet, zeta_value
 from .polylog import PolylogArgs, mpl, mpl_one_var, prefetched
 from .series import s_series
 
@@ -69,12 +70,18 @@ def check_order(r, M, lo=1):
                           "budget of %d" % (r, terms, _MAX_FAMILY_TERMS))
 
 
+def _lambda_poly(omega, n, ctx):
+    """[(-1)^k Lambda_k(omega) (r-k)! for k = 0..n], r = len(omega), at
+    the caller's working precision."""
+    r = len(omega)
+    return [mpf(-1) ** k * lambda_k(omega, k, ctx) * mp.factorial(r - k) for k in range(n + 1)]
+
+
 def _lambda_sum(x, w, ctx):
     """sum_k (-1)^k Lambda_k(omega) (r-k)!/x^{r-k}, at the caller's
     working precision."""
     s = mpf(0)
-    for k in range(w.r + 1):
-        pk = mpf(-1) ** k * lambda_k(w.omega, k, ctx) * mp.factorial(w.r - k)
+    for k, pk in enumerate(_lambda_poly(w.omega, w.r, ctx)):
         s += pk * x ** (k - w.r)
     return s
 
@@ -152,9 +159,9 @@ def c_coeff(r, m, w, ctx):
 
 
 def c_prime_coeff(r, m, w, ctx):
-    """Closed form for c_{r,m} when 1 <= m <= r: the Bell-polynomial
-    combination sum_k (-1)^{m-k} ((r-m+k)!/k!)
-    Lambda_{m-k}(omega/(a+|omega|)) B_k(0, -1! z(2), 2! z(3), ...)."""
+    """Closed form for c_{r,m} when 1 <= m <= r: the x^m coefficient of
+    the main term's polynomial sum_k (-1)^k Lambda_k(omega/(a+|omega|))
+    (r-k)! x^k times the Taylor series of e^{-gamma x}/Gamma(x+1)."""
     r, m = int(r), int(m)
     if r != w.r:
         raise DomainError("rank must match the weight configuration")
@@ -162,24 +169,9 @@ def c_prime_coeff(r, m, w, ctx):
         raise DomainError("the closed form holds only for 1 <= m <= r")
     with ctx.workprec():
         denom = w.a + w.total
-        scaled = tuple(o / denom for o in w.omega)
-        bell_args = [mpf(0)]
-        for j in range(2, m + 1):
-            bell_args.append(
-                mpf(-1) ** (j - 1) * mp.factorial(j - 1) * zeta_value(j, ctx)
-            )
-        total = mpf(0)
-        for k in range(m + 1):
-            lam = lambda_k(scaled, m - k, ctx)
-            bk = bell_complete(k, bell_args[:k])
-            total += (
-                mpf(-1) ** (m - k)
-                * mp.factorial(r - m + k)
-                / mp.factorial(k)
-                * lam
-                * bk
-            )
-        return +total
+        p = _lambda_poly(tuple(o / denom for o in w.omega), m, ctx)
+        g = inv_gamma_taylor(m, True, ctx).coeffs
+        return +sum((p[j] * g[m - j] for j in range(m + 1)), mpf(0))
 
 
 def i_expansion(w, M, ctx):
@@ -208,41 +200,36 @@ def power_series_I(x, w, M, ctx):
 
 def expression_by_S(x, w, ctx):
     """I_r reconstructed from the auxiliary series: (-1)^r e^{-gamma x}
-    / Gamma(x) times the sum over ordered tricolorings A|B|C of the
-    index set of (prod_{i in A} log omega_i) (d/dx)^{|B|}
-    [Gamma(x) a^{-x} e^{gamma x} S_{|C|}(x, -omega_C/a)].
+    / Gamma(x) times the sum over subsets C of the index set, with K the
+    rest and D_C = Gamma(x) a^{-x} e^{gamma x} S_{|C|}(x, -omega_C/a), of
+    sum_j Lambda_j(omega_K) (d/dx)^{|K|-j} D_C.  The inner sum gathers the
+    tricolorings A|B|C with A u B = K, whose terms are
+    (prod_{i in A} log omega_i) (d/dx)^{|B|} D_C.
 
     Derivatives are carried by jets: one of Gamma(x) a^{-x} e^{gamma x}
-    at degree r, and one product with S_{|C|} at degree r - |C| per colour
-    class C, read at degree |B| by every tricoloring with that C.
-    Requires |omega| < a strictly."""
+    at degree r, and one product with S_{|C|} at degree |K| per nonempty
+    C.  Requires |omega| < a strictly."""
     x = positive_x(x)
     r = w.r
     if r > MAX_RANK:
-        raise BudgetError("tricoloring enumeration is capped at rank %d" % MAX_RANK)
+        raise BudgetError("subset enumeration is capped at rank %d" % MAX_RANK)
     with ctx.workprec():
         if not w.total < w.a:
             raise DomainError("the series route requires |omega| < a")
         g = euler_gamma(ctx)
         la = mp.log(w.a)
-        logw = [mp.log(o) for o in w.omega]
         gamma_jet = (loggamma_jet(x, r, ctx) + Jet.variable(x, r) * (g - la)).exp()
-        products = {(): gamma_jet}
         total = mpf(0)
-        for colors in product((0, 1, 2), repeat=r):
-            A = [i for i in range(r) if colors[i] == 0]
-            B = [i for i in range(r) if colors[i] == 1]
-            C = tuple(i for i in range(r) if colors[i] == 2)
-            if C not in products:
-                products[C] = gamma_jet * s_series(
-                    Jet.variable(x, r - len(C)),
-                    tuple(-w.omega[i] / w.a for i in C),
-                    ctx,
-                )
-            term = products[C].derivative_value(len(B))
-            for i in A:
-                term *= logw[i]
-            total += term
+        for size in range(r + 1):
+            for C in combinations(range(r), size):
+                K = [w.omega[i] for i in range(r) if i not in C]
+                D = gamma_jet
+                if C:
+                    D = gamma_jet * s_series(
+                        Jet.variable(x, len(K)), tuple(-w.omega[i] / w.a for i in C), ctx
+                    )
+                for j in range(len(K) + 1):
+                    total += lambda_k(K, j, ctx) * D.derivative_value(len(K) - j)
         return +(mpf(-1) ** r * mp.exp(-g * x) / mp.gamma(x) * total)
 
 

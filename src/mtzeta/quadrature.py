@@ -198,13 +198,13 @@ def de_quad_01(f, ctx, tol=None):
         )
 
 
-def de_quad_0inf(f, ctx, tol=None, log_bound=None):
-    """Integrate f over (0,inf) as de_quad_01 of the folded line
-    g(s) = f(-log(1-s))/(1-s) + f(-log s)/s for s < 1/2 (t > 0 of the
-    line gives u -> 0, t < 0 gives u -> inf), g(1/2) = f(log 2)/(1/2)
-    (the centre, counted once), and g = 0 for s > 1/2, a side cut after
-    _TAIL_RUN terms.  On the rows this is, node for node, the trapezoid
-    sum of the DE line.
+def de_quad_0inf(f, ctx, log_bound=None):
+    """Integrate f over (0,inf) to ctx.target_tol as de_quad_01 of the
+    folded line g(s) = f(-log(1-s))/(1-s) + f(-log s)/s for s < 1/2
+    (t > 0 of the line gives u -> 0, t < 0 gives u -> inf),
+    g(1/2) = f(log 2)/(1/2) (the centre, counted once), and g = 0 for
+    s > 1/2, a side cut after _TAIL_RUN terms.  On the rows this is,
+    node for node, the trapezoid sum of the DE line.
 
     f must decay at least exponentially as u -> inf, as the Mellin
     integrands of series do.  An algebraic tail like 1/u^2 gives terms
@@ -246,4 +246,4 @@ def de_quad_0inf(f, ctx, tol=None, log_bound=None):
         far = mpf_div(mp.convert(f(u_far))._mpf_, s, prec, rnd)
         return mp.make_mpf(mpf_add(near, far, prec, rnd))
 
-    return de_quad_01(folded, ctx, tol)
+    return de_quad_01(folded, ctx)

@@ -23,7 +23,7 @@ from mtzeta.asymptotics import (
 )
 from mtzeta.context import PrecisionContext, to_mpf
 from mtzeta.errors import BudgetError, DomainError
-from mtzeta.kernel import euler_gamma, inv_gamma_taylor, zeta_value
+from mtzeta.kernel import euler_gamma, zeta_value
 from mtzeta.combinatorics import compositions, disjoint_subset_families, lambda_k, weak_compositions
 from mtzeta.polylog import PolylogArgs, mpl, mpl_one_var
 from mtzeta.series import WeightConfig, i_integral, t_coeff
@@ -264,7 +264,12 @@ def test_c_equality_survives_zero_shift():
 
 def test_main_term_reexpansion_reproduces_coeffs():
     # multiplying the 1/x polynomial at scaled weights by the Taylor jet
-    # of the damped reciprocal gamma gives back r! and c'_{r,1..r}
+    # of the damped reciprocal gamma gives back r! and c'_{r,1..r}; the
+    # jet here is exp(-log Gamma(1 + x)) exp(-gamma x), from the log-gamma
+    # jet, not the Bell-polynomial series c' is built from
+    from mtzeta.jets import Jet
+    from mtzeta.kernel import loggamma_jet
+
     for omega, a in (((1, 2), "0.3"), (("0.7", "1.3", "2.1"), "0.5")):
         w = _wc(omega, a)
         r = w.r
@@ -275,17 +280,54 @@ def test_main_term_reexpansion_reproduces_coeffs():
                 mpf(-1) ** k * lambda_k(scaled, k, CTX) * mp.factorial(r - k)
                 for k in range(r + 1)
             ]
-            gcoef = inv_gamma_taylor(r, True, CTX).coeffs
+            g = euler_gamma(CTX)
+            routed = (-Jet(0, loggamma_jet(1, r, CTX).coeffs)).exp()
+            gcoef = (routed * Jet(0, [(-g) ** n / mp.factorial(n) for n in range(r + 1)])).coeffs
             for m in range(r + 1):
                 conv = mpf(0)
                 for k in range(m + 1):
-                    if k <= r and m - k <= r:
-                        conv += p[k] * gcoef[m - k]
+                    conv += p[k] * gcoef[m - k]
                 if m == 0:
                     ref = mp.factorial(r)
                 else:
                     ref = c_prime_coeff(r, m, w, CTX)
                 assert abs(conv - ref) <= mpf(10) ** -30
+
+
+def _c_prime_bell(r, m, w, ctx):
+    """c'_{r,m} as the Bell-polynomial combination
+    sum_k (-1)^{m-k} ((r-m+k)!/k!) Lambda_{m-k}(omega/(a+|omega|))
+    B_k(0, -1! zeta(2), 2! zeta(3), ...), assembled term by term."""
+    from mtzeta.kernel import bell_complete
+
+    with ctx.workprec():
+        denom = w.a + w.total
+        scaled = tuple(o / denom for o in w.omega)
+        bell_args = [mpf(0)]
+        for j in range(2, m + 1):
+            bell_args.append(mpf(-1) ** (j - 1) * mp.factorial(j - 1) * zeta_value(j, ctx))
+        total = mpf(0)
+        for k in range(m + 1):
+            lam = lambda_k(scaled, m - k, ctx)
+            bk = bell_complete(k, bell_args[:k])
+            total += mpf(-1) ** (m - k) * mp.factorial(r - m + k) / mp.factorial(k) * lam * bk
+        return +total
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_c_prime_matches_the_bell_combination(bits):
+    # the product of the Lambda polynomial and the reciprocal-gamma series
+    # is the Bell-polynomial sum regrouped, so the two agree to the
+    # rounding of the working precision, well inside 2^-(bits+8)
+    rng = random.Random(29)
+    ctx = PrecisionContext(precision_bits=bits)
+    for r in range(1, 7):
+        for w in [_random_config(rng, r) for _ in range(3)] + [_wc((1,) * r)]:
+            for m in range(1, r + 1):
+                got = c_prime_coeff(r, m, w, ctx)
+                want = _c_prime_bell(r, m, w, ctx)
+                with ctx.workprec():
+                    assert abs(got - want) <= mpf(2) ** -(bits + 8) * max(1, abs(got)), (r, m)
 
 
 def test_c_domain_and_budget():
@@ -438,9 +480,9 @@ def test_expression_by_S_rank1_display():
 
 
 def _expression_by_S_per_degree(x, w, ctx):
-    """The assembly expression_by_S had before its jets were shared: a
-    log-gamma jet and an S jet at degree |B| + 2 for every tricoloring."""
-    from itertools import product
+    """expression_by_S's subset assembly, with a log-gamma jet and an S
+    jet at degree |K| - j + 2 for every term instead of shared ones."""
+    from itertools import combinations
 
     from mtzeta.jets import Jet
     from mtzeta.kernel import loggamma_jet
@@ -450,36 +492,32 @@ def _expression_by_S_per_degree(x, w, ctx):
     with ctx.workprec():
         g = euler_gamma(ctx)
         la = mp.log(w.a)
-        logw = [mp.log(o) for o in w.omega]
         gamma_jets = {}
         s_jets = {}
         total = mpf(0)
-        for colors in product((0, 1, 2), repeat=r):
-            A = [i for i in range(r) if colors[i] == 0]
-            B = [i for i in range(r) if colors[i] == 1]
-            C = tuple(i for i in range(r) if colors[i] == 2)
-            deg = len(B) + 2
-            if deg not in gamma_jets:
-                xi = Jet.variable(x, deg)
-                gamma_jets[deg] = (loggamma_jet(x, deg, ctx) + xi * (g - la)).exp()
-            F = gamma_jets[deg]
-            if C:
-                key = (C, deg)
-                if key not in s_jets:
-                    s_jets[key] = s_series(
-                        Jet.variable(x, deg), tuple(-w.omega[i] / w.a for i in C), ctx
-                    )
-                F = F * s_jets[key]
-            term = F.derivative_value(len(B))
-            for i in A:
-                term *= logw[i]
-            total += term
+        for size in range(r + 1):
+            for C in combinations(range(r), size):
+                K = [w.omega[i] for i in range(r) if i not in C]
+                for j in range(len(K) + 1):
+                    deg = len(K) - j + 2
+                    if deg not in gamma_jets:
+                        xi = Jet.variable(x, deg)
+                        gamma_jets[deg] = (loggamma_jet(x, deg, ctx) + xi * (g - la)).exp()
+                    D = gamma_jets[deg]
+                    if C:
+                        key = (C, deg)
+                        if key not in s_jets:
+                            s_jets[key] = s_series(
+                                Jet.variable(x, deg), tuple(-w.omega[i] / w.a for i in C), ctx
+                            )
+                        D = D * s_jets[key]
+                    total += lambda_k(K, j, ctx) * D.derivative_value(len(K) - j)
         return +(mpf(-1) ** r * mp.exp(-g * x) / mp.gamma(x) * total)
 
 
 def test_expression_by_S_shares_one_jet_per_factor(monkeypatch):
-    # one log-gamma jet at degree r and one S jet per nonempty colour class
-    # C (7 at r = 3), where a jet per degree |B| + 2 took 4 and 16
+    # one log-gamma jet at degree r and one S jet per nonempty subset C
+    # (7 at r = 3), where a jet per degree took 4 and 16
     import mtzeta.asymptotics as asymptotics
 
     calls = {"loggamma_jet": [], "s_series": []}
@@ -504,6 +542,53 @@ def test_expression_by_S_shares_one_jet_per_factor(monkeypatch):
     assert sorted(len(args[1]) for args in calls["s_series"]) == [1, 1, 1, 2, 2, 2, 3]
     # coefficient n of every jet operation reads coefficients <= n only
     assert v == _expression_by_S_per_degree(x, w, CTX)
+
+
+def _expression_by_S_tricolorings(x, w, ctx):
+    """I_r as the paper states the series route: (-1)^r e^{-gamma x} /
+    Gamma(x) times the sum over ordered tricolorings A|B|C of the index
+    set of (prod_{i in A} log omega_i) (d/dx)^{|B|} D_C."""
+    from itertools import product
+
+    from mtzeta.jets import Jet
+    from mtzeta.kernel import loggamma_jet
+    from mtzeta.series import s_series
+
+    r = w.r
+    with ctx.workprec():
+        g = euler_gamma(ctx)
+        la = mp.log(w.a)
+        logw = [mp.log(o) for o in w.omega]
+        gamma_jet = (loggamma_jet(x, r, ctx) + Jet.variable(x, r) * (g - la)).exp()
+        products = {(): gamma_jet}
+        total = mpf(0)
+        for colors in product((0, 1, 2), repeat=r):
+            C = tuple(i for i in range(r) if colors[i] == 2)
+            if C not in products:
+                products[C] = gamma_jet * s_series(
+                    Jet.variable(x, r - len(C)), tuple(-w.omega[i] / w.a for i in C), ctx
+                )
+            term = products[C].derivative_value(colors.count(1))
+            for i in range(r):
+                if colors[i] == 0:
+                    term *= logw[i]
+            total += term
+        return +(mpf(-1) ** r * mp.exp(-g * x) / mp.gamma(x) * total)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_expression_by_S_matches_the_tricoloring_sum(bits):
+    # the subset sum groups the tricolorings by C, and Lambda_j(omega_K)
+    # sums their log products over A, so only the rounding differs
+    ctx = PrecisionContext(precision_bits=bits)
+    omega = ("0.1", "0.2", "0.15", "0.05")
+    for r in range(1, 5):
+        w = _wc(omega[:r], 1)
+        x = to_mpf("0.3")
+        got = expression_by_S(x, w, ctx)
+        want = _expression_by_S_tricolorings(x, w, ctx)
+        with ctx.workprec():
+            assert abs(got - want) <= mpf(2) ** -(bits + 8) * abs(want), r
 
 
 def test_expression_by_S_domain():

@@ -328,13 +328,13 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
     # and there only in a few nodes, which the sum absorbs
     nodes = []
 
-    def recorded(f, ctx, tol=None, log_bound=None):
+    def recorded(f, ctx, log_bound=None):
         def g(u):
             value = f(u)
             nodes.append((u, value))
             return value
 
-        return de_quad_0inf(g, ctx, tol, log_bound)
+        return de_quad_0inf(g, ctx, log_bound)
 
     monkeypatch.setattr(series, "de_quad_0inf", recorded)
     w = _wc(("0.7", "1.3"), "0.25")
@@ -397,8 +397,8 @@ def test_integral_above_target_tol_still_returns():
         assert abs(value - ref) <= 1e-29 * ref
 
 
-def _without_log_bound(f, ctx, tol=None, log_bound=None):
-    return de_quad_0inf(f, ctx, tol)
+def _without_log_bound(f, ctx, log_bound=None):
+    return de_quad_0inf(f, ctx)
 
 
 _FAR_SKIP_CASES = [(("1", "2"), "0.3"), (("1.5",), "0.2"), (("1", "1", "1"), "0"), (("0.003", "0.5", "2.4"), "0")]
@@ -441,7 +441,7 @@ class _Captured(Exception):
 def _log_bound_of(fn, x, w, ctx):
     """The log_bound that fn hands de_quad_0inf, without integrating."""
 
-    def capture(f, ctx, tol=None, log_bound=None):
+    def capture(f, ctx, log_bound=None):
         raise _Captured(log_bound)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -460,13 +460,13 @@ def test_log_bound_dominates_the_integrand(kind, fn):
     # u, omega u and the bound, a thousandth of the quadrature's slack
     far, log2 = [], math.log(2)
 
-    def recorded(f, ctx, tol=None, log_bound=None):
+    def recorded(f, ctx, log_bound=None):
         def g(u):
             if u > log2:
                 far.append(float(u))
             return f(u)
 
-        return de_quad_0inf(g, ctx, tol, log_bound)
+        return de_quad_0inf(g, ctx, log_bound)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series, "de_quad_0inf", recorded)
@@ -508,12 +508,12 @@ def test_far_term_skip_counts_and_edges(monkeypatch):
 
         return quad_01(g, ctx, tol)
 
-    def counted(f, ctx, tol=None, log_bound=None):
+    def counted(f, ctx, log_bound=None):
         def g(u):
             counts["integrand"] += 1
             return f(u)
 
-        return de_quad_0inf(g, ctx, tol, log_bound if bounded else None)
+        return de_quad_0inf(g, ctx, log_bound if bounded else None)
 
     monkeypatch.setattr(quadrature, "de_quad_01", counted_01)
     monkeypatch.setattr(series, "de_quad_0inf", counted)
