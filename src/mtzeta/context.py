@@ -18,8 +18,8 @@ from .errors import DomainError
 # summations; results are still only trusted to precision_bits.
 GUARD_BITS = 32
 
-# Rank cap: c-coefficient families are 3^r-sized and zeta_ez_ones loses
-# digits to Newton's identity as r grows; beyond it evaluators refuse.
+# Rank cap: c-coefficient families and 2^r-subset sums grow with r, and the
+# zeta_ez_ones tail loses digits to Newton's identity; beyond it, refuse.
 MAX_RANK = 8
 
 # Caps on series terms (nested sums, the auxiliary series' degree, the

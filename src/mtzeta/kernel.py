@@ -65,18 +65,12 @@ def bell_complete(n: int, xs) -> object:
 # constants
 # ---------------------------------------------------------------------------
 
-_ZETA_CACHE: dict[tuple[int, int], mpf] = {}
-
-
 def zeta_value(k: int, ctx: PrecisionContext) -> mpf:
-    """zeta(k) for integer k >= 2 at working precision."""
+    """zeta(k) for integer k >= 2 at working precision (mpmath caches it)."""
     if not isinstance(k, int) or k < 2:
         raise DomainError("zeta_value requires integer k >= 2")
-    key = (k, ctx.precision_bits)
-    if key not in _ZETA_CACHE:
-        with ctx.workprec():
-            _ZETA_CACHE[key] = +mp.zeta(k)
-    return _ZETA_CACHE[key]
+    with ctx.workprec():
+        return +mp.zeta(k)
 
 
 def euler_gamma(ctx: PrecisionContext) -> mpf:

@@ -85,9 +85,6 @@ _unit_factors = (None, {})
 # log u at the working precision + 10 bits, as in mpmath's power, per
 # precision_bits and u._mpf_, shared by every configuration
 _log_u = {}
-# (kind, omega, a) of the latest configuration and, per float far u of
-# de_quad_0inf, (ln u, -au + sum_i ln bound f_i(omega_i u)) of its log_bound
-_bound_parts = (None, {})
 
 
 def _m_factor(y):
@@ -133,10 +130,9 @@ def _mellin_over_gamma(kind, x, w, ctx):
     tuples, rounded as the mpf operators round.  de_quad_0inf gets a
     float log_bound(u) >= ln(F(u) u^{x-1}): (x-1) ln u - au plus
     ln Gamma(0,y) < ln ln(1+1/y) - y (DLMF 6.8.2) or -log(1-e^{-y}) <=
-    1/(e^y - 1) per weight y = omega_i u, all but (x-1) ln u kept per
-    configuration and far u.  Raises QuadratureError where |int| <
-    ctx.target_tol: the absolute stop then certifies no digit."""
-    global _node_factors, _unit_factors, _bound_parts
+    1/(e^y - 1) per weight y = omega_i u.  Raises QuadratureError where
+    |int| < ctx.target_tol: the absolute stop then certifies no digit."""
+    global _node_factors, _unit_factors
     x = positive_x(x)
     key = (kind, w.omega, w.a)
     unit_key = (kind, w.omega[:1], w.a) if not w.a and w.omega == w.omega[:1] * w.r else None
@@ -146,10 +142,9 @@ def _mellin_over_gamma(kind, x, w, ctx):
         _node_factors = _unit_factors
     elif _node_factors[0] != key:
         _node_factors = (key, {})
-    _bound_parts = _bound_parts if _bound_parts[0] == key else (key, {})
     table = _node_factors[1].setdefault(ctx.precision_bits, {})
     unit = _unit_factors[1].setdefault(ctx.precision_bits, {}) if unit_key and key != unit_key else None
-    logs, parts = _log_u.setdefault(ctx.precision_bits, {}), _bound_parts[1]
+    logs = _log_u.setdefault(ctx.precision_bits, {})
     # one factor per distinct weight, multiplied into F in weight order
     distinct = tuple(dict.fromkeys(w.omega))
     slots = [distinct.index(om) for om in w.omega]
@@ -191,10 +186,7 @@ def _mellin_over_gamma(kind, x, w, ctx):
         bound_i = log_gamma0_bound if kind == "I" else lambda y: -y - math.log(-math.expm1(-y))
 
         def log_bound(u):
-            part = parts.get(u)
-            if part is None:
-                part = parts[u] = (math.log(u), sum(bound_i(om * u) for om in ys) - shift * u)
-            return lead * part[0] + part[1]
+            return lead * math.log(u) + (sum(bound_i(om * u) for om in ys) - shift * u)
 
         finite = all(0 < y < math.inf for y in ys)
         raw = de_quad_0inf(integrand, ctx, log_bound=log_bound if finite else None)
@@ -373,47 +365,40 @@ def _fsum(terms):
     return acc
 
 
-def _pointwise(a, b, j):
-    return mpf_mul(a[j], b[j], mp.prec, round_nearest)
-
-
 def _leibniz(a, b, j):
     """(ab)^(j) from the derivative arrays of a and b by Leibniz's rule,
-    C(j,l) a_l rounded first as int * mpf rounds."""
+    C(j,l) a_l rounded first as int * mpf rounds, summed in the order of l."""
     prec, rnd = mp.prec, round_nearest
-    terms = (mpf_mul(a[l] if l in (0, j) else mpf_mul_int(a[l], math.comb(j, l), prec, rnd), b[j - l], prec, rnd)
-             for l in range(j + 1))
-    return _fsum(terms)
-
-
-def _newton(e, q, z, r, product):
-    """Extend e = [e_0, e_1, ...] to e_{r-1} and return it by Newton's identity
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i on arrays of raw mpf tuples,
-    of values at points (product=_pointwise, entry j of ab) or derivatives
-    at a point (_leibniz).  (-1)^(i-1) p_i is the constant z[i-1] (None for
-    none; z[0] is None) plus the array q[i-1].  z_i e_{k-i} is added before
-    e_{k-i} q_i, in the order of i, and e_0 = 1 enters exactly."""
-    prec, rnd = mp.prec, round_nearest
-    for k in range(len(e), r):
-        parts = []
-        for i in range(1, k + 1):
-            if z[i - 1] is not None:
-                parts.append([mpf_mul(z[i - 1], v, prec, rnd) for v in e[k - i]])
-            parts.append(q[i - 1] if i == k else [product(e[k - i], q[i - 1], j) for j in range(len(e[0]))])
-        k_raw = from_int(k)
-        e.append([mpf_div(_fsum(col), k_raw, prec, rnd) for col in zip(*parts)] if k > 1 else parts[0])
-    return e[r - 1]
+    total = mpf_mul(a[0], b[j], prec, rnd)
+    for l in range(1, j + 1):
+        a_l = a[l] if l == j else mpf_mul_int(a[l], math.comb(j, l), prec, rnd)
+        total = mpf_add(total, mpf_mul(a_l, b[j - l], prec, rnd), prec, rnd)
+    return total
 
 
 def _chain_derivs(r, P, count, gamma, z):
-    """Derivatives 0..count of the inner-chain weight g_{r-1} = e_{r-1} at t
-    from P = psi_derivs at t, over the power sums p_1 = psi + gamma and
-    p_i = zeta(i) - (-1)^i psi^(i-1)/(i-1)!, the H^(i)_{t-1} of integer t."""
+    """Derivatives 0..count of the inner-chain weight g_{r-1} = e_{r-1} at
+    real t from P = psi_derivs at t, by Newton's identity
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i over the power sums
+    p_1 = psi + gamma and p_i = zeta(i) - (-1)^i psi^(i-1)/(i-1)!, the
+    H^(i)_{t-1} of integer t, on derivative arrays of raw mpf tuples
+    multiplied by _leibniz.  (-1)^(i-1) p_i is the constant z[i-2]
+    (i >= 2) plus the array q[i-1]; z_i e_{k-i} is added before
+    e_{k-i} q_i, in the order of i, and e_0 = 1 enters exactly."""
     prec, rnd = mp.prec, round_nearest
     q = [[mpf_add(P[0], gamma, prec, rnd)] + P[1 : count + 1]] if r > 1 else []
     for i in range(2, r):
         q.append([mpf_div(v, from_int(math.factorial(i - 1)), prec, rnd) for v in P[i - 1 : i + count]])
-    return _newton([[fone] + [fzero] * count], q, z, r, _leibniz if count else _pointwise)  # agree at count 0
+    e = [[fone] + [fzero] * count]
+    for k in range(1, r):
+        parts = []
+        for i in range(1, k + 1):
+            if i > 1:
+                parts.append([mpf_mul(z[i - 2], v, prec, rnd) for v in e[k - i]])
+            parts.append(q[i - 1] if i == k else [_leibniz(e[k - i], q[i - 1], j) for j in range(count + 1)])
+        k_raw = from_int(k)
+        e.append([mpf_div(_fsum(col), k_raw, prec, rnd) for col in zip(*parts)] if k > 1 else parts[0])
+    return e[r - 1]
 
 
 def zeta_ez_ones(r, x, ctx):
@@ -422,12 +407,13 @@ def zeta_ez_ones(r, x, ctx):
         sum_{m_1<...<m_r} 1/(m_1 ... m_{r-1} m_r^{1+x}),
 
     folded to a single sum over m_r whose inner chains sum to g_{r-1}, the
-    elementary symmetric function of 1/m over m < m_r: a direct part to N,
-    and an Euler-Maclaurin tail whose derivatives are exact polygamma
-    combinations.  The number of Bernoulli terms follows the precision, so
-    N = 1200 closes from 64 to 1024 bits at depths 1..MAX_RANK; N doubles
-    only when an attempt does not close.  A call at the x and precision of
-    the previous one reuses its powers n^(-1-x) and tail polygammas."""
+    elementary symmetric function of 1/m over m < m_r: a direct part to N
+    by e_k(n+1) = e_k(n) + e_(k-1)(n)/n, and an Euler-Maclaurin tail whose
+    derivatives are exact polygamma sums by Newton's identity.  The
+    number of Bernoulli terms follows the precision, so N = 1200 closes
+    from 64 to 1024 bits at depths 1..MAX_RANK; N doubles only when an
+    attempt does not close.  A call at the x and precision of the previous
+    one reuses its powers n^(-1-x) and tail polygammas."""
     x = positive_x(x)
     r = int(r)
     if not 1 <= r <= MAX_RANK:
@@ -467,12 +453,12 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     """zeta_ez_ones with cutoff N, or None when the Euler-Maclaurin
     Bernoulli terms turn, or do not fall below thresh max(1, |direct part|)
     within the K of them that a bound from the precision, N and s allows.
-    They are summed right after the direct part, so an attempt that does
-    not close never pays for the tail integral; that integral runs through
-    mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
+    They are summed right after the O(r)-per-n direct part, so an attempt
+    that does not close never pays for the tail integral; that integral
+    runs through mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
     global _x_memo
     gamma = euler_gamma(ctx)._mpf_
-    z = [None] + [(mpf_pos if i % 2 else mpf_neg)(zeta_value(i, ctx)._mpf_) for i in range(2, r)]
+    z = [(mpf_pos if i % 2 else mpf_neg)(zeta_value(i, ctx)._mpf_) for i in range(2, r)]
     prec, rnd = mp.prec, round_nearest
     key = (prec, N, x._mpf_)
     if _x_memo[0] != key:
@@ -487,20 +473,14 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
         for n in range(2, N):
             p = spf[n]
             inv_pow.append((mpf(n) ** neg_s)._mpf_ if p == n else mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd))
-    # direct part over m_r = n < N, g_{r-1}(n) from the signed power sums
-    # (-1)^(i-1) H^(i)_(n-1), in blocks of n that keep the arrays small
-    total, h, none = fzero, [fzero] * r, [None] * r
-    for lo in range(1, N, 64):
-        block = range(lo, min(lo + 64, N))
-        q = []
-        for i in range(1, r):
-            add, column = mpf_add if i % 2 else mpf_sub, []
-            for n in block:
-                column.append(h[i])
-                h[i] = add(h[i], mpf_div(fone, from_int(n ** i), prec, rnd), prec, rnd)
-            q.append(column)
-        g = _newton([[fone] * len(block)], q, none, r, _pointwise)
-        total = _fsum([total] + [mpf_mul(v, inv_pow[n], prec, rnd) for v, n in zip(g, block)])
+    # direct part over m_r = n < N: g[k] = e_k(1, 1/2, ..., 1/(n-1)), moved
+    # to n + 1 by e_k += e_(k-1)/n from k = r - 1 down, every term positive
+    total, g = fzero, [fone] + [fzero] * (r - 1)
+    for n in range(1, N):
+        total = mpf_add(total, mpf_mul(g[r - 1], inv_pow[n], prec, rnd), prec, rnd)
+        n_raw = from_int(n)
+        for k in range(r - 1, 0, -1):
+            g[k] = mpf_add(g[k], mpf_div(g[k - 1], n_raw, prec, rnd), prec, rnd)
     total = mp.make_mpf(total)
 
     # tail from n = N on: int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 import mtzeta
-from mtzeta import asymptotics, suites
+from mtzeta import asymptotics, series, suites
 from mtzeta import (
     PolylogArgs,
     WeightConfig,
@@ -753,6 +753,38 @@ def test_truncated_series_point_exits_3_before_any_quadrature(extra, message, mo
     code, _, err = _run(capsys, ["verify", "asymptotic-order", "--method", "truncated-series",
                                  "--omega", "1,2", "--a", "0.3"] + extra)
     assert code == 3 and message in err
+
+
+def test_budget_walk_exits_3_exactly_past_the_term_budget(monkeypatch, capsys):
+    # every entry point that sums c_{r,m} refuses exactly the orders whose
+    # terms exceed the budget, and otherwise reaches the coefficients or
+    # the quadrature: eval and table sum one c_{r,m}, expand and the
+    # truncated-series ladder every c_{r,k} with k <= m
+    def unreachable(*args, **kwargs):
+        raise _Quadrature
+
+    monkeypatch.setattr(asymptotics, "_c_coeffs", unreachable)
+    monkeypatch.setattr(series, "de_quad_0inf", unreachable)
+    mismatches = []
+    for r in range(1, 9):
+        weights = ["--r", str(r), "--omega", ",".join(str(i) for i in range(1, r + 1)), "--a", "1"]
+        for m in range(1, 41):
+            one = asymptotics._family_terms(r, m)
+            upto = sum(asymptotics._family_terms(r, k) for k in range(1, m + 1))
+            for argv, terms in (
+                (["eval", "c", "--m", str(m)] + weights, one),
+                (["table", "c", "--m-grid", str(m)] + weights, one),
+                (["expand", "--order", str(m)] + weights, upto),
+                (["verify", "asymptotic-order", "--method", "truncated-series",
+                  "--x-ladder", "0.1,0.05,0.025", "--order", str(m)] + weights, upto),
+            ):
+                try:
+                    code = _run(capsys, argv)[0]
+                except _Quadrature:
+                    code = None
+                if (code == 3) != (terms > asymptotics._MAX_FAMILY_TERMS) or code not in (3, None):
+                    mismatches.append((argv, code))
+    assert mismatches == []
 
 
 def _python_m(*argv, module="mtzeta"):

@@ -47,7 +47,6 @@ SHARED_SPECIAL = {"remainder-order/integral-main-term": {"gamma"}}
 
 # value caches that would let one route skip work the other did
 CACHES = (
-    (kernel, "_ZETA_CACHE", dict),
     (polylog, "_CACHE", dict),
     (series, "_node_factors", lambda: (None, {})),
     (series, "_unit_factors", lambda: (None, {})),

@@ -1157,21 +1157,16 @@ def test_zeta_ez_depth1_is_zeta():
         assert abs(v - mp.zeta(mpf("1.5"))) <= mpf(2) ** -(BITS - 24)
 
 
-def test_zeta_ez_classical_values():
-    v2 = zeta_ez_ones(2, 1, CTX)
-    v3 = zeta_ez_ones(3, 1, CTX)
-    with CTX.workprec():
-        # sum H_{n-1}/n^2 = zeta(3); depth-3 all-ones with final weight 2
-        # collapses to pi^4/90
-        assert abs(v2 - mp.zeta(3)) <= mpf(2) ** -(BITS - 24)
-        assert abs(v3 - mp.pi ** 4 / 90) <= mpf(2) ** -(BITS - 24)
-    # the duality zeta({1}^(r-1), 2) = zeta(r+1) at every depth to the cap
-    for bits in (128, 256):
-        ctx = PrecisionContext(precision_bits=bits)
-        for r in range(4, 9):
-            v = zeta_ez_ones(r, 1, ctx)
-            with ctx.workprec():
-                assert abs(v - mp.zeta(r + 1)) <= mpf(2) ** -(bits - 24), (bits, r)
+@pytest.mark.parametrize("bits", (64, 128, 256, 512))
+@pytest.mark.parametrize("r", range(2, 9))
+def test_zeta_ez_classical_values(r, bits):
+    # the duality zeta({1}^(r-1), 2) = zeta(r+1) at every depth to the cap:
+    # sum H_{n-1}/n^2 = zeta(3), and depth 3 collapses to pi^4/90
+    ctx = PrecisionContext(precision_bits=bits)
+    v = zeta_ez_ones(r, 1, ctx)
+    with ctx.workprec():
+        exact = mp.zeta(r + 1)
+        assert abs(v - exact) <= mpf(2) ** -bits * exact
 
 
 def test_zeta_ez_classical_values_at_1024_bits(monkeypatch):
