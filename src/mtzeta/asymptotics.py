@@ -113,9 +113,7 @@ def _c_coeffs(r, lo, M, w, ctx):
             rt_fact = math.factorial(r - t)
             for s in range(1, t + 1):
                 for comp in compositions(t, s):
-                    kfact = 1
-                    for ki in comp:
-                        kfact *= math.factorial(ki)
+                    kfact = math.prod(map(math.factorial, comp))
                     # the telescoping ratios of each family, shared by every m and l;
                     # each block summed in sorted index order at this precision
                     fam_zs = []
@@ -130,9 +128,7 @@ def _c_coeffs(r, lo, M, w, ctx):
                     for m in range(max(t, lo), M + 1):
                         sign = mpf(-1) ** (m - t)
                         for wc in weak_compositions(m - t, s):
-                            binom = 1
-                            for ki, li in zip(comp, wc):
-                                binom *= math.comb(ki + li - 1, li)
+                            binom = math.prod(math.comb(ki + li - 1, li) for ki, li in zip(comp, wc))
                             index = tuple(ki + li for ki, li in zip(comp, wc))
                             terms.append(((m, sign * rt_fact * kfact * binom),
                                           [PolylogArgs(index, zs) for zs in fam_zs]))

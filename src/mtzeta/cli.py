@@ -118,27 +118,23 @@ def _values(ns, label, flags, registered):
     return values
 
 
-def _mpfs(texts):
-    return tuple(to_mpf(t) for t in texts)
-
-
 def _finite_mpfs(texts):
-    values = _mpfs(texts)
+    values = tuple(to_mpf(t) for t in texts)
     if not all(mp.isfinite(v) for v in values):
         raise DomainError("arguments must be finite")
     return values
 
 
 def _weights(v):
-    return WeightConfig(_mpfs(v["omega"]), to_mpf(v["a"]))
+    return WeightConfig(tuple(v["omega"]), v["a"])
 
 
 def _polylog_args(v):
-    return PolylogArgs(tuple(int(k) for k in v["index"]), _mpfs(v["z"]))
+    return PolylogArgs(tuple(int(k) for k in v["index"]), tuple(v["z"]))
 
 
 def _eval_li(v, ctx):
-    index, zs = tuple(int(k) for k in v["index"]), _mpfs(v["z"])
+    index, zs = tuple(int(k) for k in v["index"]), tuple(v["z"])
     if len(zs) == 1 and len(index) > 1:
         return mpl_one_var(index, zs[0], ctx), "one-variable nested series"
     return mpl(PolylogArgs(index, zs), ctx), "multi-variable nested series"
@@ -149,23 +145,23 @@ def _eval_li(v, ctx):
 # returns them.  Evaluators look library functions up when they run.
 EVAL_OBJECTS = {
     "M": (("omega", "a", "x"), lambda v, ctx: (
-        m_integral(to_mpf(v["x"]), _weights(v), ctx),
+        m_integral(v["x"], _weights(v), ctx),
         "double-exponential quadrature of the log-product integral")),
     "I": (("omega", "a", "x"), lambda v, ctx: (
-        i_integral(to_mpf(v["x"]), _weights(v), ctx),
+        i_integral(v["x"], _weights(v), ctx),
         "double-exponential quadrature of the incomplete-gamma product")),
     "S": (("omega", "x"), lambda v, ctx: (
-        s_series(to_mpf(v["x"]), _mpfs(v["omega"]), ctx),
+        s_series(v["x"], v["omega"], ctx),
         "rising-factorial series with convolved coefficients")),
     "T": (("r", "l", "omega"), lambda v, ctx: (
-        t_coeff(int(v["r"]), int(v["l"]), _mpfs(v["omega"]), ctx),
+        t_coeff(int(v["r"]), int(v["l"]), v["omega"], ctx),
         "jet coefficient of the rising-factorial series")),
     "Li": (("index", "z"), _eval_li),
     "Li0": (("index", "z", "x"), lambda v, ctx: (
-        hurwitz_li0(to_mpf(v["x"]), _polylog_args(v), ctx),
+        hurwitz_li0(v["x"], _polylog_args(v), ctx),
         "shifted nested series from n=0")),
     "Li1": (("index", "z", "x"), lambda v, ctx: (
-        hurwitz_li1(to_mpf(v["x"]), _polylog_args(v), ctx),
+        hurwitz_li1(v["x"], _polylog_args(v), ctx),
         "shifted nested series from n=1")),
     "c": (("r", "m", "omega", "a"), lambda v, ctx: (
         c_coeff(int(v["r"]), int(v["m"]), _weights(v), ctx),
@@ -174,7 +170,7 @@ EVAL_OBJECTS = {
         c_prime_coeff(int(v["r"]), int(v["m"]), _weights(v), ctx),
         "symmetric-function and Bell-polynomial closed form")),
     "Lambda": (("omega", "k"), lambda v, ctx: (
-        lambda_k(_mpfs(v["omega"]), int(v["k"]), ctx),
+        lambda_k(v["omega"], int(v["k"]), ctx),
         "elementary symmetric polynomial in log weights")),
     "Bell": (("n", "args"), lambda v, ctx: (
         bell_complete(int(v["n"]), list(_finite_mpfs(v["args"]))),

@@ -10,11 +10,11 @@ remainder K_0 holding the elements in no block.  Everything is exact
 integer work; only lambda_k touches floating point.
 
 Streams are generators, never materialized lists: the triple sum that
-consumes them grows combinatorially and callers cap work via their
-precision context.
+consumes them grows combinatorially, and asymptotics.check_order caps it
+by counting its terms before the first composition.
 """
 
-from itertools import combinations
+from itertools import combinations, pairwise
 
 from mpmath import mp, mpf
 
@@ -30,40 +30,27 @@ __all__ = [
 
 
 def compositions(t, s):
-    """Yield the C(t-1, s-1) compositions of t into s positive parts.
-
-    Lexicographic order on the part tuples.
-    """
+    """Yield the C(t-1, s-1) compositions of t into s positive parts, by
+    stars and bars: the parts between s-1 cuts in the t-1 gaps of t stars.
+    The cuts are partial sums, so the order is lexicographic on the parts."""
     t, s = int(t), int(s)
     if t < 1 or s < 1:
         raise DomainError("compositions need positive t and s")
     if s > t:
         raise DomainError("cannot split %d into %d positive parts" % (t, s))
-
-    def rec(remaining, slots, prefix):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for first in range(1, remaining - slots + 2):
-            yield from rec(remaining - first, slots - 1, prefix + (first,))
-
-    yield from rec(t, s, ())
+    for cuts in combinations(range(1, t), s - 1):
+        yield tuple(e - b for b, e in pairwise((0, *cuts, t)))
 
 
 def weak_compositions(l, s):
-    """Yield the C(l+s-1, s-1) weak compositions of l into s parts."""
+    """Yield the C(l+s-1, s-1) weak compositions of l into s parts, by
+    stars and bars: the runs of stars between s-1 bars in l+s-1 slots.
+    Bar i sits at a partial sum plus i, so the order is lexicographic."""
     l, s = int(l), int(s)
     if l < 0 or s < 1:
         raise DomainError("weak compositions need l >= 0 and s >= 1")
-
-    def rec(remaining, slots, prefix):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for first in range(remaining + 1):
-            yield from rec(remaining - first, slots - 1, prefix + (first,))
-
-    yield from rec(l, s, ())
+    for bars in combinations(range(l + s - 1), s - 1):
+        yield tuple(e - b - 1 for b, e in pairwise((-1, *bars, l + s - 1)))
 
 
 def disjoint_subset_families(r, k):

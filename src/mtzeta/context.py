@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import DomainError
 
@@ -32,13 +32,18 @@ QUAD_LEVELS = 10
 def to_mpf(value) -> mpf:
     """Convert a number (int, float, str, mpf) to mpf without precision loss.
 
-    Strings are parsed at no less than 1024 bits (more if the ambient
-    precision or the digit count demands it), so a decimal like "0.3"
-    denotes the same number regardless of where conversion happens; for
-    contexts beyond 1024 bits, convert inside the context's workprec.
+    Ints and floats convert exactly at any ambient precision.  Strings are
+    parsed at no less than 1024 bits (more if the ambient precision or the
+    digit count demands it), so a decimal like "0.3" denotes the same
+    number regardless of where conversion happens; for contexts beyond
+    1024 bits, convert inside the context's workprec.
     """
     if isinstance(value, mpf):
         return value
+    if isinstance(value, int):
+        return mp.make_mpf(libmp.from_int(value))
+    if isinstance(value, float):
+        return mp.make_mpf(libmp.from_float(value))
     if isinstance(value, str):
         with mp.workprec(max(mp.prec, 1024, 16 + 4 * len(value))):
             return mpf(value)

@@ -14,19 +14,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .context import to_mpf
 from .errors import DomainError
 
 JSON_SCHEMA = "mtz-report/1"
 RESIDUAL_DIGITS = 20
-
-
-def _as_mpf(x):
-    # conversion at ambient precision would silently round a
-    # high-precision value; only non-mpf inputs may be converted
-    if isinstance(x, mpf):
-        return x
-    with mp.workprec(1024):
-        return mpf(x)
 
 
 def exact_decimal(x):
@@ -34,7 +26,7 @@ def exact_decimal(x):
     notation and never a rounded value."""
     if isinstance(x, int):
         return str(x)
-    x = _as_mpf(x)
+    x = to_mpf(x)
     if not mp.isfinite(x):
         raise DomainError("cannot render a non-finite value exactly")
     if x == 0:
@@ -60,11 +52,11 @@ def value_str(x, bits):
     """Decimal string with enough digits to reparse to the same binary
     value at the given precision."""
     digits = int(bits * 30103 / 100000) + 3
-    return mp.nstr(_as_mpf(x), digits)
+    return mp.nstr(to_mpf(x), digits)
 
 
 def residual_str(x):
-    return mp.nstr(_as_mpf(x), RESIDUAL_DIGITS)
+    return mp.nstr(to_mpf(x), RESIDUAL_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,9 @@ class IdentityReport:
 
     @classmethod
     def from_sides(cls, identity_id, params, lhs, rhs, tolerance, method, t0):
-        lhs = _as_mpf(lhs)
-        rhs = _as_mpf(rhs)
-        tolerance = _as_mpf(tolerance)
+        lhs = to_mpf(lhs)
+        rhs = to_mpf(rhs)
+        tolerance = to_mpf(tolerance)
         # the subtraction must not run at a lower ambient precision
         # than the operands carry
         bc = max(lhs._mpf_[3], rhs._mpf_[3], mp.prec) + 8

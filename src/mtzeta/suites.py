@@ -70,15 +70,7 @@ MZF_X_GRID = ("0.5", "1")
 
 
 def _s(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    return exact_decimal(v)
-
-
-def _weights(omega, a):
-    return WeightConfig(tuple(to_mpf(o) for o in omega), to_mpf(a))
+    return v if isinstance(v, str) else exact_decimal(v)
 
 
 def refuse_unread(label, reads, given, spell=str):
@@ -172,7 +164,7 @@ def relation_point(*row):
     against c'_{r,r}, its Bell-polynomial closed form, where the row is
     (omega_1, .., omega_r, a) and r is the number of weights."""
     *omega, a, ctx = row
-    w = _weights(omega, a)
+    w = WeightConfig(tuple(omega), a)
     r = w.r
     return (
         lambda: c_coeff(r, r, w, ctx),
@@ -312,7 +304,7 @@ def _lagrange_at_zero(xs, ys):
 
 def order_point(method, omega, a, x_ladder, order, ctx):
     xs = _ladder_values(x_ladder)
-    w = _weights(omega, a)
+    w = WeightConfig(tuple(omega), a)
     params = {
         "omega": [_s(o) for o in omega],
         "a": _s(a),

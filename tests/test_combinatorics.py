@@ -72,6 +72,7 @@ def test_weak_compositions_counts():
             items = list(weak_compositions(l, s))
             assert len(items) == math.comb(l + s - 1, s - 1)
             assert len(set(items)) == len(items)
+            assert items == sorted(items)
             for parts in items:
                 assert len(parts) == s and sum(parts) == l
                 assert all(p >= 0 for p in parts)

@@ -21,6 +21,7 @@ from mtzeta.reports import (
     value_str,
     write_table_csv,
 )
+from mtzeta.series import WeightConfig
 
 
 def test_exact_decimal_simple_values():
@@ -61,6 +62,15 @@ def test_exact_decimal_random_round_trip():
 def test_exact_decimal_rejects_nonfinite():
     with pytest.raises(DomainError):
         exact_decimal(mp.inf)
+
+
+def test_to_mpf_keeps_ints_and_floats_exact():
+    # neither the 53-bit default nor a lower ambient precision may round
+    assert int(to_mpf(2**100 + 1)) == 2**100 + 1
+    assert int(WeightConfig((2**100 + 1,), 0).omega[0]) == 2**100 + 1
+    with mp.workprec(30):
+        assert to_mpf(0.1) == 0.1
+        assert exact_decimal(0.1) == "0.1000000000000000055511151231257827021181583404541015625"
 
 
 def test_value_str_round_trips_at_given_bits():

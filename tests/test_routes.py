@@ -8,7 +8,8 @@ their own sys.setprofile recorder.  A recorder collects every mtzeta
 function entered, by module and qualified name, and every wrapped
 mpmath special function that mtzeta code calls directly.  The value
 caches start empty for each route, so a cache filled by one route never
-hides what the other reaches.
+hides what the other reaches.  Every function of the evaluator modules
+is then reached by some route, or listed in UNREACHED.
 """
 
 import os
@@ -18,7 +19,7 @@ import pytest
 from mpmath import mp
 
 import mtzeta
-from mtzeta import kernel, polylog, series, suites
+from mtzeta import asymptotics, combinatorics, jets, kernel, polylog, quadrature, series, suites
 from mtzeta.context import PrecisionContext
 
 CTX = PrecisionContext()
@@ -62,6 +63,30 @@ EXTRA_POINTS = (
     (suites.mzf_point, ("0.5", (4,))),
     (suites.relation_point, ("1", "2", "3", "4", "0.5")),
 )
+
+
+# the evaluator modules, each of whose functions some route must reach
+EVALUATORS = (asymptotics, series, polylog, kernel, jets, combinatorics, quadrature)
+# the evaluator functions that no route reaches yet; the list may only shrink
+UNREACHED = {
+    "mtzeta.asymptotics." + name
+    for name in ("expression_by_S", "i1_expansion", "main_term_M")
+} | {
+    "mtzeta.kernel.loggamma_jet",
+    "mtzeta.kernel.stirling_first_unsigned",
+    "mtzeta.polylog.hurwitz_li0",
+    "mtzeta.polylog.hurwitz_li1",
+    "mtzeta.series._degree_profile",
+    "mtzeta.series.s_series",
+    "mtzeta.series.t_coeff",
+} | {
+    "mtzeta.jets.Jet." + name
+    for name in (
+        "__add__", "__mul__", "__neg__", "__pow__", "__repr__", "__rsub__", "__rtruediv__",
+        "__sub__", "__truediv__", "_coerce", "constant", "degree", "derivative_value", "exp",
+        "log", "variable",
+    )
+}
 
 
 def _allowed(name):
@@ -169,3 +194,26 @@ def test_shared_special_functions_are_the_named_exceptions(points):
     for ids, lhs, rhs, _ in points:
         expected = set().union(*(SHARED_SPECIAL.get(i.rsplit("/", 1)[0], set()) for i in ids))
         assert lhs.special & rhs.special == expected, ids
+
+
+def _defined(module):
+    """The names, as the recorder spells them, of the module's functions
+    and its classes' methods and property getters whose code is in its
+    file; nested functions are not included."""
+    names = set()
+    for value in vars(module).values():
+        for member in vars(value).values() if isinstance(value, type) else [value]:
+            member = member.fget if isinstance(member, property) else member
+            member = getattr(member, "__func__", member)  # classmethod, staticmethod
+            code = getattr(member, "__code__", None)
+            if code is not None and code.co_filename == module.__file__:
+                names.add(module.__name__ + "." + code.co_qualname)
+    return names
+
+
+def test_every_evaluator_function_is_reached_or_listed(points):
+    reached = set().union(*(lhs.functions | rhs.functions for _, lhs, rhs, _ in points))
+    defined = {name for module in EVALUATORS for name in _defined(module) if not _allowed(name)}
+    assert sorted(UNREACHED - defined) == []
+    assert sorted(defined - reached - UNREACHED) == []
+    assert sorted(UNREACHED & reached) == []
