@@ -155,9 +155,9 @@ def c_coeff(r, m, w, ctx):
 
 
 def c_prime_coeff(r, m, w, ctx):
-    """Closed form for c_{r,m} when 1 <= m <= r: the x^m coefficient of
-    the main term's polynomial sum_k (-1)^k Lambda_k(omega/(a+|omega|))
-    (r-k)! x^k times the Taylor series of e^{-gamma x}/Gamma(x+1)."""
+    """Closed form for c_{r,m} when 1 <= m <= r: coefficient m of the jet
+    of the main term's polynomial sum_k (-1)^k Lambda_k(omega/(a+|omega|))
+    (r-k)! x^k times inv_gamma_taylor, that of e^{-gamma x}/Gamma(x+1)."""
     r, m = int(r), int(m)
     if r != w.r:
         raise DomainError("rank must match the weight configuration")
@@ -165,9 +165,8 @@ def c_prime_coeff(r, m, w, ctx):
         raise DomainError("the closed form holds only for 1 <= m <= r")
     with ctx.workprec():
         denom = w.a + w.total
-        p = _lambda_poly(tuple(o / denom for o in w.omega), m, ctx)
-        g = inv_gamma_taylor(m, True, ctx).coeffs
-        return +sum((p[j] * g[m - j] for j in range(m + 1)), mpf(0))
+        p = Jet(0, _lambda_poly(tuple(o / denom for o in w.omega), m, ctx))
+        return +(p * inv_gamma_taylor(m, ctx)).coeffs[m]
 
 
 def i_expansion(w, M, ctx):

@@ -244,18 +244,11 @@ def loggamma_jet(x0, degree: int, ctx: PrecisionContext) -> Jet:
         return Jet(x0v, coeffs)
 
 
-def inv_gamma_taylor(degree: int, with_exp_gamma: bool, ctx: PrecisionContext) -> Jet:
-    """Taylor jet at 0 of e^{-gamma x}/Gamma(x+1) (flag set) or 1/Gamma(x+1).
-
-    Coefficient n is B_n(x_1, -1! zeta(2), 2! zeta(3), ...,
-    (-1)^{n-1}(n-1)! zeta(n)) / n!, with x_1 = 0 or gamma by the flag.
-    """
+def inv_gamma_taylor(degree: int, ctx: PrecisionContext) -> Jet:
+    """Taylor jet at 0 of e^{-gamma x}/Gamma(x+1): exp of
+    sum_{k>=2} (-1)^{k+1} zeta(k) x^k/k, which is -gamma x - log Gamma(x+1)."""
     if degree < 0:
         raise DomainError("inv_gamma_taylor requires degree >= 0")
     with ctx.workprec():
-        # argument list x_j: x_1 = 0 or gamma, x_j = (-1)^{j-1} (j-1)! zeta(j)
-        args = [mpf(0) if with_exp_gamma else euler_gamma(ctx)]
-        for j in range(2, degree + 1):
-            args.append(mpf(-1) ** (j - 1) * mp.factorial(j - 1) * zeta_value(j, ctx))
-        coeffs = [bell_complete(n, args[:n]) / mp.factorial(n) for n in range(degree + 1)]
-        return Jet(mpf(0), coeffs)
+        log_series = [(-1) ** (k + 1) * zeta_value(k, ctx) / k if k > 1 else 0 for k in range(degree + 1)]
+        return Jet(0, log_series).exp()

@@ -9,6 +9,7 @@ machinery it is later compared against, which tests/test_routes.py
 checks for every default verify report.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,23 +69,22 @@ class WeightConfig:
 # integral analogue I_r
 # ---------------------------------------------------------------------------
 
-# x-independent integrand factors (F(u), log u) per quadrature node, as
-# raw mpf tuples, for the most recently used (kind, omega, a) only, at
-# every precision used with it: (key, {precision_bits: {u._mpf_: (F(u),
-# log u)}}).  DE nodes depend on the precision alone, so a sweep over x at
-# fixed (omega, a) finds every node after the first x.  F is stored as one
-# product, not as its r + 1 factors, to keep the table small.  Entries are
-# pure functions of their keys, so a stale read cannot change a value.
-_node_factors = (None, {})
-# The same for (kind, (omega,), a = 0), kept while the configurations
-# repeat that one weight at a = 0, as verify mzf's (1,), (1, 1), (1, 1, 1)
-# do at each x.  There e^{-0u} = 1, so its F is the factor f(omega u)
-# rounded to the working precision, and F of (omega, ..., omega) is built
-# from it without a factor call.  Any other configuration drops it.
-_unit_factors = (None, {})
 # log u at the working precision + 10 bits, as in mpmath's power, per
 # precision_bits and u._mpf_, shared by every configuration
 _log_u = {}
+
+
+@functools.lru_cache(maxsize=1)
+def _node_table(kind, omega, a):
+    """{precision_bits: {u._mpf_: (F(u), log u)}}, the x-independent
+    integrand factors per quadrature node as raw mpf tuples, for the
+    latest (kind, omega, a) only.  DE nodes depend on the precision
+    alone, so a sweep over x at fixed (omega, a) finds every node after
+    the first x.  F is stored as one product, not as its r + 1 factors;
+    _mellin_over_gamma keys (omega, ..., omega) at a = 0 as (omega,),
+    whose F is the factor itself.  Entries are pure functions of their
+    keys, so a stale read cannot change a value."""
+    return {}
 
 
 def _m_factor(y):
@@ -120,9 +120,10 @@ def _m_factor(y):
 def _mellin_over_gamma(kind, x, w, ctx):
     """(1/Gamma(x)) int_0^inf F(u) u^{x-1} du, F(u) = e^{-au} prod_i f_i(u)
     with f_i(u) = Gamma(0, omega_i u) for kind "I" and
-    -log(1 - e^{-omega_i u}) for kind "M".  F comes from the node table,
-    computed and stored on a miss, one f_i per distinct weight, which for
-    (omega, ..., omega) at a = 0 is read from the table of (omega,).  u^{x-1}
+    -log(1 - e^{-omega_i u}) for kind "M".  F comes from _node_table,
+    computed and stored on a miss, one f_i per distinct weight; for
+    (omega, ..., omega) at a = 0 the table is that of (omega,), and F is
+    its entry multiplied by itself r - 1 times.  u^{x-1}
     is exp((x-1) log u) with an exact product, as mpmath's u ** (x-1)
     computes it, log u from _log_u, unless x - 1 is an integer or
     half-integer (exponent field >= -1), where mpmath's power takes
@@ -132,22 +133,14 @@ def _mellin_over_gamma(kind, x, w, ctx):
     ln Gamma(0,y) < ln ln(1+1/y) - y (DLMF 6.8.2) or -log(1-e^{-y}) <=
     1/(e^y - 1) per weight y = omega_i u.  Raises QuadratureError where
     |int| < ctx.target_tol: the absolute stop then certifies no digit."""
-    global _node_factors, _unit_factors
     x = positive_x(x)
-    key = (kind, w.omega, w.a)
-    unit_key = (kind, w.omega[:1], w.a) if not w.a and w.omega == w.omega[:1] * w.r else None
-    if _unit_factors[0] != unit_key:
-        _unit_factors = (unit_key, {})
-    if key == unit_key:
-        _node_factors = _unit_factors
-    elif _node_factors[0] != key:
-        _node_factors = (key, {})
-    table = _node_factors[1].setdefault(ctx.precision_bits, {})
-    unit = _unit_factors[1].setdefault(ctx.precision_bits, {}) if unit_key and key != unit_key else None
+    omega = w.omega[:1] if not w.a and w.omega == w.omega[:1] * w.r else w.omega
+    repeat = w.r - len(omega)
+    table = _node_table(kind, omega, w.a).setdefault(ctx.precision_bits, {})
     logs = _log_u.setdefault(ctx.precision_bits, {})
     # one factor per distinct weight, multiplied into F in weight order
-    distinct = tuple(dict.fromkeys(w.omega))
-    slots = [distinct.index(om) for om in w.omega]
+    distinct = tuple(dict.fromkeys(omega))
+    slots = [distinct.index(om) for om in omega]
     with ctx.workprec():
         prec, rnd = mp.prec, round_nearest
         xm1 = (x - 1)._mpf_
@@ -162,20 +155,17 @@ def _mellin_over_gamma(kind, x, w, ctx):
                 log_u = logs.get(raw_u)
                 if log_u is None:
                     log_u = logs[raw_u] = mpf_log(raw_u, log_prec, rnd)
-                # one factor per distinct weight
-                f = unit.get(raw_u) if unit is not None else None
-                if f is None:
-                    if kind == "I":
-                        f = [gamma0(om * u, ctx)._mpf_ for om in distinct]
-                    else:
-                        f = [_m_factor(om * u)._mpf_ for om in distinct]
-                    if unit is not None:
-                        f = unit[raw_u] = (mpf_pos(f[0], prec, rnd), log_u)
+                if kind == "I":
+                    f = [gamma0(om * u, ctx)._mpf_ for om in distinct]
+                else:
+                    f = [_m_factor(om * u)._mpf_ for om in distinct]
                 F = mpf_exp(mpf_mul(neg_a, raw_u, prec, rnd), prec, rnd)
                 for i in slots:
                     F = mpf_mul(F, f[i], prec, rnd)
                 factors = table[raw_u] = (F, log_u)
             F, log_u = factors
+            for _ in range(repeat):
+                F = mpf_mul(F, factors[0], prec, rnd)
             if general:
                 power = mpf_exp(mpf_mul(xm1, log_u), prec, rnd)  # exact product
             else:
@@ -441,12 +431,22 @@ def _smallest_prime_factors(N):
     return spf
 
 
-# n^-(1+x) for n < N and the polygamma lists [psi, psi', ...] at the
-# tail's mp.quad nodes, keyed by u._mpf_, for the latest (mp.prec, N, x)
-# only: verify mzf evaluates r = 1, 2, 3 at one x in a row.  Entries are
-# pure functions of their keys; a depth that needs more orders than a
-# node holds recomputes that node's list.
-_x_memo = (None, [], {})
+@functools.lru_cache(maxsize=1)
+def _x_tables(prec, N, raw_x):
+    """n^-(1+x) for n < N, and an empty dict for the polygamma lists
+    [psi, psi', ...] at the tail's mp.quad nodes, keyed by u._mpf_, for
+    the latest (prec, N, x) only: verify mzf evaluates r = 1, 2, 3 at one
+    x in a row.  Entries are pure functions of their keys; a depth that
+    needs more orders than a node holds recomputes that node's list.
+    n^-s is completely multiplicative, so only primes take a power and
+    n = p m with p its smallest prime factor costs one product."""
+    spf, inv_pow, rnd = _smallest_prime_factors(N), [None, fone], round_nearest
+    with mp.workprec(prec):
+        neg_s = -1 - mp.make_mpf(raw_x)
+        for n in range(2, N):
+            p = spf[n]
+            inv_pow.append((mpf(n) ** neg_s)._mpf_ if p == n else mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd))
+    return inv_pow, {}
 
 
 def _zeta_ez_attempt(r, x, N, ctx, thresh):
@@ -456,23 +456,10 @@ def _zeta_ez_attempt(r, x, N, ctx, thresh):
     They are summed right after the O(r)-per-n direct part, so an attempt
     that does not close never pays for the tail integral; that integral
     runs through mp.quad on (0, 1) after the substitution t = N u^(-1/x)."""
-    global _x_memo
     gamma = euler_gamma(ctx)._mpf_
     z = [(mpf_pos if i % 2 else mpf_neg)(zeta_value(i, ctx)._mpf_) for i in range(2, r)]
     prec, rnd = mp.prec, round_nearest
-    key = (prec, N, x._mpf_)
-    if _x_memo[0] != key:
-        _x_memo = (key, [], {})
-    _, inv_pow, psis = _x_memo
-    if not inv_pow:
-        # n^-s is completely multiplicative, so only primes take a power
-        # and n = p m with p its smallest prime factor costs one product
-        neg_s = -1 - x
-        spf = _smallest_prime_factors(N)
-        inv_pow += [None, fone]
-        for n in range(2, N):
-            p = spf[n]
-            inv_pow.append((mpf(n) ** neg_s)._mpf_ if p == n else mpf_mul(inv_pow[p], inv_pow[n // p], prec, rnd))
+    inv_pow, psis = _x_tables(prec, N, x._mpf_)
     # direct part over m_r = n < N: g[k] = e_k(1, 1/2, ..., 1/(n-1)), moved
     # to n + 1 by e_k += e_(k-1)/n from k = r - 1 down, every term positive
     total, g = fzero, [fone] + [fzero] * (r - 1)

@@ -330,6 +330,22 @@ def test_c_prime_matches_the_bell_combination(bits):
                     assert abs(got - want) <= mpf(2) ** -(bits + 8) * max(1, abs(got)), (r, m)
 
 
+def test_c_prime_does_not_reach_the_bell_polynomials(monkeypatch):
+    # c' takes the reciprocal-gamma series as the exp of the zeta series,
+    # so the Bell combination above shares none of that series' code
+    import mtzeta.kernel
+
+    def sentinel(*args):
+        raise AssertionError("c' reached bell_complete")
+
+    monkeypatch.setattr(mtzeta.kernel, "bell_complete", sentinel)
+    rng = random.Random(32)
+    for r in range(1, 7):
+        w = _random_config(rng, r)
+        for m in range(1, r + 1):
+            assert mp.isfinite(c_prime_coeff(r, m, w, CTX)), (r, m)
+
+
 def test_c_domain_and_budget():
     w = _wc((1, 2), "0.3")
     with pytest.raises(DomainError):

@@ -501,47 +501,52 @@ def test_loggamma_jet_vs_finite_differences():
             assert abs(derived - oracle) <= tol_bits(10) * max(1, abs(oracle))
 
 
+def _inv_gamma_bell(degree, ctx):
+    """Taylor coefficients of e^{-gamma x}/Gamma(x+1) at 0 by the Bell
+    recurrence, B_n(0, -1! zeta(2), 2! zeta(3), ..., (-1)^{n-1} (n-1)! zeta(n))/n!,
+    not the exp of the zeta series that inv_gamma_taylor takes."""
+    with ctx.workprec():
+        args = [mpf(0)] + [(-1) ** (j - 1) * mp.factorial(j - 1) * zeta_value(j, ctx) for j in range(2, degree + 1)]
+        return [bell_complete(n, args[:n]) / mp.factorial(n) for n in range(degree + 1)]
+
+
 def test_inv_gamma_taylor_coefficients():
-    g = euler_gamma(CTX)
-    z2 = zeta_value(2, CTX)
-    plain = inv_gamma_taylor(4, False, CTX)
-    damped = inv_gamma_taylor(4, True, CTX)
+    z2, z3, z4 = (zeta_value(k, CTX) for k in (2, 3, 4))
+    damped = inv_gamma_taylor(4, CTX)
+    assert inv_gamma_taylor(0, CTX).coeffs == (1,)
     with CTX.workprec():
-        assert abs(plain.coeffs[0] - 1) <= tol_bits(8)
-        assert abs(damped.coeffs[0] - 1) <= tol_bits(8)
-        assert abs(plain.coeffs[1] - g) <= tol_bits(8)
-        assert abs(plain.coeffs[2] - (g ** 2 - z2) / 2) <= tol_bits(8)
         # exp(-gamma x) damping kills the linear coefficient
-        assert abs(damped.coeffs[1]) <= tol_bits(8)
+        closed = [1, 0, -z2 / 2, z3 / 3, z2 ** 2 / 8 - z4 / 4]
+        for got, want, bell in zip(damped.coeffs, closed, _inv_gamma_bell(4, CTX), strict=True):
+            assert abs(got - want) <= tol_bits(8)
+            assert abs(got - bell) <= tol_bits(8)
 
 
 def test_inv_gamma_taylor_vs_finite_differences():
-    plain = inv_gamma_taylor(3, False, CTX)
+    damped = inv_gamma_taylor(3, CTX)
     for k in range(4):
         oracle = (
-            _central_derivative(lambda t: 1 / mp.gamma(1 + t), mpf(0), k)
+            _central_derivative(lambda t: mp.exp(-mp.euler * t) / mp.gamma(1 + t), mpf(0), k)
             if k
             else mpf(1)
         )
         with CTX.workprec():
-            derived = plain.coeffs[k] * mp.factorial(k)
+            derived = damped.coeffs[k] * mp.factorial(k)
             assert abs(derived - oracle) <= tol_bits(10) * max(1, abs(oracle))
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
 def test_inv_gamma_taylor_vs_loggamma_jet_route(bits):
-    # independent assembly: 1/Gamma(1+x) = exp(-loggamma jet shifted to 1)
+    # independent assemblies: exp(-gamma x) exp(-loggamma jet shifted to 1),
+    # and the Bell recurrence
     D = 8
     ctx = PrecisionContext(precision_bits=bits)
     tol = mpf(2) ** -(bits - 12)
     with ctx.workprec():
         lg = loggamma_jet(1, D, ctx)
-        routed = Jet(0, (-Jet(0, lg.coeffs)).exp().coeffs)
-        bell_route = inv_gamma_taylor(D, False, ctx)
-        assert max(abs(a - b) for a, b in zip(routed.coeffs, bell_route.coeffs)) <= tol
-        # and the damped variant is the same thing times exp(-gamma x)
         g = euler_gamma(ctx)
         damp = Jet(0, [(-g) ** n / mp.factorial(n) for n in range(D + 1)])
-        damped_route = damp * routed
-        damped_bell = inv_gamma_taylor(D, True, ctx)
-        assert max(abs(a - b) for a, b in zip(damped_route.coeffs, damped_bell.coeffs)) <= tol
+        routed = damp * Jet(0, (-Jet(0, lg.coeffs)).exp().coeffs)
+        got = inv_gamma_taylor(D, ctx).coeffs
+        assert max(abs(a - b) for a, b in zip(routed.coeffs, got, strict=True)) <= tol
+        assert max(abs(a - b) for a, b in zip(_inv_gamma_bell(D, ctx), got, strict=True)) <= tol

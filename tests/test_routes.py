@@ -8,10 +8,13 @@ their own sys.setprofile recorder.  A recorder collects every mtzeta
 function entered, by module and qualified name, and every wrapped
 mpmath special function that mtzeta code calls directly.  The value
 caches start empty for each route, so a cache filled by one route never
-hides what the other reaches.  Every function of the evaluator modules
-is then reached by some route, or listed in UNREACHED.
+hides what the other reaches; every module-level dict and lru_cache of
+the evaluator modules is one of those caches or a named shared table.
+Every function of the evaluator modules is then reached by some route,
+or listed in UNREACHED.
 """
 
+import functools
 import os
 import sys
 
@@ -46,13 +49,17 @@ SPECIAL = (
 # is normalised by Gamma(x + 1)
 SHARED_SPECIAL = {"remainder-order/integral-main-term": {"gamma"}}
 
-# value caches that would let one route skip work the other did
-CACHES = (
-    (polylog, "_CACHE", dict),
-    (series, "_node_factors", lambda: (None, {})),
-    (series, "_unit_factors", lambda: (None, {})),
-    (series, "_x_memo", lambda: (None, [], {})),
-)
+# value caches that would let one route skip work the other did: each
+# route gets an empty dict, or a fresh lru_cache of the same function
+CACHES = ((polylog, "_CACHE"), (series, "_node_table"), (series, "_x_tables"))
+# module-level tables that may stay warm across routes, because a hit
+# skips only mpmath-internal calls that no route records
+SHARED_TABLES = {
+    "mtzeta.quadrature._nodes": "DE node rows from libmp's cosh, sinh and exp",
+    "mtzeta.quadrature._far_u": "the two u of a folded node from libmp's log",
+    "mtzeta.series._log_u": "log u at a node from libmp's mpf_log",
+    "mtzeta.kernel._bernfrac": "B_2k as exact fractions from mp.bernfrac",
+}
 
 DEFAULT_REPORTS = 28
 # points outside verify all whose routes are checked as well, one report
@@ -72,6 +79,7 @@ UNREACHED = {
     "mtzeta.asymptotics." + name
     for name in ("expression_by_S", "i1_expansion", "main_term_M")
 } | {
+    "mtzeta.kernel.bell_complete",
     "mtzeta.kernel.loggamma_jet",
     "mtzeta.kernel.stirling_first_unsigned",
     "mtzeta.polylog.hurwitz_li0",
@@ -82,9 +90,8 @@ UNREACHED = {
 } | {
     "mtzeta.jets.Jet." + name
     for name in (
-        "__add__", "__mul__", "__neg__", "__pow__", "__repr__", "__rsub__", "__rtruediv__",
-        "__sub__", "__truediv__", "_coerce", "constant", "degree", "derivative_value", "exp",
-        "log", "variable",
+        "__add__", "__neg__", "__pow__", "__repr__", "__rsub__", "__rtruediv__", "__sub__",
+        "__truediv__", "constant", "derivative_value", "log", "variable",
     )
 }
 
@@ -119,9 +126,15 @@ def _wrap(name, original):
     return wrapped
 
 
+def _cold(cache):
+    if isinstance(cache, dict):
+        return {}
+    return functools.lru_cache(**cache.cache_parameters())(cache.__wrapped__)
+
+
 def _recorded(patch, fn, *args):
-    for module, attr, empty in CACHES:
-        patch.setattr(module, attr, empty())
+    for module, attr in CACHES:
+        patch.setattr(module, attr, _cold(getattr(module, attr)))
     record = _Record()
     _active.append(record)
     previous = sys.getprofile()
@@ -205,6 +218,7 @@ def _defined(module):
         for member in vars(value).values() if isinstance(value, type) else [value]:
             member = member.fget if isinstance(member, property) else member
             member = getattr(member, "__func__", member)  # classmethod, staticmethod
+            member = getattr(member, "__wrapped__", member)  # lru_cache
             code = getattr(member, "__code__", None)
             if code is not None and code.co_filename == module.__file__:
                 names.add(module.__name__ + "." + code.co_qualname)
@@ -217,3 +231,15 @@ def test_every_evaluator_function_is_reached_or_listed(points):
     assert sorted(UNREACHED - defined) == []
     assert sorted(defined - reached - UNREACHED) == []
     assert sorted(UNREACHED & reached) == []
+
+
+def test_every_value_cache_is_made_cold_or_shared():
+    found = {
+        module.__name__ + "." + name
+        for module in EVALUATORS
+        for name, value in vars(module).items()
+        if not name.startswith("__") and (isinstance(value, dict) or hasattr(value, "cache_clear"))
+    }
+    cold = {module.__name__ + "." + attr for module, attr in CACHES}
+    assert sorted(found - cold - set(SHARED_TABLES)) == []
+    assert sorted((cold | set(SHARED_TABLES)) - found) == []

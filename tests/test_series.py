@@ -342,7 +342,7 @@ def test_stored_log_matches_mpmath_power(kind, fn, monkeypatch):
         x = to_mpf(x)
         nodes.clear()
         value = fn(x, w, CTX128)
-        table = series._node_factors[1][CTX128.precision_bits]
+        table = series._node_table(kind, w.omega, w.a)[CTX128.precision_bits]
         logs = series._log_u[CTX128.precision_bits]
         with CTX128.workprec():
             for u, got in nodes:
@@ -357,8 +357,8 @@ def test_two_configurations_take_log_u_once_per_node(monkeypatch):
     # log u is kept per precision for every configuration, so a second
     # configuration at the same precision takes it only at nodes the
     # first did not reach; gamma0 takes no series-level mpf_log
-    for name, empty in (("_node_factors", (None, {})), ("_unit_factors", (None, {})), ("_log_u", {})):
-        monkeypatch.setattr(series, name, empty)
+    series._node_table.cache_clear()
+    monkeypatch.setattr(series, "_log_u", {})
     calls = []
     original = series.mpf_log
 
@@ -370,11 +370,12 @@ def test_two_configurations_take_log_u_once_per_node(monkeypatch):
     x = to_mpf("0.5")
     i_integral(x, _wc(("1.6",)), CTX128)
     first = len(calls)
-    value = i_integral(x, _wc(("0.7", "2.5"), "0.3"), CTX128)
-    nodes = series._node_factors[1][CTX128.precision_bits]
+    w = _wc(("0.7", "2.5"), "0.3")
+    value = i_integral(x, w, CTX128)
+    nodes = series._node_table("I", w.omega, w.a)[CTX128.precision_bits]
     assert first > 0 and len(calls) == len(set(calls)) == len(series._log_u[CTX128.precision_bits])
     assert len(calls) - first < len(nodes)
-    assert value._mpf_ == _plain_mellin("I", x, _wc(("0.7", "2.5"), "0.3"), CTX128)._mpf_
+    assert value._mpf_ == _plain_mellin("I", x, w, CTX128)._mpf_
 
 
 @pytest.mark.parametrize("fn", [i_integral, m_integral], ids=["I", "M"])
@@ -418,8 +419,7 @@ def test_far_term_skip_keeps_every_bit(fn, bits, monkeypatch):
         values = []
         for quad in (de_quad_0inf, _without_log_bound):
             monkeypatch.setattr(series, "de_quad_0inf", quad)
-            monkeypatch.setattr(series, "_node_factors", (None, {}))
-            monkeypatch.setattr(series, "_unit_factors", (None, {}))
+            series._node_table.cache_clear()
             values.append([fn(x, w, ctx)._mpf_ for x in xs])
         assert values[0] == values[1], (omega, a)
 
@@ -556,15 +556,17 @@ def test_repeated_weights_take_one_factor_per_node(kind, fn, kernel, omega, monk
         value = fn(x, _wc(om), CTX128)
         monkeypatch.setattr(series, kernel, original)
         # the single and the repeated weight converge on different node
-        # sets, so the count is compared per node
-        assert len(calls) == len(series._node_factors[1][CTX128.precision_bits]) > 0, om
+        # sets, so the count is compared per node of the table they share
+        table = series._node_table(kind, _wc(om[:1]).omega, mpf(0))[CTX128.precision_bits]
+        assert len(calls) == len(table) > 0, om
         assert value._mpf_ == _plain_mellin(kind, x, _wc(om), CTX128)._mpf_, om
 
 
 def test_unit_weight_family_reads_the_single_weight_table(monkeypatch):
     # (1,), (1, 1), (1, 1, 1) at a = 0 in turn at each x, as verify mzf
-    # runs them: the repeated weights take their factor from the table of
-    # (1,), and each value keeps the bits of the plain evaluator
+    # runs them, share the one table of (1,): the repeated weights take
+    # their factor from it, and each value keeps the bits of the plain
+    # evaluator.  Any other configuration, here a = 0.5, drops it
     calls = []
     original = series._m_factor
 
@@ -572,20 +574,21 @@ def test_unit_weight_family_reads_the_single_weight_table(monkeypatch):
         calls.append(y)
         return original(y)
 
-    monkeypatch.setattr(series, "_node_factors", (None, {}))
-    monkeypatch.setattr(series, "_unit_factors", (None, {}))
+    series._node_table.cache_clear()
     monkeypatch.setattr(series, "_m_factor", counted)
+    unit_key = ("M", (mpf(1),), mpf(0))
     for x in ("0.5", "1", "2.5"):
         x = to_mpf(x)
         for r in (1, 2, 3):
             calls.clear()
             value = m_integral(x, _wc(("1",) * r), CTX128)
             if r > 1:
-                assert len(calls) < len(series._node_factors[1][CTX128.precision_bits]), (x, r)
+                assert len(calls) < len(series._node_table(*unit_key)[CTX128.precision_bits]), (x, r)
             assert value._mpf_ == _plain_mellin("M", x, _wc(("1",) * r), CTX128)._mpf_, (x, r)
-    assert series._unit_factors[0] == ("M", (mpf(1),), mpf(0))
+    assert series._node_table.cache_info().misses == 1
     m_integral(to_mpf("0.5"), _wc(("1", "1"), "0.5"), CTX128)
-    assert series._unit_factors == (None, {})
+    assert series._node_table.cache_info().misses == 2
+    assert series._node_table(*unit_key) == {}
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
@@ -1115,9 +1118,9 @@ def test_zeta_ez_ones_matches_pow_evaluator(bits, monkeypatch):
 
 def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
     # n^-(1+x) is a power only at the 196 primes below N = 1200; every
-    # composite is a product of two earlier powers; the x memo starts
+    # composite is a product of two earlier powers; the x tables start
     # empty, so no earlier evaluation at this x supplies them
-    monkeypatch.setattr(series, "_x_memo", (None, [], {}))
+    series._x_tables.cache_clear()
     x = to_mpf("0.5")
     powers = []
     original = type(x).__pow__
@@ -1136,9 +1139,9 @@ def test_zeta_ez_direct_part_powers_primes_only(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-def test_zeta_ez_x_memo_keeps_the_bits(bits, monkeypatch):
-    # a depth that finds the x memo filled by other depths returns the
-    # bits of an evaluation from an empty memo; depth 4 needs one
+def test_zeta_ez_x_memo_keeps_the_bits(bits):
+    # a depth that finds the x tables filled by other depths returns the
+    # bits of an evaluation from empty tables; depth 4 needs one
     # polygamma order more than depths 2 and 3 stored
     ctx = PrecisionContext(precision_bits=bits)
     for x in ("1e-3", "0.5", "1", "5"):
@@ -1146,7 +1149,7 @@ def test_zeta_ez_x_memo_keeps_the_bits(bits, monkeypatch):
         warm = [zeta_ez_ones(r, x, ctx)._mpf_ for r in (1, 2, 3, 4)]
         cold = []
         for r in (1, 2, 3, 4):
-            monkeypatch.setattr(series, "_x_memo", (None, [], {}))
+            series._x_tables.cache_clear()
             cold.append(zeta_ez_ones(r, x, ctx)._mpf_)
         assert warm == cold, x
 

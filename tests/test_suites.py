@@ -334,9 +334,8 @@ def test_mzf_shares_each_x_across_depths(monkeypatch):
     # the -log(1 - e^-u) that r = 1 stored at each DE node, and r = 3 reads
     # the polygammas that r = 2 took at each mp.quad node of its tail
     ctx = PrecisionContext(precision_bits=128)
-    monkeypatch.setattr(series, "_node_factors", (None, {}))
-    monkeypatch.setattr(series, "_unit_factors", (None, {}))
-    monkeypatch.setattr(series, "_x_memo", (None, [], {}))
+    series._node_table.cache_clear()
+    series._x_tables.cache_clear()
     factor_nodes, tail_nodes = [], []
     m_factor, psi_derivs = series._m_factor, series.psi_derivs
 
